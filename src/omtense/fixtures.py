@@ -1,10 +1,11 @@
 """Built-in lattices, frames and propositions used by the demos and tests.
 
-The text constants are the single source of truth; the files under
-fixtures/ in the repository mirror them verbatim. oml10 is the ten-element
-orthomodular lattice obtained by gluing a Boolean cube on atoms a, b, c and
-a four-element block on d at shared bounds; o6 is the standard benzene-ring
-ortholattice, the smallest one that is not orthomodular.
+The text constants are the single source of truth; no copies of them live
+in files. They use the formats `omt` reads, so writing one out gives a
+valid input file. oml10 is the ten-element orthomodular lattice obtained
+by gluing a Boolean cube on atoms a, b, c and a four-element block on d at
+shared bounds; o6 is the standard benzene-ring ortholattice, the smallest
+one that is not orthomodular.
 """
 
 from __future__ import annotations

@@ -2,18 +2,23 @@
 
 A law states lhs <= rhs (or lhs = rhs) for all propositions bound to its
 variables, optionally guarded by a side condition (used for monotonicity,
-whose claim only applies to ordered pairs). Expressions evaluate two ways:
+whose claim only applies to ordered pairs). Expressions evaluate three ways:
 
-  eval_batch   numpy arrays of shape (rows, points), for the quantifiers
+  IdAlgebra    proposition ids (odometer indices) through operator id maps
+               and block-factored connective tables, for the quantifiers
+               whenever |L|^|T| is at most ID_PATH_MAX
+  eval_batch   numpy arrays of shape (rows, points), for the quantifiers on
+               larger proposition spaces
   eval_trace   one proposition at a time, recording every intermediate value,
                for witness replays
 
 Quantification is exhaustive in odometer order below the budget and falls
 back to deterministic seeded sampling above it (one-sided verdict). Pair
 laws quantify over the pair-index space p-major, capped by the pair budget
-with stratified sampling beyond. Work splits into contiguous chunks; chunk
-results merge by minimum failing index, so parallel runs report exactly what
-a sequential run reports.
+with stratified sampling beyond. Both evaluators report the first failing
+index in that order (sampled draws in draw order); the element path splits
+into contiguous chunks over worker processes and merges by minimum failing
+index, so parallel runs report exactly what a sequential run reports.
 """
 
 from __future__ import annotations
@@ -23,9 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NoOrtho
 from .lattice import Oml
 from .report import EXHAUSTIVE, FAIL, ONE_SIDED, PASS, SAMPLED, Witness
 from .sasaki import (
+    block_table,
+    block_width,
     prop_sasaki_and,
     prop_sasaki_imp,
     sasaki_and_batch,
@@ -37,11 +45,13 @@ from .tense import (
     DEFAULT_SEED,
     Prop,
     TenseOperator,
-    enumeration_order,
+    decode_props,
+    encode_props,
     partition_ranges,
     proposition_block,
     proposition_count,
     resolve_budget,
+    rows_id_map,
     sampled_block,
 )
 
@@ -235,25 +245,193 @@ def _rows_ok(law: Law, lattice: Oml, env: dict[str, np.ndarray],
     return rows
 
 
+# -- the id core ----------------------------------------------------------
+
+# Largest |L|^|T| whose laws are checked on ids. Above it the element path
+# evaluates (rows, |T|) arrays, because length-N id maps would not fit.
+ID_PATH_MAX = 1 << 20
+# ids (or id pairs) per evaluation step; keeps every temporary cache-sized
+ID_CHUNK = 1 << 14
+# int32 arithmetic on ids runs several times faster than int64 in numpy
+ID_DTYPE = np.int32
+
+
+def _join_batch(lattice: Oml, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return lattice.join_table[a, b]
+
+
+def _meet_batch(lattice: Oml, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return lattice.meet_table[a, b]
+
+
+def _leq_batch(lattice: Oml, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return lattice.leq[a, b]
+
+
+class IdAlgebra:
+    """Laws evaluated on proposition ids for one lattice and point count.
+
+    A proposition is its odometer index (tense.encode_props). Operators and
+    the complement are length-N id maps. A binary connective or the order
+    check splits ids into blocks of a few points, gathers each block from a
+    small table and recombines by Horner, so table memory does not depend on
+    N. Tables are built on first use and live as long as this object, which
+    callers scope to one suite run.
+    """
+
+    def __init__(self, lattice: Oml, n_points: int):
+        self.lattice = lattice
+        self.n_points = n_points
+        width = block_width(lattice)
+        self._widths = [width] * (n_points // width)  # most significant block first
+        if n_points % width:
+            self._widths.append(n_points % width)
+        self._maps: dict[int, tuple[TenseOperator, np.ndarray]] = {}
+        self._tables: dict[tuple[str, int], np.ndarray] = {}
+        self._comp: np.ndarray | None = None
+
+    def op_map(self, op: TenseOperator) -> np.ndarray:
+        entry = self._maps.get(id(op))
+        if entry is None:  # holding op keeps its id from being reused
+            entry = self._maps[id(op)] = (op, op.id_map().astype(ID_DTYPE))
+        return entry[1]
+
+    def complement_map(self) -> np.ndarray:
+        if self._comp is None:
+            comp = self.lattice.comp
+            if comp is None:
+                raise NoOrtho(f"lattice {self.lattice.name!r} has no orthocomplementation")
+            self._comp = rows_id_map(self.lattice, self.n_points,
+                                     lambda rows: comp[rows]).astype(ID_DTYPE)
+        return self._comp
+
+    def constant(self, which: str) -> int:
+        value = self.lattice.bottom if which == "bottom" else self.lattice.top
+        return int(encode_props(self.lattice, np.full(self.n_points, value, dtype=np.int16)))
+
+    def _codes(self, ids) -> list:
+        """Block codes of ids, most significant block first."""
+        codes = []
+        for width in reversed(self._widths[1:]):
+            radix = self.lattice.n ** width
+            rest = ids // radix
+            codes.append(ids - rest * radix)
+            ids = rest
+        codes.append(ids)
+        return codes[::-1]
+
+    def _split(self, name: str, fn, x, y):
+        """Per block: (radix, table of fn on that block width, index of the block pair)."""
+        for width, a, b in zip(self._widths, self._codes(x), self._codes(y)):
+            key = (name, width)
+            if key not in self._tables:
+                table = block_table(self.lattice, width, fn)
+                self._tables[key] = table if table.dtype == bool else table.astype(ID_DTYPE)
+            radix = self.lattice.n ** width
+            yield radix, self._tables[key], a * radix + b
+
+    def connective(self, name: str, fn, x, y):
+        """fn(lattice, a, b) applied pointwise to the propositions with ids x and y."""
+        out = 0
+        for radix, table, index in self._split(name, fn, x, y):
+            out = out * radix + np.take(table, index)
+        return out
+
+    def leq(self, x, y):
+        """Whether proposition x is below proposition y at every point."""
+        ok = True
+        for _, table, index in self._split("leq", _leq_batch, x, y):
+            ok = ok & np.take(table, index)
+        return ok
+
+    def eval(self, expr: Expr, env: dict, ops: dict[str, TenseOperator]):
+        match expr:
+            case PVar(name):
+                return env[name]
+            case ConstProp(which):
+                return self.constant(which)
+            case Neg(arg):
+                return np.take(self.complement_map(), self.eval(arg, env, ops))
+            case Join(a, b):
+                return self.connective("join", _join_batch, self.eval(a, env, ops),
+                                       self.eval(b, env, ops))
+            case Meet(a, b):
+                return self.connective("meet", _meet_batch, self.eval(a, env, ops),
+                                       self.eval(b, env, ops))
+            case SAnd(a, b):
+                return self.connective("sand", sasaki_and_batch, self.eval(a, env, ops),
+                                       self.eval(b, env, ops))
+            case SImp(a, b):
+                return self.connective("simp", sasaki_imp_batch, self.eval(a, env, ops),
+                                       self.eval(b, env, ops))
+            case App(slot, arg):
+                return np.take(self.op_map(ops[slot]), self.eval(arg, env, ops))
+        raise TypeError(f"not an expression: {expr!r}")
+
+    def rows_ok(self, law: Law, env: dict, ops: dict[str, TenseOperator]):
+        lhs = self.eval(law.lhs, env, ops)
+        rhs = self.eval(law.rhs, env, ops)
+        ok = self.leq(lhs, rhs) if law.relation == "leq" else lhs == rhs
+        if law.guard is not None:
+            ok = ok | ~self.leq(self.eval(law.guard[0], env, ops),
+                                self.eval(law.guard[1], env, ops))
+        return ok
+
+
+def _id_scan(core: IdAlgebra, law: Law, ops, batches) -> int:
+    """First failing index over (offset, env, shape) batches taken in order, or -1."""
+    for offset, env, shape in batches:
+        ok = np.broadcast_to(core.rows_ok(law, env, ops), shape).ravel()
+        if not ok.all():
+            return offset + int(np.argmin(ok))
+    return -1
+
+
+def _exhaustive_batches(names: tuple[str, ...], count: int, step: int):
+    """Every binding in order: no variable, ids, or id pairs p-major as whole
+    broadcast p rows."""
+    if len(names) < 2:
+        space = count if names else 1
+        for lo in range(0, space, step):
+            hi = min(lo + step, space)
+            yield lo, dict(zip(names, [np.arange(lo, hi, dtype=ID_DTYPE)])), (hi - lo,)
+        return
+    rows = max(1, step // count)
+    right = np.arange(count, dtype=ID_DTYPE)[None, :]
+    for lo in range(0, count, rows):
+        hi = min(lo + rows, count)
+        left = np.arange(lo, hi, dtype=ID_DTYPE)[:, None]
+        yield lo * count, {names[0]: left, names[1]: right}, (hi - lo, count)
+
+
+def _draw_batches(names: tuple[str, ...], columns: list[np.ndarray], step: int):
+    """Sampled ids in draw order."""
+    total = len(columns[0])
+    for lo in range(0, total, step):
+        hi = min(lo + step, total)
+        yield lo, {name: col[lo:hi] for name, col in zip(names, columns)}, (hi - lo,)
+
+
+def _stratified_pairs(count: int, cap: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """One uniform draw from each of cap near-equal strata of the p-major pair space."""
+    total = count * count
+    q, r = divmod(total, cap)
+    i = np.arange(cap, dtype=np.int64)
+    starts = i * q + np.minimum(i, r)
+    widths = q + (i < r)
+    rng = np.random.default_rng(seed)
+    ks = starts + rng.integers(0, widths)
+    return ks // count, ks % count
+
+
 def _env_for_range(law: Law, lattice: Oml, n_points: int,
                    lo: int, hi: int) -> dict[str, np.ndarray]:
-    if len(law.vars) == 1:
-        return {law.vars[0]: proposition_block(lattice, n_points, lo, hi)}
+    if len(law.vars) < 2:
+        return dict(zip(law.vars, [proposition_block(lattice, n_points, lo, hi)]))
     count = proposition_count(lattice, n_points)
     idx = np.arange(lo, hi, dtype=np.int64)
-    left = _rows_at(lattice, n_points, idx // count)
-    right = _rows_at(lattice, n_points, idx % count)
-    return {law.vars[0]: left, law.vars[1]: right}
-
-
-def _rows_at(lattice: Oml, n_points: int, indices: np.ndarray) -> np.ndarray:
-    order = enumeration_order(lattice)
-    idx = indices.copy()
-    out = np.empty((len(idx), n_points), dtype=np.int16)
-    for j in range(n_points - 1, -1, -1):
-        out[:, j] = order[idx % lattice.n]
-        idx //= lattice.n
-    return out
+    return {law.vars[0]: decode_props(lattice, n_points, idx // count),
+            law.vars[1]: decode_props(lattice, n_points, idx % count)}
 
 
 def _law_chunk(payload) -> int:
@@ -267,18 +445,6 @@ def _law_chunk(payload) -> int:
         if not rows.all():
             return start + int(np.argmin(rows))
     return -1
-
-
-def _decode_env(law: Law, lattice: Oml, n_points: int, index: int) -> dict[str, Prop]:
-    if len(law.vars) == 1:
-        row = proposition_block(lattice, n_points, index, index + 1)[0]
-        return {law.vars[0]: tuple(int(x) for x in row)}
-    count = proposition_count(lattice, n_points)
-    i, j = divmod(index, count)
-    return {
-        law.vars[0]: tuple(int(x) for x in proposition_block(lattice, n_points, i, i + 1)[0]),
-        law.vars[1]: tuple(int(x) for x in proposition_block(lattice, n_points, j, j + 1)[0]),
-    }
 
 
 def _failing_point(law: Law, lattice: Oml, env: dict[str, Prop], n_points: int,
@@ -297,39 +463,61 @@ def _failing_point(law: Law, lattice: Oml, env: dict[str, Prop], n_points: int,
 def check_law(law: Law, lattice: Oml, n_points: int, ops: dict[str, TenseOperator], *,
               budget: int | None = None, pair_budget: int = DEFAULT_PAIR_BUDGET,
               seed: int = DEFAULT_SEED, jobs: int = 1,
-              chunk: int = DEFAULT_CHUNK) -> LawOutcome:
-    """Quantify the law over all (or sampled) propositions."""
+              chunk: int = DEFAULT_CHUNK,
+              algebra: IdAlgebra | None = None) -> LawOutcome:
+    """Quantify the law over all (or sampled) propositions.
+
+    Up to ID_PATH_MAX propositions the law is evaluated on ids in-process,
+    whatever jobs says; pass algebra to share its tables across calls. Beyond
+    that the element path runs, split over jobs worker processes.
+    """
     budget = resolve_budget(budget)
     count = proposition_count(lattice, n_points)
     arity = len(law.vars)
 
     if arity == 0:
-        env: dict[str, np.ndarray] = {}
-        rows = _rows_ok(law, lattice, env, ops, (1, n_points))
-        if bool(rows.all()):
-            return LawOutcome(PASS, EXHAUSTIVE, 1)
-        point, lhs, rhs = _failing_point(law, lattice, {}, n_points, ops)
-        return LawOutcome(FAIL, EXHAUSTIVE, 1, witness_env={}, witness_point=point)
-
-    if arity == 1:
+        space = cap = 1
+    elif arity == 1:
         space, cap = count, budget
     else:
         space, cap = count * count, min(pair_budget, budget * budget)
+    exhaustive = space <= cap
 
-    if space <= cap:
-        first_bad = _run_exhaustive(law, lattice, ops, n_points, space, jobs, chunk)
-        if first_bad < 0:
-            return LawOutcome(PASS, EXHAUSTIVE, space)
-        env = _decode_env(law, lattice, n_points, first_bad)
-        point, _, _ = _failing_point(law, lattice, env, n_points, ops)
-        return LawOutcome(FAIL, EXHAUSTIVE, space, witness_env=env, witness_point=point)
+    if count <= ID_PATH_MAX:
+        core = algebra if algebra is not None else IdAlgebra(lattice, n_points)
+        step = min(chunk, ID_CHUNK)
+        if exhaustive:
+            bad = _id_scan(core, law, ops, _exhaustive_batches(law.vars, count, step))
+        else:
+            if arity == 1:
+                columns = [encode_props(lattice, sampled_block(lattice, n_points, cap, seed))]
+            else:
+                columns = list(_stratified_pairs(count, cap, seed))
+            columns = [col.astype(ID_DTYPE) for col in columns]
+            bad = _id_scan(core, law, ops, _draw_batches(law.vars, columns, step))
+    elif exhaustive:
+        bad = _run_exhaustive(law, lattice, ops, n_points, space, jobs, chunk)
+    else:
+        bad, columns = _run_sampled(law, lattice, ops, n_points, count, cap, seed)
 
-    return _run_sampled(law, lattice, ops, n_points, count, cap, seed)
+    mode, checked = (EXHAUSTIVE, space) if exhaustive else (SAMPLED, cap)
+    if bad < 0:
+        return LawOutcome(PASS if exhaustive else ONE_SIDED, mode, checked)
+    if exhaustive:
+        picked = divmod(bad, count) if arity == 2 else (bad,)[:arity]
+        rows = [decode_props(lattice, n_points, i) for i in picked]
+    elif count <= ID_PATH_MAX:
+        rows = [decode_props(lattice, n_points, col[bad]) for col in columns]
+    else:
+        rows = [col[bad] for col in columns]
+    env = {name: tuple(int(x) for x in row) for name, row in zip(law.vars, rows)}
+    point, _, _ = _failing_point(law, lattice, env, n_points, ops)
+    return LawOutcome(FAIL, mode, checked, witness_env=env, witness_point=point)
 
 
 def _run_exhaustive(law: Law, lattice: Oml, ops, n_points: int, space: int,
                     jobs: int, chunk: int) -> int:
-    if jobs <= 1:
+    if jobs <= 1 or space <= chunk:  # one chunk (or a closed law) is not worth a pool
         return _law_chunk((law, lattice, ops, n_points, 0, space, chunk))
     ranges = partition_ranges(space, jobs * 4)
     payloads = [(law, lattice, ops, n_points, lo, hi, chunk) for lo, hi in ranges]
@@ -340,41 +528,20 @@ def _run_exhaustive(law: Law, lattice: Oml, ops, n_points: int, space: int,
 
 
 def _run_sampled(law: Law, lattice: Oml, ops, n_points: int, count: int,
-                 cap: int, seed: int) -> LawOutcome:
-    arity = len(law.vars)
-    if arity == 1:
-        block = sampled_block(lattice, n_points, cap, seed)
-        env = {law.vars[0]: block}
-        rows = _rows_ok(law, lattice, env, ops, block.shape)
-        if bool(rows.all()):
-            return LawOutcome(ONE_SIDED, SAMPLED, cap)
-        i = int(np.argmin(rows))
-        wenv = {law.vars[0]: tuple(int(x) for x in block[i])}
-    else:
+                 cap: int, seed: int) -> tuple[int, list[np.ndarray]]:
+    """Element-path draws: (first failing draw or -1, the drawn rows per variable)."""
+    if len(law.vars) == 1:
+        columns = [sampled_block(lattice, n_points, cap, seed)]
+    elif count <= 2 ** 31:
         # stratified over the pair-index space when it is addressable, else
         # independent uniform draws per side
-        if count <= 2 ** 31:
-            total = count * count
-            q, r = divmod(total, cap)
-            i = np.arange(cap, dtype=np.int64)
-            starts = i * q + np.minimum(i, r)
-            widths = q + (i < r)
-            rng = np.random.default_rng(seed)
-            ks = starts + rng.integers(0, widths)
-            left = _rows_at(lattice, n_points, ks // count)
-            right = _rows_at(lattice, n_points, ks % count)
-        else:
-            left = sampled_block(lattice, n_points, cap, seed)
-            right = sampled_block(lattice, n_points, cap, seed + 1)
-        env = {law.vars[0]: left, law.vars[1]: right}
-        rows = _rows_ok(law, lattice, env, ops, left.shape)
-        if bool(rows.all()):
-            return LawOutcome(ONE_SIDED, SAMPLED, len(left))
-        i = int(np.argmin(rows))
-        wenv = {law.vars[0]: tuple(int(x) for x in left[i]),
-                law.vars[1]: tuple(int(x) for x in right[i])}
-    point, _, _ = _failing_point(law, lattice, wenv, n_points, ops)
-    return LawOutcome(FAIL, SAMPLED, cap, witness_env=wenv, witness_point=point)
+        columns = [decode_props(lattice, n_points, side)
+                   for side in _stratified_pairs(count, cap, seed)]
+    else:
+        columns = [sampled_block(lattice, n_points, cap, seed),
+                   sampled_block(lattice, n_points, cap, seed + 1)]
+    ok = _rows_ok(law, lattice, dict(zip(law.vars, columns)), ops, columns[0].shape)
+    return (-1 if bool(ok.all()) else int(np.argmin(ok))), columns
 
 
 def build_witness(law: Law, lattice: Oml, env: dict[str, Prop], n_points: int,

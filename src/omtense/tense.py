@@ -10,11 +10,14 @@ possible-past / possible-future readings:
 with the empty join equal to the bottom and the empty meet equal to the top.
 
 Every operator also evaluates in batch over an (N, T) array of propositions;
-that path powers the exhaustive quantifiers. Enumeration follows a fixed
-odometer: digit 0 is the lattice bottom, remaining digits follow element
-declaration order, and the last time point is the least significant digit,
-so the first proposition is constant-bottom and "lexicographically first
-counterexample" is meaningful.
+that path powers the quantifiers and builds the id maps below. Enumeration
+follows a fixed odometer: digit 0 is the lattice bottom, remaining digits
+follow element declaration order, and the last time point is the least
+significant digit, so the first proposition is constant-bottom and
+"lexicographically first counterexample" is meaningful. A proposition's
+position in that order is its id: encode_props and decode_props convert
+between ids and rows, and TenseOperator.id_map gives a whole operator as an
+id -> id map.
 """
 
 from __future__ import annotations
@@ -93,7 +96,8 @@ def strict_points(lattice: Oml, a: Prop, b: Prop) -> list[int]:
 # -- operator kinds -------------------------------------------------------
 
 class TenseOperator:
-    """Common surface: call on a proposition tuple, or apply_batch on arrays."""
+    """Common surface: call on a proposition tuple, apply_batch on arrays, or
+    id_map for the whole operator on proposition ids."""
 
     lattice: Oml
     n_points: int
@@ -104,6 +108,10 @@ class TenseOperator:
 
     def apply_batch(self, batch: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def id_map(self) -> np.ndarray:
+        """Length-|L|^|T| array: entry i is the id of this operator applied to id i."""
+        return rows_id_map(self.lattice, self.n_points, self.apply_batch)
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,6 +198,18 @@ class Tabulated(TenseOperator):
         rows = [self(tuple(int(x) for x in row)) for row in batch]
         return np.array(rows, dtype=batch.dtype).reshape(batch.shape)
 
+    def id_map(self) -> np.ndarray:
+        out = np.full(proposition_count(self.lattice, self.n_points), -1, dtype=np.intp)
+        if self.table:
+            keys = np.array(list(self.table), dtype=INDEX_DTYPE)
+            values = np.array(list(self.table.values()), dtype=INDEX_DTYPE)
+            out[encode_props(self.lattice, keys)] = encode_props(self.lattice, values)
+        missing = np.flatnonzero(out < 0)
+        if missing.size:
+            q = tuple(int(x) for x in decode_props(self.lattice, self.n_points, missing[0]))
+            raise TabulatedMiss(f"operator {self.label!r} has no entry for {q}")
+        return out
+
 
 @dataclass(frozen=True, eq=False)
 class Composed(TenseOperator):
@@ -215,6 +235,9 @@ class Composed(TenseOperator):
 
     def apply_batch(self, batch: np.ndarray) -> np.ndarray:
         return self.outer.apply_batch(self.inner.apply_batch(batch))
+
+    def id_map(self) -> np.ndarray:
+        return self.outer.id_map()[self.inner.id_map()]
 
 
 def apply(op: TenseOperator, q: Prop) -> Prop:
@@ -278,14 +301,42 @@ def proposition_count(lattice: Oml, n_points: int) -> int:
     return lattice.n ** n_points
 
 
+def decode_props(lattice: Oml, n_points: int, ids: np.ndarray) -> np.ndarray:
+    """Propositions at the given odometer indices (ids), one row each."""
+    order = enumeration_order(lattice)
+    idx = np.array(ids, dtype=np.int64)
+    out = np.empty(idx.shape + (n_points,), dtype=INDEX_DTYPE)
+    for j in range(n_points - 1, -1, -1):
+        out[..., j] = order[idx % lattice.n]
+        idx //= lattice.n
+    return out
+
+
+def encode_props(lattice: Oml, rows: np.ndarray) -> np.ndarray:
+    """Odometer index of each proposition along the last axis; inverts decode_props."""
+    digit = np.empty(lattice.n, dtype=np.intp)
+    digit[enumeration_order(lattice)] = np.arange(lattice.n)
+    digits = digit[rows]
+    ids = np.zeros(digits.shape[:-1], dtype=np.intp)
+    for j in range(digits.shape[-1]):
+        ids *= lattice.n
+        ids += digits[..., j]
+    return ids
+
+
 def proposition_block(lattice: Oml, n_points: int, lo: int, hi: int) -> np.ndarray:
     """Rows lo..hi (exclusive) of the odometer enumeration as an array."""
-    order = enumeration_order(lattice)
-    idx = np.arange(lo, hi, dtype=np.int64)
-    out = np.empty((hi - lo, n_points), dtype=INDEX_DTYPE)
-    for j in range(n_points - 1, -1, -1):
-        out[:, j] = order[idx % lattice.n]
-        idx //= lattice.n
+    return decode_props(lattice, n_points, np.arange(lo, hi, dtype=np.int64))
+
+
+def rows_id_map(lattice: Oml, n_points: int, rows_fn) -> np.ndarray:
+    """A row-wise map of proposition arrays as an id -> id map, built in chunks."""
+    count = proposition_count(lattice, n_points)
+    out = np.empty(count, dtype=np.intp)
+    for lo in range(0, count, DEFAULT_CHUNK):
+        hi = min(lo + DEFAULT_CHUNK, count)
+        block = proposition_block(lattice, n_points, lo, hi)
+        out[lo:hi] = encode_props(lattice, rows_fn(block))
     return out
 
 
