@@ -7,8 +7,8 @@ whose claim only applies to ordered pairs). Expressions evaluate three ways:
   IdAlgebra    proposition ids (odometer indices) through operator id maps
                and block-factored connective tables, for the quantifiers
                whenever |L|^|T| is at most ID_PATH_MAX
-  eval_batch   numpy arrays of shape (rows, points), for the quantifiers on
-               larger proposition spaces
+  eval_batch   numpy arrays of shape (rows, points), for closed laws and for
+               the quantifiers on larger proposition spaces
   eval_trace   one proposition at a time, recording every intermediate value,
                for witness replays
 
@@ -32,8 +32,6 @@ from .errors import NoOrtho
 from .lattice import Oml
 from .report import EXHAUSTIVE, FAIL, ONE_SIDED, PASS, SAMPLED, Witness
 from .sasaki import (
-    block_table,
-    block_width,
     prop_sasaki_and,
     prop_sasaki_imp,
     sasaki_and_batch,
@@ -43,6 +41,7 @@ from .tense import (
     DEFAULT_CHUNK,
     DEFAULT_PAIR_BUDGET,
     DEFAULT_SEED,
+    ID_DTYPE,
     Prop,
     TenseOperator,
     decode_props,
@@ -247,13 +246,42 @@ def _rows_ok(law: Law, lattice: Oml, env: dict[str, np.ndarray],
 
 # -- the id core ----------------------------------------------------------
 
-# Largest |L|^|T| whose laws are checked on ids. Above it the element path
-# evaluates (rows, |T|) arrays, because length-N id maps would not fit.
+# Largest |L|^|T| whose laws are checked on ids. Each id map is built by
+# applying its operator to all N propositions, while a law checks at most
+# budget (default 10^6) bindings and samples beyond it, so a few times past
+# the budget the maps cost more than they save and the element path, which
+# evaluates only the drawn rows, is faster. On PG(q) <= q over oml10 and a
+# linear frame (2-vCPU x86 box): N = 10^6 took 0.28s on ids and 0.53s on
+# elements; N = 10^7 took 9.2s on ids and 1.1s on elements.
 ID_PATH_MAX = 1 << 20
 # ids (or id pairs) per evaluation step; keeps every temporary cache-sized
 ID_CHUNK = 1 << 14
-# int32 arithmetic on ids runs several times faster than int64 in numpy
-ID_DTYPE = np.int32
+# entries per block table: (|L|^k)^2 for blocks of k points
+BLOCK_TABLE_ENTRIES = 1 << 15
+
+
+def block_width(lattice: Oml, n_points: int) -> int:
+    """Points per block: the most, up to n_points, with (|L|^k)^2 <=
+    BLOCK_TABLE_ENTRIES, and at least one."""
+    k = 1
+    while k < n_points and lattice.n ** (2 * (k + 1)) <= BLOCK_TABLE_ENTRIES:
+        k += 1
+    return k
+
+
+def block_table(lattice: Oml, width: int, connective) -> np.ndarray:
+    """A pointwise connective(lattice, a, b) lifted to blocks of `width` points.
+
+    Blocks are coded like propositions over `width` points (tense.encode_props).
+    Entry a * |L|^width + b of the flat table holds the code of connective(a, b)
+    or, when the connective is a relation with a boolean result, whether it
+    holds at every point of the block.
+    """
+    rows = decode_props(lattice, width, np.arange(lattice.n ** width))
+    out = connective(lattice, rows[:, None, :], rows[None, :, :])
+    if out.dtype == bool:
+        return out.all(axis=-1).ravel()
+    return encode_props(lattice, out).astype(ID_DTYPE).ravel()
 
 
 def _join_batch(lattice: Oml, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -271,30 +299,23 @@ def _leq_batch(lattice: Oml, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class IdAlgebra:
     """Laws evaluated on proposition ids for one lattice and point count.
 
-    A proposition is its odometer index (tense.encode_props). Operators and
-    the complement are length-N id maps. A binary connective or the order
-    check splits ids into blocks of a few points, gathers each block from a
-    small table and recombines by Horner, so table memory does not depend on
-    N. Tables are built on first use and live as long as this object, which
-    callers scope to one suite run.
+    A proposition is its odometer index (tense.encode_props). Operators
+    (TenseOperator.id_map) and the complement are length-N id maps. A binary
+    connective or the order check splits ids into blocks of a few points,
+    gathers each block from a small table and recombines by Horner, so table
+    memory does not depend on N. Tables are built on first use and live as
+    long as this object, which check_law scopes to one law.
     """
 
     def __init__(self, lattice: Oml, n_points: int):
         self.lattice = lattice
         self.n_points = n_points
-        width = block_width(lattice)
+        width = block_width(lattice, n_points)
         self._widths = [width] * (n_points // width)  # most significant block first
         if n_points % width:
             self._widths.append(n_points % width)
-        self._maps: dict[int, tuple[TenseOperator, np.ndarray]] = {}
         self._tables: dict[tuple[str, int], np.ndarray] = {}
         self._comp: np.ndarray | None = None
-
-    def op_map(self, op: TenseOperator) -> np.ndarray:
-        entry = self._maps.get(id(op))
-        if entry is None:  # holding op keeps its id from being reused
-            entry = self._maps[id(op)] = (op, op.id_map().astype(ID_DTYPE))
-        return entry[1]
 
     def complement_map(self) -> np.ndarray:
         if self._comp is None:
@@ -325,8 +346,7 @@ class IdAlgebra:
         for width, a, b in zip(self._widths, self._codes(x), self._codes(y)):
             key = (name, width)
             if key not in self._tables:
-                table = block_table(self.lattice, width, fn)
-                self._tables[key] = table if table.dtype == bool else table.astype(ID_DTYPE)
+                self._tables[key] = block_table(self.lattice, width, fn)
             radix = self.lattice.n ** width
             yield radix, self._tables[key], a * radix + b
 
@@ -365,7 +385,7 @@ class IdAlgebra:
                 return self.connective("simp", sasaki_imp_batch, self.eval(a, env, ops),
                                        self.eval(b, env, ops))
             case App(slot, arg):
-                return np.take(self.op_map(ops[slot]), self.eval(arg, env, ops))
+                return np.take(ops[slot].id_map(), self.eval(arg, env, ops))
         raise TypeError(f"not an expression: {expr!r}")
 
     def rows_ok(self, law: Law, env: dict, ops: dict[str, TenseOperator]):
@@ -388,13 +408,11 @@ def _id_scan(core: IdAlgebra, law: Law, ops, batches) -> int:
 
 
 def _exhaustive_batches(names: tuple[str, ...], count: int, step: int):
-    """Every binding in order: no variable, ids, or id pairs p-major as whole
-    broadcast p rows."""
-    if len(names) < 2:
-        space = count if names else 1
-        for lo in range(0, space, step):
-            hi = min(lo + step, space)
-            yield lo, dict(zip(names, [np.arange(lo, hi, dtype=ID_DTYPE)])), (hi - lo,)
+    """Every binding in order: ids, or id pairs p-major as whole broadcast p rows."""
+    if len(names) == 1:
+        for lo in range(0, count, step):
+            hi = min(lo + step, count)
+            yield lo, {names[0]: np.arange(lo, hi, dtype=ID_DTYPE)}, (hi - lo,)
         return
     rows = max(1, step // count)
     right = np.arange(count, dtype=ID_DTYPE)[None, :]
@@ -426,8 +444,8 @@ def _stratified_pairs(count: int, cap: int, seed: int) -> tuple[np.ndarray, np.n
 
 def _env_for_range(law: Law, lattice: Oml, n_points: int,
                    lo: int, hi: int) -> dict[str, np.ndarray]:
-    if len(law.vars) < 2:
-        return dict(zip(law.vars, [proposition_block(lattice, n_points, lo, hi)]))
+    if len(law.vars) == 1:
+        return {law.vars[0]: proposition_block(lattice, n_points, lo, hi)}
     count = proposition_count(lattice, n_points)
     idx = np.arange(lo, hi, dtype=np.int64)
     return {law.vars[0]: decode_props(lattice, n_points, idx // count),
@@ -463,28 +481,32 @@ def _failing_point(law: Law, lattice: Oml, env: dict[str, Prop], n_points: int,
 def check_law(law: Law, lattice: Oml, n_points: int, ops: dict[str, TenseOperator], *,
               budget: int | None = None, pair_budget: int = DEFAULT_PAIR_BUDGET,
               seed: int = DEFAULT_SEED, jobs: int = 1,
-              chunk: int = DEFAULT_CHUNK,
-              algebra: IdAlgebra | None = None) -> LawOutcome:
+              chunk: int = DEFAULT_CHUNK) -> LawOutcome:
     """Quantify the law over all (or sampled) propositions.
 
     Up to ID_PATH_MAX propositions the law is evaluated on ids in-process,
-    whatever jobs says; pass algebra to share its tables across calls. Beyond
-    that the element path runs, split over jobs worker processes.
+    whatever jobs says. Beyond that the element path runs, split over jobs
+    worker processes.
     """
     budget = resolve_budget(budget)
     count = proposition_count(lattice, n_points)
     arity = len(law.vars)
 
     if arity == 0:
-        space = cap = 1
-    elif arity == 1:
+        rows = _rows_ok(law, lattice, {}, ops, (1, n_points))
+        if bool(rows.all()):
+            return LawOutcome(PASS, EXHAUSTIVE, 1)
+        point, _, _ = _failing_point(law, lattice, {}, n_points, ops)
+        return LawOutcome(FAIL, EXHAUSTIVE, 1, witness_env={}, witness_point=point)
+
+    if arity == 1:
         space, cap = count, budget
     else:
         space, cap = count * count, min(pair_budget, budget * budget)
     exhaustive = space <= cap
 
     if count <= ID_PATH_MAX:
-        core = algebra if algebra is not None else IdAlgebra(lattice, n_points)
+        core = IdAlgebra(lattice, n_points)
         step = min(chunk, ID_CHUNK)
         if exhaustive:
             bad = _id_scan(core, law, ops, _exhaustive_batches(law.vars, count, step))
@@ -504,7 +526,7 @@ def check_law(law: Law, lattice: Oml, n_points: int, ops: dict[str, TenseOperato
     if bad < 0:
         return LawOutcome(PASS if exhaustive else ONE_SIDED, mode, checked)
     if exhaustive:
-        picked = divmod(bad, count) if arity == 2 else (bad,)[:arity]
+        picked = divmod(bad, count) if arity == 2 else (bad,)
         rows = [decode_props(lattice, n_points, i) for i in picked]
     elif count <= ID_PATH_MAX:
         rows = [decode_props(lattice, n_points, col[bad]) for col in columns]
@@ -517,7 +539,7 @@ def check_law(law: Law, lattice: Oml, n_points: int, ops: dict[str, TenseOperato
 
 def _run_exhaustive(law: Law, lattice: Oml, ops, n_points: int, space: int,
                     jobs: int, chunk: int) -> int:
-    if jobs <= 1 or space <= chunk:  # one chunk (or a closed law) is not worth a pool
+    if jobs <= 1:
         return _law_chunk((law, lattice, ops, n_points, 0, space, chunk))
     ranges = partition_ranges(space, jobs * 4)
     payloads = [(law, lattice, ops, n_points, lo, hi, chunk) for lo, hi in ranges]

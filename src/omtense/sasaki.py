@@ -15,9 +15,7 @@ import numpy as np
 
 from .errors import NoOrtho
 from .lattice import Oml
-from .tense import Prop, decode_props, encode_props
-
-BLOCK_TABLE_ENTRIES = 1 << 15
+from .tense import Prop
 
 
 def sasaki_and(lattice: Oml, x: int, y: int) -> int:
@@ -67,26 +65,3 @@ def connective_tables(lattice: Oml) -> tuple[np.ndarray, np.ndarray]:
     rows, cols = np.meshgrid(idx, idx, indexing="ij")
     return (sasaki_and_batch(lattice, rows, cols),
             sasaki_imp_batch(lattice, rows, cols))
-
-
-def block_width(lattice: Oml) -> int:
-    """Points per block: the most with (|L|^k)^2 <= 2^15 block-table entries, at least one."""
-    k = 1
-    while lattice.n ** (2 * (k + 1)) <= BLOCK_TABLE_ENTRIES:
-        k += 1
-    return k
-
-
-def block_table(lattice: Oml, width: int, connective) -> np.ndarray:
-    """A pointwise connective(lattice, a, b) lifted to blocks of `width` points.
-
-    Blocks are coded like propositions over `width` points (tense.encode_props).
-    Entry a * |L|^width + b of the flat table holds the code of connective(a, b)
-    or, when the connective is a relation with a boolean result, whether it
-    holds at every point of the block.
-    """
-    rows = decode_props(lattice, width, np.arange(lattice.n ** width))
-    out = connective(lattice, rows[:, None, :], rows[None, :, :])
-    if out.dtype == bool:
-        return out.all(axis=-1).ravel()
-    return encode_props(lattice, out).ravel()

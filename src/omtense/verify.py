@@ -28,7 +28,6 @@ from .lattice import (
 from .laws import (
     App,
     ConstProp,
-    IdAlgebra,
     Law,
     LawOutcome,
     Neg,
@@ -251,7 +250,6 @@ def _law_suite(suite: str, inst: Instance, entries) -> VerifyReport:
     points = inst.point_names()
     n_points = len(points)
     quad = inst.quadruple()
-    algebra = IdAlgebra(lattice, n_points)
     results: list[LawResult] = []
     for entry in entries:
         if entry[0] == "skip":
@@ -261,7 +259,7 @@ def _law_suite(suite: str, inst: Instance, entries) -> VerifyReport:
         _, law, ops, display = entry
         outcome = check_law(law, lattice, n_points, ops,
                             budget=inst.budget, pair_budget=inst.pair_budget,
-                            seed=inst.seed, jobs=inst.jobs, algebra=algebra)
+                            seed=inst.seed, jobs=inst.jobs)
         witness = None
         if outcome.verdict == FAIL:
             names = {slot: op.label for slot, op in ops.items()}
@@ -355,14 +353,13 @@ def _truth(outcome: LawOutcome) -> str:
     return "unknown"
 
 
-def _thm6_result(algebra: IdAlgebra, op: TenseOperator, label: str, *,
+def _thm6_result(lattice: Oml, n_points: int, op: TenseOperator, label: str, *,
                  budget, pair_budget, seed, jobs) -> LawResult:
-    lattice, n_points = algebra.lattice, algebra.n_points
     ops = {"A": op}
     left = check_law(_THM6_LEFT, lattice, n_points, ops, budget=budget,
-                     pair_budget=pair_budget, seed=seed, jobs=jobs, algebra=algebra)
+                     pair_budget=pair_budget, seed=seed, jobs=jobs)
     right = check_law(_THM6_RIGHT, lattice, n_points, ops, budget=budget,
-                      pair_budget=pair_budget, seed=seed, jobs=jobs, algebra=algebra)
+                      pair_budget=pair_budget, seed=seed, jobs=jobs)
     tl, tr = _truth(left), _truth(right)
     detail = f"(i) {tl}, (ii) {tr}"
     mode = EXHAUSTIVE if left.mode == right.mode == EXHAUSTIVE else SAMPLED
@@ -397,7 +394,7 @@ def check_thm6_equivalence(lattice: Oml, points, A: TenseOperator, *,
         return VerifyReport(suite="thm6", instance=inst_text, verdict=SKIPPED,
                             reason="requires an orthomodular lattice",
                             budget=resolve_budget(budget), seed=seed)
-    result = _thm6_result(IdAlgebra(lattice, len(points)), A, A.label, budget=budget,
+    result = _thm6_result(lattice, len(points), A, A.label, budget=budget,
                           pair_budget=pair_budget, seed=seed, jobs=jobs)
     return VerifyReport(suite="thm6", instance=inst_text, verdict=result.verdict,
                         laws=[result], budget=resolve_budget(budget), seed=seed,
@@ -414,9 +411,8 @@ def _suite_thm6(inst: Instance) -> VerifyReport:
         return _skip("thm6", inst, "requires an orthomodular lattice")
     points = inst.point_names()
     quad = inst.quadruple()
-    algebra = IdAlgebra(inst.lattice, len(points))
     results = [
-        _thm6_result(algebra, op, label, budget=inst.budget,
+        _thm6_result(inst.lattice, len(points), op, label, budget=inst.budget,
                      pair_budget=inst.pair_budget, seed=inst.seed, jobs=inst.jobs)
         for label, op in quad.as_dict().items()
     ]

@@ -7,6 +7,7 @@ checked, witness_env, witness_point) can be compared exactly.
 """
 
 import gc
+import pickle
 import weakref
 
 import numpy as np
@@ -188,11 +189,9 @@ def test_id_core_matches_brute_force(lattice_name, frame_name):
     lattice, frame = builtin_lattice(lattice_name), builtin_frame(frame_name)
     quad = OperatorQuadruple.from_frame(lattice, frame).as_dict()
     brute = Brute(lattice, frame)
-    algebra = IdAlgebra(lattice, frame.n)
     for law, names in _bindings():
         ops = {slot: quad[w] for slot, w in names.items()}
-        got = check_law(law, lattice, frame.n, ops, pair_budget=REFERENCE_PAIR_BUDGET,
-                        algebra=algebra)
+        got = check_law(law, lattice, frame.n, ops, pair_budget=REFERENCE_PAIR_BUDGET)
         want = brute.outcome(law, names, REFERENCE_PAIR_BUDGET)
         assert got == want, (law.id, names)
 
@@ -213,6 +212,11 @@ def test_encoding_and_operator_maps(lattice_name, frame_name):
     for op in ops:
         want = encode_props(lattice, op.apply_batch(block))
         assert np.array_equal(op.id_map(), want), op.label
+        assert op.id_map() is op.id_map()
+        # pool payloads carry the operator without its map
+        clone = pickle.loads(pickle.dumps(op))
+        assert "_id_map" not in clone.__dict__
+        assert np.array_equal(clone.id_map(), want), op.label
     comp = IdAlgebra(lattice, frame.n).complement_map()
     assert np.array_equal(comp, encode_props(lattice, lattice.comp[block]))
 
@@ -252,6 +256,29 @@ def test_element_path_agrees_with_id_core(monkeypatch, oml10, le2):
 
 
 # -- robustness ---------------------------------------------------------------
+
+def test_one_element_lattice_matches_element_path(monkeypatch, capsys, tmp_path):
+    # every block width fits the table budget on a one-element lattice, so
+    # blocks are capped by the point count
+    one = tmp_path / "one.lattice"
+    one.write_text("lattice one\nelements z\northo z:z\n", encoding="utf-8")
+    frame = tmp_path / "le3.frame"
+    frame.write_text(FRAME_TEXTS["le3"], encoding="utf-8")
+    assert laws.block_width(build_lattice(parse_lattice(one.read_text())), 3) == 3
+    commands = [["verify", "--lattice", str(one), "--frame", str(frame), "--suite", "all"],
+                ["induce", "--lattice", str(one), "--ops", f"frame:{frame}"]]
+
+    def run():
+        outs = []
+        for argv in commands:
+            outs.append((cli.main(argv), capsys.readouterr().out))
+        return outs
+
+    got = run()
+    monkeypatch.setattr(laws, "ID_PATH_MAX", 0)
+    assert got == run()
+    assert "suite thm1: pass" in got[0][1]
+
 
 def test_partial_tabulated_raises_inside_check_law(cube2):
     rows = [tuple(int(x) for x in r) for r in proposition_block(cube2, 2, 0, 16)]
