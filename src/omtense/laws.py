@@ -23,6 +23,7 @@ index, so parallel runs report exactly what a sequential run reports.
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -42,6 +43,7 @@ from .tense import (
     DEFAULT_PAIR_BUDGET,
     DEFAULT_SEED,
     ID_DTYPE,
+    ID_PATH_MAX,
     Prop,
     TenseOperator,
     decode_props,
@@ -246,14 +248,6 @@ def _rows_ok(law: Law, lattice: Oml, env: dict[str, np.ndarray],
 
 # -- the id core ----------------------------------------------------------
 
-# Largest |L|^|T| whose laws are checked on ids. Each id map is built by
-# applying its operator to all N propositions, while a law checks at most
-# budget (default 10^6) bindings and samples beyond it, so a few times past
-# the budget the maps cost more than they save and the element path, which
-# evaluates only the drawn rows, is faster. On PG(q) <= q over oml10 and a
-# linear frame (2-vCPU x86 box): N = 10^6 took 0.28s on ids and 0.53s on
-# elements; N = 10^7 took 9.2s on ids and 1.1s on elements.
-ID_PATH_MAX = 1 << 20
 # ids (or id pairs) per evaluation step; keeps every temporary cache-sized
 ID_CHUNK = 1 << 14
 # entries per block table: (|L|^k)^2 for blocks of k points
@@ -442,6 +436,17 @@ def _stratified_pairs(count: int, cap: int, seed: int) -> tuple[np.ndarray, np.n
     return ks // count, ks % count
 
 
+@functools.lru_cache(maxsize=1)
+def _pair_draw_ids(count: int, cap: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """_stratified_pairs as read-only ID_DTYPE columns, drawn once for all the
+    pair laws of a run (the draw depends on nothing else). count must be at
+    most 2^31 so that ids fit ID_DTYPE."""
+    columns = tuple(side.astype(ID_DTYPE) for side in _stratified_pairs(count, cap, seed))
+    for col in columns:
+        col.flags.writeable = False
+    return columns
+
+
 def _env_for_range(law: Law, lattice: Oml, n_points: int,
                    lo: int, hi: int) -> dict[str, np.ndarray]:
     if len(law.vars) == 1:
@@ -512,10 +517,10 @@ def check_law(law: Law, lattice: Oml, n_points: int, ops: dict[str, TenseOperato
             bad = _id_scan(core, law, ops, _exhaustive_batches(law.vars, count, step))
         else:
             if arity == 1:
-                columns = [encode_props(lattice, sampled_block(lattice, n_points, cap, seed))]
+                columns = [encode_props(lattice, sampled_block(lattice, n_points, cap, seed))
+                           .astype(ID_DTYPE)]
             else:
-                columns = list(_stratified_pairs(count, cap, seed))
-            columns = [col.astype(ID_DTYPE) for col in columns]
+                columns = _pair_draw_ids(count, cap, seed)
             bad = _id_scan(core, law, ops, _draw_batches(law.vars, columns, step))
     elif exhaustive:
         bad = _run_exhaustive(law, lattice, ops, n_points, space, jobs, chunk)
@@ -558,7 +563,7 @@ def _run_sampled(law: Law, lattice: Oml, ops, n_points: int, count: int,
         # stratified over the pair-index space when it is addressable, else
         # independent uniform draws per side
         columns = [decode_props(lattice, n_points, side)
-                   for side in _stratified_pairs(count, cap, seed)]
+                   for side in _pair_draw_ids(count, cap, seed)]
     else:
         columns = [sampled_block(lattice, n_points, cap, seed),
                    sampled_block(lattice, n_points, cap, seed + 1)]

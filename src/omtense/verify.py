@@ -11,7 +11,7 @@ into a full evaluation trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,6 +78,10 @@ class Instance:
     pair_budget: int = DEFAULT_PAIR_BUDGET
     seed: int = DEFAULT_SEED
     jobs: int = 1
+    # the quadruple built from lattice and frame, kept out of ops so that
+    # descriptor() prints the same bytes
+    _frame_quad: OperatorQuadruple | None = field(default=None, init=False, repr=False,
+                                                  compare=False)
 
     def point_names(self) -> tuple[str, ...]:
         if self.frame is not None:
@@ -94,7 +98,10 @@ class Instance:
         if self.ops is not None:
             return self.ops
         if self.frame is not None:
-            return OperatorQuadruple.from_frame(self.lattice, self.frame)
+            quad = self._frame_quad
+            if quad is None or quad.lattice is not self.lattice or quad.P.frame is not self.frame:
+                quad = self._frame_quad = OperatorQuadruple.from_frame(self.lattice, self.frame)
+            return quad
         raise InvalidSpec("instance has neither a frame nor an operator quadruple")
 
     def descriptor(self) -> str:

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import oracles
-from omtense import cli, laws
-from omtense.errors import TabulatedMiss
+from omtense import cli, laws, tense
+from omtense.errors import BudgetExceeded, TabulatedMiss
 from omtense.fixtures import FRAME_TEXTS, LATTICE_TEXTS, builtin_frame, builtin_lattice
 from omtense.frames import parse_frame
 from omtense.lattice import build_lattice, parse_lattice
@@ -36,12 +36,16 @@ from omtense.laws import (
 from omtense.report import EXHAUSTIVE, FAIL, ONE_SIDED, PASS, SAMPLED
 from omtense.tense import (
     DEFAULT_SEED,
+    ID_DTYPE,
+    FrameInduced,
     IdentityElseConstant,
     OperatorQuadruple,
     Tabulated,
     compose,
     decode_props,
     encode_props,
+    identity_operator,
+    ops_equal,
     proposition_block,
     proposition_count,
 )
@@ -318,3 +322,75 @@ def test_no_tables_outlive_the_run():
     del lattice, reports
     gc.collect()
     assert ref() is None
+
+
+# -- work shared by the laws of one run ---------------------------------------
+
+def test_run_all_builds_each_operator_map_once(monkeypatch, oml10, le2):
+    built = []
+    real = tense.rows_id_map
+
+    def counting(lattice, n_points, rows_fn):
+        built.append(getattr(rows_fn, "__self__", None))
+        return real(lattice, n_points, rows_fn)
+
+    monkeypatch.setattr(tense, "rows_id_map", counting)
+    run_all(Instance(oml10, frame=le2))
+    for which in "PFHG":
+        maps = [op for op in built if isinstance(op, FrameInduced)
+                and op.frame is le2 and op.which == which]
+        assert len(maps) == 1, which
+
+
+def test_instance_keeps_one_frame_quadruple(oml10, le2, le3):
+    inst = Instance(oml10, frame=le2)
+    quad = inst.quadruple()
+    assert inst.quadruple() is quad
+    assert "ops=" not in inst.descriptor()
+    inst.frame = le3
+    rebuilt = inst.quadruple()
+    assert rebuilt is not quad and rebuilt.P.frame is le3
+    assert inst.quadruple() is rebuilt
+
+
+def test_pair_draw_is_memoized_and_read_only():
+    count, cap = 1000, 5000
+    columns = laws._pair_draw_ids(count, cap, 3)
+    assert laws._pair_draw_ids(count, cap, 3) is columns
+    for got, want in zip(columns, laws._stratified_pairs(count, cap, 3)):
+        assert got.dtype == ID_DTYPE
+        assert np.array_equal(got, want.astype(ID_DTYPE))
+        with pytest.raises(ValueError):
+            got[0] = 1
+    other = laws._pair_draw_ids(count, cap, 4)
+    assert not np.array_equal(other[0] * count + other[1], columns[0] * count + columns[1])
+
+
+def test_ops_equal_on_id_maps_matches_element_path(monkeypatch, oml10, le3):
+    quad = OperatorQuadruple.from_frame(oml10, le3)
+    rows = [tuple(int(x) for x in row)
+            for row in proposition_block(oml10, le3.n, 0, proposition_count(oml10, le3.n))]
+    table_g = Tabulated(oml10, le3.n, {q: quad.G(q) for q in rows}, label="T")
+    pairs = [
+        (quad.P, FrameInduced(oml10, le3, "P"), True),
+        (quad.P, quad.F, False),
+        (table_g, quad.G, True),
+        (table_g, quad.H, False),
+        (IdentityElseConstant(oml10, le3.n, frozenset(range(le3.n)), oml10.top),
+         identity_operator(oml10, le3.n), True),
+        (IdentityElseConstant(oml10, le3.n, frozenset({0}), oml10.top),
+         identity_operator(oml10, le3.n), False),
+        (compose(quad.P, table_g), compose(quad.P, quad.G), True),
+        (compose(quad.P, table_g), compose(quad.G, quad.P), False),
+    ]
+    on_ids = [ops_equal(a, b) for a, b, _ in pairs]
+    assert on_ids == [want for _, _, want in pairs]
+    # the maps are built now, so the id path applies no operator
+    for kind in (FrameInduced, Tabulated, IdentityElseConstant):
+        monkeypatch.setattr(kind, "apply_batch", None)
+    assert [ops_equal(a, b) for a, b, _ in pairs] == on_ids
+    monkeypatch.undo()
+    monkeypatch.setattr(tense, "ID_PATH_MAX", 0)
+    assert [ops_equal(a, b) for a, b, _ in pairs] == on_ids
+    with pytest.raises(BudgetExceeded):
+        ops_equal(quad.P, quad.P, budget=proposition_count(oml10, le3.n) - 1)
