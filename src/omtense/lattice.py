@@ -296,24 +296,27 @@ def de_morgan_witness(lattice: Oml) -> tuple[int, int, str] | None:
     return None
 
 
+def orthomodular_join_result(lattice: Oml, pair: tuple[int, int] | None,
+                             samples: int | None = None) -> LawResult:
+    """The orthomodular-join-form result for orthomodular_witness's pair, or
+    a pass when it found none."""
+    if pair is None:
+        return LawResult("orthomodular-join-form", PASS, samples=samples)
+    x, y = pair
+    witness = Witness(
+        kind="elements", law="orthomodular-join-form",
+        elements=(("x", x), ("y", y)),
+        lhs=int(lattice.join_table[x, lattice.meet_table[y, lattice.comp[x]]]),
+        rhs=y,
+        note="x <= y but x v (y ^ x') != y")
+    return LawResult("orthomodular-join-form", FAIL, witness=witness, samples=samples)
+
+
 def check_orthomodular(lattice: Oml) -> VerifyReport:
     """Report on the orthomodular law; the witness pair is minimal in index order."""
-    witness = orthomodular_witness(lattice)
-    if witness is None:
-        law = LawResult("orthomodular-join-form", PASS)
-        verdict = PASS
-    else:
-        x, y = witness
-        w = Witness(
-            kind="elements", law="orthomodular-join-form",
-            elements=(("x", x), ("y", y)),
-            lhs=int(lattice.join_table[x, lattice.meet_table[y, lattice.comp[x]]]),
-            rhs=y,
-            note="x <= y but x v (y ^ x') != y")
-        law = LawResult("orthomodular-join-form", FAIL, witness=w)
-        verdict = FAIL
+    law = orthomodular_join_result(lattice, orthomodular_witness(lattice))
     return VerifyReport(
-        suite="oml-law", instance=f"lattice={lattice.name}", verdict=verdict,
+        suite="oml-law", instance=f"lattice={lattice.name}", verdict=law.verdict,
         laws=[law], context=ReplayContext(lattice=lattice))
 
 

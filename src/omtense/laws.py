@@ -4,21 +4,26 @@ A law states lhs <= rhs (or lhs = rhs) for all propositions bound to its
 variables, optionally guarded by a side condition (used for monotonicity,
 whose claim only applies to ordered pairs). Expressions evaluate three ways:
 
-  IdAlgebra    proposition ids (odometer indices) through operator id maps
-               and block-factored connective tables, for the quantifiers
-               whenever |L|^|T| is at most ID_PATH_MAX
+  IdAlgebra    proposition ids (odometer indices) through operator id maps,
+               and their block codes through block-factored connective
+               tables, for the quantifiers whenever |L|^|T| is at most
+               ID_PATH_MAX
   eval_batch   numpy arrays of shape (rows, points), for closed laws and for
                the quantifiers on larger proposition spaces
   eval_trace   one proposition at a time, recording every intermediate value,
                for witness replays
 
-Quantification is exhaustive in odometer order below the budget and falls
-back to deterministic seeded sampling above it (one-sided verdict). Pair
-laws quantify over the pair-index space p-major, capped by the pair budget
-with stratified sampling beyond. Both evaluators report the first failing
-index in that order (sampled draws in draw order); the element path splits
-into contiguous chunks over worker processes and merges by minimum failing
-index, so parallel runs report exactly what a sequential run reports.
+check_laws quantifies a list of (law, operators) cases. Quantification is
+exhaustive in odometer order below the budget and falls back to
+deterministic seeded sampling above it (one-sided verdict). Pair laws
+quantify over the pair-index space p-major, capped by the pair budget with
+stratified sampling beyond. On ids, the cases of one arity share one scan:
+the same batches in that order (sampled draws in draw order), each distinct
+subterm evaluated once per batch, and each case leaving the scan at its
+first failing index. On the element path each case runs alone, split into
+contiguous chunks over worker processes and merged by minimum failing
+index. Either way every case gets the outcome it would get checked alone,
+and parallel runs report exactly what a sequential run reports.
 """
 
 from __future__ import annotations
@@ -291,23 +296,27 @@ def _leq_batch(lattice: Oml, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class IdAlgebra:
-    """Laws evaluated on proposition ids for one lattice and point count.
+    """Propositions as ids for one lattice and point count.
 
     A proposition is its odometer index (tense.encode_props). Operators
-    (TenseOperator.id_map) and the complement are length-N id maps. A binary
-    connective or the order check splits ids into blocks of a few points,
-    gathers each block from a small table and recombines by Horner, so table
-    memory does not depend on N. Tables are built on first use and live as
-    long as this object, which check_law scopes to one law.
+    (TenseOperator.id_map) and the complement are length-N id maps. Binary
+    connectives and the order check work on block codes: an id split into
+    blocks of a few points (codes), each block gathered from a small table
+    indexed by the pair of block codes. ids() rebuilds ids from block codes
+    by Horner, where an id map or an equality needs them. Table memory does
+    not depend on N. Tables are built on first use and live as long as this
+    object, which check_laws scopes to one call.
     """
 
     def __init__(self, lattice: Oml, n_points: int):
         self.lattice = lattice
         self.n_points = n_points
         width = block_width(lattice, n_points)
-        self._widths = [width] * (n_points // width)  # most significant block first
+        widths = [width] * (n_points // width)  # most significant block first
         if n_points % width:
-            self._widths.append(n_points % width)
+            widths.append(n_points % width)
+        self._widths = widths
+        self._radices = [lattice.n ** w for w in widths]
         self._tables: dict[tuple[str, int], np.ndarray] = {}
         self._comp: np.ndarray | None = None
 
@@ -324,104 +333,196 @@ class IdAlgebra:
         value = self.lattice.bottom if which == "bottom" else self.lattice.top
         return int(encode_props(self.lattice, np.full(self.n_points, value, dtype=np.int16)))
 
-    def _codes(self, ids) -> list:
+    def codes(self, ids) -> list:
         """Block codes of ids, most significant block first."""
         codes = []
-        for width in reversed(self._widths[1:]):
-            radix = self.lattice.n ** width
+        for radix in reversed(self._radices[1:]):
             rest = ids // radix
             codes.append(ids - rest * radix)
             ids = rest
         codes.append(ids)
         return codes[::-1]
 
-    def _split(self, name: str, fn, x, y):
-        """Per block: (radix, table of fn on that block width, index of the block pair)."""
-        for width, a, b in zip(self._widths, self._codes(x), self._codes(y)):
+    def ids(self, codes):
+        """The ids with these block codes."""
+        out = 0
+        for radix, code in zip(self._radices, codes):
+            out = out * radix + code
+        return out
+
+    def _blocks(self, name: str, fn, a: list, b: list):
+        """Per block: (table of fn on that block width, index of the code pair)."""
+        for width, radix, x, y in zip(self._widths, self._radices, a, b):
             key = (name, width)
             if key not in self._tables:
                 self._tables[key] = block_table(self.lattice, width, fn)
-            radix = self.lattice.n ** width
-            yield radix, self._tables[key], a * radix + b
+            yield self._tables[key], x * radix + y
 
-    def connective(self, name: str, fn, x, y):
-        """fn(lattice, a, b) applied pointwise to the propositions with ids x and y."""
-        out = 0
-        for radix, table, index in self._split(name, fn, x, y):
-            out = out * radix + np.take(table, index)
-        return out
+    def connective_codes(self, name: str, fn, a: list, b: list) -> list:
+        """Block codes of fn(lattice, x, y) applied pointwise, from those of x and y."""
+        return [np.take(table, index) for table, index in self._blocks(name, fn, a, b)]
 
-    def leq(self, x, y):
-        """Whether proposition x is below proposition y at every point."""
+    def leq_codes(self, a: list, b: list):
+        """Whether x is below y at every point, from the block codes of x and y."""
         ok = True
-        for _, table, index in self._split("leq", _leq_batch, x, y):
+        for table, index in self._blocks("leq", _leq_batch, a, b):
             ok = ok & np.take(table, index)
         return ok
 
-    def eval(self, expr: Expr, env: dict, ops: dict[str, TenseOperator]):
+    def connective(self, name: str, fn, x, y):
+        """fn(lattice, a, b) applied pointwise to the propositions with ids x and y."""
+        return self.ids(self.connective_codes(name, fn, self.codes(x), self.codes(y)))
+
+    def leq(self, x, y):
+        """Whether proposition x is below proposition y at every point."""
+        return self.leq_codes(self.codes(x), self.codes(y))
+
+
+class _Subterms:
+    """The distinct subterms of a list of cases, scanned together on ids.
+
+    A subterm is keyed by its connective or its operator object and its
+    children, with each variable named by its position in law.vars, so a
+    subterm that several cases contain is one node. Nodes are numbered
+    children first. Within a batch each node is evaluated once, kept as ids,
+    block codes or both, and dropped after the last case that reads it.
+    """
+
+    def __init__(self, core: IdAlgebra, cases):
+        self.core = core
+        self.nodes: list[tuple] = []  # (kind, operand, children)
+        self._number: dict[tuple, int] = {}
+        self.checks = []              # per case: (relation, lhs, rhs, guard nodes or None)
+        self.reads = []               # per case: every node its check reads
+        for law, ops in cases:
+            lhs, rhs = (self._add(side, law.vars, ops) for side in (law.lhs, law.rhs))
+            guard = None
+            if law.guard is not None:
+                guard = tuple(self._add(side, law.vars, ops) for side in law.guard)
+            self.checks.append((law.relation, lhs, rhs, guard))
+            self.reads.append(self._closure((lhs, rhs) + (guard or ())))
+        self._ids: dict[int, object] = {}
+        self._codes: dict[int, list] = {}
+        self._columns: tuple = ()
+
+    def _add(self, expr: Expr, names: tuple[str, ...], ops: dict[str, TenseOperator]) -> int:
         match expr:
             case PVar(name):
-                return env[name]
+                key = ("var", names.index(name), ())
             case ConstProp(which):
-                return self.constant(which)
+                key = ("const", which, ())
             case Neg(arg):
-                return np.take(self.complement_map(), self.eval(arg, env, ops))
-            case Join(a, b):
-                return self.connective("join", _join_batch, self.eval(a, env, ops),
-                                       self.eval(b, env, ops))
-            case Meet(a, b):
-                return self.connective("meet", _meet_batch, self.eval(a, env, ops),
-                                       self.eval(b, env, ops))
-            case SAnd(a, b):
-                return self.connective("sand", sasaki_and_batch, self.eval(a, env, ops),
-                                       self.eval(b, env, ops))
-            case SImp(a, b):
-                return self.connective("simp", sasaki_imp_batch, self.eval(a, env, ops),
-                                       self.eval(b, env, ops))
+                key = ("neg", None, (self._add(arg, names, ops),))
             case App(slot, arg):
-                return np.take(ops[slot].id_map(), self.eval(arg, env, ops))
-        raise TypeError(f"not an expression: {expr!r}")
+                key = ("app", ops[slot], (self._add(arg, names, ops),))
+            case Join(a, b):
+                key = ("join", _join_batch, (self._add(a, names, ops), self._add(b, names, ops)))
+            case Meet(a, b):
+                key = ("meet", _meet_batch, (self._add(a, names, ops), self._add(b, names, ops)))
+            case SAnd(a, b):
+                key = ("sand", sasaki_and_batch,
+                       (self._add(a, names, ops), self._add(b, names, ops)))
+            case SImp(a, b):
+                key = ("simp", sasaki_imp_batch,
+                       (self._add(a, names, ops), self._add(b, names, ops)))
+            case _:
+                raise TypeError(f"not an expression: {expr!r}")
+        if key not in self._number:
+            self._number[key] = len(self.nodes)
+            self.nodes.append(key)
+        return self._number[key]
 
-    def rows_ok(self, law: Law, env: dict, ops: dict[str, TenseOperator]):
-        lhs = self.eval(law.lhs, env, ops)
-        rhs = self.eval(law.rhs, env, ops)
-        ok = self.leq(lhs, rhs) if law.relation == "leq" else lhs == rhs
-        if law.guard is not None:
-            ok = ok | ~self.leq(self.eval(law.guard[0], env, ops),
-                                self.eval(law.guard[1], env, ops))
+    def _closure(self, roots) -> list[int]:
+        seen, stack = set(), list(roots)
+        while stack:
+            node = stack.pop()
+            if node not in seen:
+                seen.add(node)
+                stack.extend(self.nodes[node][2])
+        return sorted(seen)
+
+    def _ids_of(self, node: int):
+        if node not in self._ids:
+            kind, operand, children = self.nodes[node]
+            if kind == "var":
+                out = self._columns[operand]
+            elif kind == "const":
+                out = self.core.constant(operand)
+            elif kind == "neg":
+                out = np.take(self.core.complement_map(), self._ids_of(children[0]))
+            elif kind == "app":
+                out = np.take(operand.id_map(), self._ids_of(children[0]))
+            else:
+                out = self.core.ids(self._codes_of(node))
+            self._ids[node] = out
+        return self._ids[node]
+
+    def _codes_of(self, node: int) -> list:
+        if node not in self._codes:
+            kind, operand, children = self.nodes[node]
+            if len(children) == 2:
+                out = self.core.connective_codes(kind, operand, *map(self._codes_of, children))
+            else:
+                out = self.core.codes(self._ids_of(node))
+            self._codes[node] = out
+        return self._codes[node]
+
+    def _rows_ok(self, relation: str, lhs: int, rhs: int, guard):
+        if relation == "leq":
+            ok = self.core.leq_codes(self._codes_of(lhs), self._codes_of(rhs))
+        else:
+            ok = self._ids_of(lhs) == self._ids_of(rhs)
+        if guard is not None:
+            ok = ok | ~self.core.leq_codes(*map(self._codes_of, guard))
         return ok
 
+    def scan(self, batches) -> list[int]:
+        """Per case, the first failing index over (offset, columns, shape)
+        batches taken in order, or -1. A case leaves the scan when it fails."""
+        bad = [-1] * len(self.checks)
+        active = list(range(len(self.checks)))
+        for offset, columns, shape in batches:
+            last = {}
+            for case in active:
+                for node in self.reads[case]:
+                    last[node] = case
+            self._columns = columns
+            for case in active:
+                ok = np.broadcast_to(self._rows_ok(*self.checks[case]), shape).ravel()
+                if not ok.all():
+                    bad[case] = offset + int(np.argmin(ok))
+                for node in self.reads[case]:
+                    if last[node] == case:
+                        self._ids.pop(node, None)
+                        self._codes.pop(node, None)
+            self._columns = ()
+            active = [case for case in active if bad[case] < 0]
+            if not active:
+                break
+        return bad
 
-def _id_scan(core: IdAlgebra, law: Law, ops, batches) -> int:
-    """First failing index over (offset, env, shape) batches taken in order, or -1."""
-    for offset, env, shape in batches:
-        ok = np.broadcast_to(core.rows_ok(law, env, ops), shape).ravel()
-        if not ok.all():
-            return offset + int(np.argmin(ok))
-    return -1
 
-
-def _exhaustive_batches(names: tuple[str, ...], count: int, step: int):
+def _exhaustive_batches(arity: int, count: int, step: int):
     """Every binding in order: ids, or id pairs p-major as whole broadcast p rows."""
-    if len(names) == 1:
+    if arity == 1:
         for lo in range(0, count, step):
             hi = min(lo + step, count)
-            yield lo, {names[0]: np.arange(lo, hi, dtype=ID_DTYPE)}, (hi - lo,)
+            yield lo, (np.arange(lo, hi, dtype=ID_DTYPE),), (hi - lo,)
         return
     rows = max(1, step // count)
     right = np.arange(count, dtype=ID_DTYPE)[None, :]
     for lo in range(0, count, rows):
         hi = min(lo + rows, count)
         left = np.arange(lo, hi, dtype=ID_DTYPE)[:, None]
-        yield lo * count, {names[0]: left, names[1]: right}, (hi - lo, count)
+        yield lo * count, (left, right), (hi - lo, count)
 
 
-def _draw_batches(names: tuple[str, ...], columns: list[np.ndarray], step: int):
+def _draw_batches(columns, step: int):
     """Sampled ids in draw order."""
     total = len(columns[0])
     for lo in range(0, total, step):
         hi = min(lo + step, total)
-        yield lo, {name: col[lo:hi] for name, col in zip(names, columns)}, (hi - lo,)
+        yield lo, tuple(col[lo:hi] for col in columns), (hi - lo,)
 
 
 def _stratified_pairs(count: int, cap: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -483,63 +584,105 @@ def _failing_point(law: Law, lattice: Oml, env: dict[str, Prop], n_points: int,
     raise AssertionError("witness does not fail the law")  # engine bug if reached
 
 
+def _outcome(law: Law, lattice: Oml, n_points: int, ops: dict[str, TenseOperator],
+             exhaustive: bool, checked: int, rows) -> LawOutcome:
+    """The outcome of a scan; rows holds the failing binding, one proposition
+    per variable, or is None when nothing failed."""
+    mode = EXHAUSTIVE if exhaustive else SAMPLED
+    if rows is None:
+        return LawOutcome(PASS if exhaustive else ONE_SIDED, mode, checked)
+    env = {name: tuple(int(x) for x in row) for name, row in zip(law.vars, rows)}
+    point, _, _ = _failing_point(law, lattice, env, n_points, ops)
+    return LawOutcome(FAIL, mode, checked, witness_env=env, witness_point=point)
+
+
+def check_laws(cases, lattice: Oml, n_points: int, *, budget: int | None = None,
+               pair_budget: int = DEFAULT_PAIR_BUDGET, seed: int = DEFAULT_SEED,
+               jobs: int = 1, chunk: int = DEFAULT_CHUNK) -> list[LawOutcome]:
+    """Quantify each (law, ops) case over all (or sampled) propositions.
+
+    Each outcome is what the case gets when checked alone. Up to ID_PATH_MAX
+    propositions the cases of one arity are checked on ids in-process,
+    whatever jobs says, in one scan: one IdAlgebra, one stream of batches
+    and each distinct subterm evaluated once per batch. Beyond that each case
+    runs on the element path, split over jobs worker processes.
+    """
+    budget = resolve_budget(budget)
+    count = proposition_count(lattice, n_points)
+    outcomes: list[LawOutcome | None] = [None] * len(cases)
+    by_arity: dict[int, list[int]] = {}
+    for i, (law, ops) in enumerate(cases):
+        arity = len(law.vars)
+        if arity == 0:
+            ok = bool(_rows_ok(law, lattice, {}, ops, (1, n_points)).all())
+            outcomes[i] = _outcome(law, lattice, n_points, ops, True, 1, None if ok else [])
+        elif count <= ID_PATH_MAX:
+            by_arity.setdefault(arity, []).append(i)
+        else:
+            outcomes[i] = _check_elements(law, lattice, n_points, ops, count, budget,
+                                          pair_budget, seed, jobs, chunk)
+
+    core = IdAlgebra(lattice, n_points)
+    step = min(chunk, ID_CHUNK)
+    for arity, members in by_arity.items():
+        space, cap = _space(arity, count, budget, pair_budget)
+        exhaustive = space <= cap
+        if exhaustive:
+            columns = None
+            batches = _exhaustive_batches(arity, count, step)
+        else:
+            if arity == 1:
+                columns = (encode_props(lattice, sampled_block(lattice, n_points, cap, seed))
+                           .astype(ID_DTYPE),)
+            else:
+                columns = _pair_draw_ids(count, cap, seed)
+            batches = _draw_batches(columns, step)
+        bads = _Subterms(core, [cases[i] for i in members]).scan(batches)
+        for i, bad in zip(members, bads):
+            law, ops = cases[i]
+            rows = None
+            if bad >= 0:
+                ids = _bound_ids(bad, count, arity) if exhaustive else [c[bad] for c in columns]
+                rows = [decode_props(lattice, n_points, x) for x in ids]
+            outcomes[i] = _outcome(law, lattice, n_points, ops, exhaustive,
+                                   space if exhaustive else cap, rows)
+    return outcomes
+
+
 def check_law(law: Law, lattice: Oml, n_points: int, ops: dict[str, TenseOperator], *,
               budget: int | None = None, pair_budget: int = DEFAULT_PAIR_BUDGET,
               seed: int = DEFAULT_SEED, jobs: int = 1,
               chunk: int = DEFAULT_CHUNK) -> LawOutcome:
-    """Quantify the law over all (or sampled) propositions.
+    """check_laws on the one case (law, ops)."""
+    return check_laws([(law, ops)], lattice, n_points, budget=budget, pair_budget=pair_budget,
+                      seed=seed, jobs=jobs, chunk=chunk)[0]
 
-    Up to ID_PATH_MAX propositions the law is evaluated on ids in-process,
-    whatever jobs says. Beyond that the element path runs, split over jobs
-    worker processes.
-    """
-    budget = resolve_budget(budget)
-    count = proposition_count(lattice, n_points)
-    arity = len(law.vars)
 
-    if arity == 0:
-        rows = _rows_ok(law, lattice, {}, ops, (1, n_points))
-        if bool(rows.all()):
-            return LawOutcome(PASS, EXHAUSTIVE, 1)
-        point, _, _ = _failing_point(law, lattice, {}, n_points, ops)
-        return LawOutcome(FAIL, EXHAUSTIVE, 1, witness_env={}, witness_point=point)
-
+def _space(arity: int, count: int, budget: int, pair_budget: int) -> tuple[int, int]:
+    """(bindings in the space, most bindings checked) for laws of this arity."""
     if arity == 1:
-        space, cap = count, budget
-    else:
-        space, cap = count * count, min(pair_budget, budget * budget)
-    exhaustive = space <= cap
+        return count, budget
+    return count * count, min(pair_budget, budget * budget)
 
-    if count <= ID_PATH_MAX:
-        core = IdAlgebra(lattice, n_points)
-        step = min(chunk, ID_CHUNK)
-        if exhaustive:
-            bad = _id_scan(core, law, ops, _exhaustive_batches(law.vars, count, step))
-        else:
-            if arity == 1:
-                columns = [encode_props(lattice, sampled_block(lattice, n_points, cap, seed))
-                           .astype(ID_DTYPE)]
-            else:
-                columns = _pair_draw_ids(count, cap, seed)
-            bad = _id_scan(core, law, ops, _draw_batches(law.vars, columns, step))
-    elif exhaustive:
+
+def _bound_ids(index: int, count: int, arity: int) -> tuple[int, ...]:
+    """The ids bound by an index into the exhaustive space, p-major."""
+    return divmod(index, count) if arity == 2 else (index,)
+
+
+def _check_elements(law: Law, lattice: Oml, n_points: int, ops, count: int, budget: int,
+                    pair_budget: int, seed: int, jobs: int, chunk: int) -> LawOutcome:
+    """One case on (rows, |T|) element arrays, for proposition spaces past ID_PATH_MAX."""
+    arity = len(law.vars)
+    space, cap = _space(arity, count, budget, pair_budget)
+    if space <= cap:
         bad = _run_exhaustive(law, lattice, ops, n_points, space, jobs, chunk)
-    else:
-        bad, columns = _run_sampled(law, lattice, ops, n_points, count, cap, seed)
-
-    mode, checked = (EXHAUSTIVE, space) if exhaustive else (SAMPLED, cap)
-    if bad < 0:
-        return LawOutcome(PASS if exhaustive else ONE_SIDED, mode, checked)
-    if exhaustive:
-        picked = divmod(bad, count) if arity == 2 else (bad,)
-        rows = [decode_props(lattice, n_points, i) for i in picked]
-    elif count <= ID_PATH_MAX:
-        rows = [decode_props(lattice, n_points, col[bad]) for col in columns]
-    else:
-        rows = [col[bad] for col in columns]
-    env = {name: tuple(int(x) for x in row) for name, row in zip(law.vars, rows)}
-    point, _, _ = _failing_point(law, lattice, env, n_points, ops)
-    return LawOutcome(FAIL, mode, checked, witness_env=env, witness_point=point)
+        rows = None if bad < 0 else [decode_props(lattice, n_points, x)
+                                     for x in _bound_ids(bad, count, arity)]
+        return _outcome(law, lattice, n_points, ops, True, space, rows)
+    bad, columns = _run_sampled(law, lattice, ops, n_points, count, cap, seed)
+    rows = None if bad < 0 else [col[bad] for col in columns]
+    return _outcome(law, lattice, n_points, ops, False, cap, rows)
 
 
 def _run_exhaustive(law: Law, lattice: Oml, ops, n_points: int, space: int,

@@ -3,8 +3,9 @@
 Each suite bundles one result as a table of checkable laws. Preconditions
 gate execution: a suite whose side conditions fail on the given instance is
 reported as skipped with the unmet condition as the reason, never as a
-spurious pass or fail. Quantified laws inherit the exhaustive-or-sampled
-budget semantics of check_law; elementwise laws always run exhaustively.
+spurious pass or fail. The quantified laws of a suite are checked together
+by one laws.check_laws call and inherit its exhaustive-or-sampled budget
+semantics; elementwise laws always run exhaustively.
 A failing law carries a witness, and replay_witness turns that witness back
 into a full evaluation trace.
 """
@@ -22,6 +23,7 @@ from .induction import check_star_inequalities, roundtrip_frame
 from .lattice import (
     Oml,
     de_morgan_witness,
+    orthomodular_join_result,
     orthomodular_witness,
     orthomodular_witness_dual,
 )
@@ -35,7 +37,8 @@ from .laws import (
     SAnd,
     SImp,
     build_witness,
-    check_law,
+    check_law,  # noqa: F401  perfbench/tracing.py wraps verify.check_law by this name
+    check_laws,
     eval_trace,
     render,
 )
@@ -257,6 +260,10 @@ def _law_suite(suite: str, inst: Instance, entries) -> VerifyReport:
     points = inst.point_names()
     n_points = len(points)
     quad = inst.quadruple()
+    checked = [entry for entry in entries if entry[0] == "law"]
+    outcomes = iter(check_laws([(law, ops) for _, law, ops, _ in checked], lattice, n_points,
+                               budget=inst.budget, pair_budget=inst.pair_budget,
+                               seed=inst.seed, jobs=inst.jobs))
     results: list[LawResult] = []
     for entry in entries:
         if entry[0] == "skip":
@@ -264,9 +271,7 @@ def _law_suite(suite: str, inst: Instance, entries) -> VerifyReport:
             results.append(LawResult(law_id, SKIPPED, ops=display, reason=reason))
             continue
         _, law, ops, display = entry
-        outcome = check_law(law, lattice, n_points, ops,
-                            budget=inst.budget, pair_budget=inst.pair_budget,
-                            seed=inst.seed, jobs=inst.jobs)
+        outcome = next(outcomes)
         witness = None
         if outcome.verdict == FAIL:
             names = {slot: op.label for slot, op in ops.items()}
@@ -363,10 +368,8 @@ def _truth(outcome: LawOutcome) -> str:
 def _thm6_result(lattice: Oml, n_points: int, op: TenseOperator, label: str, *,
                  budget, pair_budget, seed, jobs) -> LawResult:
     ops = {"A": op}
-    left = check_law(_THM6_LEFT, lattice, n_points, ops, budget=budget,
-                     pair_budget=pair_budget, seed=seed, jobs=jobs)
-    right = check_law(_THM6_RIGHT, lattice, n_points, ops, budget=budget,
-                      pair_budget=pair_budget, seed=seed, jobs=jobs)
+    left, right = check_laws([(_THM6_LEFT, ops), (_THM6_RIGHT, ops)], lattice, n_points,
+                             budget=budget, pair_budget=pair_budget, seed=seed, jobs=jobs)
     tl, tr = _truth(left), _truth(right)
     detail = f"(i) {tl}, (ii) {tr}"
     mode = EXHAUSTIVE if left.mode == right.mode == EXHAUSTIVE else SAMPLED
@@ -516,16 +519,7 @@ def _suite_omllaw(inst: Instance) -> VerifyReport:
     laws: list[LawResult] = []
 
     wj = orthomodular_witness(L)
-    if wj is None:
-        laws.append(LawResult("orthomodular-join-form", PASS, samples=L.n * L.n))
-    else:
-        x, y = wj
-        laws.append(LawResult(
-            "orthomodular-join-form", FAIL, samples=L.n * L.n,
-            witness=Witness(kind="elements", law="orthomodular-join-form",
-                            elements=(("x", x), ("y", y)),
-                            lhs=int(join[x, meet[y, comp[x]]]), rhs=y,
-                            note="x <= y but x v (y ^ x') != y")))
+    laws.append(orthomodular_join_result(L, wj, samples=L.n * L.n))
 
     wm = orthomodular_witness_dual(L)
     if wm is None:

@@ -1,4 +1,4 @@
-"""The id core of check_law against a brute force built from tests/oracles.py.
+"""The id core of check_laws against a brute force built from tests/oracles.py.
 
 The reference enumerates propositions as tuples in odometer order, applies
 the literal tense and Sasaki definitions from oracles.py point by point and
@@ -9,6 +9,7 @@ checked, witness_env, witness_point) can be compared exactly.
 import gc
 import pickle
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -32,6 +33,8 @@ from omtense.laws import (
     SAnd,
     SImp,
     check_law,
+    check_laws,
+    render,
 )
 from omtense.report import EXHAUSTIVE, FAIL, ONE_SIDED, PASS, SAMPLED
 from omtense.tense import (
@@ -69,19 +72,30 @@ FRAMES = ("le2", "le3", "nonserial2")
 # pair spaces above this many pairs are compared on sampled draws, so the
 # pure-Python reference stays fast
 REFERENCE_PAIR_BUDGET = 2000
+# a pair budget that samples every pair space but chain2 x le2's
+SMALL_PAIR_BUDGET = 50
 
 
-def _bindings():
-    """(law, slot -> operator name) for every quantified suite law."""
-    frame_ops = {w: w for w in "PFHG"}
-    out = [(law, frame_ops) for law in (
-        _THM1_LAWS + _THM2_SERIAL_LAWS + _THM2_REFLEXIVE_LAWS + _THM3_FIRST_LAWS
-        + _THM3_IDEMPOTENT_LAWS + _DEMORGAN_LAWS)]
-    out += [(law, {"A": w}) for law in (_THM6_LEFT, _THM6_RIGHT) for w in "PFHG"]
+def _thm7_bindings():
+    out = []
     for law, (_tag, slots, _lhs, _rhs) in zip(_THM7_LAWS, _THM7_SCHEMAS):
         (s1, class1), (s2, class2) = slots
         out += [(law, {s1: w1, s2: w2}) for w1 in class1 for w2 in class2]
     return out
+
+
+def _suites():
+    """Per suite, (law, slot -> operator name) for each quantified law, in one
+    list as the suite checks them (thm6 with all four operators at once)."""
+    frame_ops = {w: w for w in "PFHG"}
+    return {
+        "thm1": [(law, frame_ops) for law in _THM1_LAWS],
+        "thm2": [(law, frame_ops) for law in _THM2_SERIAL_LAWS + _THM2_REFLEXIVE_LAWS],
+        "thm3": [(law, frame_ops) for law in _THM3_FIRST_LAWS + _THM3_IDEMPOTENT_LAWS],
+        "demorgan": [(law, frame_ops) for law in _DEMORGAN_LAWS],
+        "thm6": [(law, {"A": w}) for w in "PFHG" for law in (_THM6_LEFT, _THM6_RIGHT)],
+        "thm7": _thm7_bindings(),
+    }
 
 
 class Brute:
@@ -190,14 +204,22 @@ def stratified_draws(count, cap, seed):
 @pytest.mark.parametrize("lattice_name", LATTICES)
 @pytest.mark.parametrize("frame_name", FRAMES)
 def test_id_core_matches_brute_force(lattice_name, frame_name):
+    # whole suites in one check_laws call, and each case alone
     lattice, frame = builtin_lattice(lattice_name), builtin_frame(frame_name)
     quad = OperatorQuadruple.from_frame(lattice, frame).as_dict()
     brute = Brute(lattice, frame)
-    for law, names in _bindings():
-        ops = {slot: quad[w] for slot, w in names.items()}
-        got = check_law(law, lattice, frame.n, ops, pair_budget=REFERENCE_PAIR_BUDGET)
-        want = brute.outcome(law, names, REFERENCE_PAIR_BUDGET)
-        assert got == want, (law.id, names)
+    for suite, bindings in _suites().items():
+        cases = [(law, {slot: quad[w] for slot, w in names.items()}) for law, names in bindings]
+        for pair_budget in (REFERENCE_PAIR_BUDGET, SMALL_PAIR_BUDGET):
+            want = [brute.outcome(law, names, pair_budget) for law, names in bindings]
+            got = check_laws(cases, lattice, frame.n, pair_budget=pair_budget)
+            assert got == want, (suite, pair_budget)
+            alone = [check_law(law, lattice, frame.n, ops, pair_budget=pair_budget)
+                     for law, ops in cases]
+            assert alone == want, (suite, pair_budget)
+        # a budget below the proposition count samples single-variable laws too
+        got = check_laws(cases, lattice, frame.n, budget=7)
+        assert got == [check_law(law, lattice, frame.n, ops, budget=7) for law, ops in cases]
 
 
 @pytest.mark.parametrize("lattice_name", LATTICES)
@@ -257,6 +279,138 @@ def test_element_path_agrees_with_id_core(monkeypatch, oml10, le2):
     want = run()
     monkeypatch.setattr(laws, "ID_PATH_MAX", 10)
     assert run() == want
+
+
+# -- one scan for a list of cases ----------------------------------------------
+
+class GatherLog(np.ndarray):
+    """An operator id map that records each gather made from it in log."""
+
+    def take(self, indices, *args, **kwargs):
+        out = np.asarray(self).take(indices, *args, **kwargs)
+        self.log.append((self.label, out))
+        return out
+
+
+def _logged_quadruple(lattice, frame, log):
+    quad = OperatorQuadruple.from_frame(lattice, frame).as_dict()
+    for label, op in quad.items():
+        logged = op.id_map().view(GatherLog)
+        logged.log, logged.label = log, label
+        object.__setattr__(op, "_id_map", logged)
+    return quad
+
+
+def _marked_batches(monkeypatch, log, on_batch=lambda: None):
+    """Put ("batch", None) in log before each exhaustive batch is handed out."""
+    real = laws._exhaustive_batches
+
+    def marked(*args):
+        for batch in real(*args):
+            on_batch()
+            log.append(("batch", None))
+            yield batch
+
+    monkeypatch.setattr(laws, "_exhaustive_batches", marked)
+
+
+def _per_batch(log):
+    batches = []
+    for label, out in log:
+        if label == "batch":
+            batches.append([])
+        else:
+            batches[-1].append((label, out))
+    return batches
+
+
+def test_failing_cases_leave_the_scan(monkeypatch, oml10, le3):
+    # oml10 x le3 is scanned exhaustively in batches of 16 p rows of 1000 q
+    log = []
+    quad = _logged_quadruple(oml10, le3, log)
+    _marked_batches(monkeypatch, log)
+    p, q = PVar("p"), PVar("q")
+    early = Law("early", "leq", App("A", q), p, ("p", "q"))
+    later = Law("later", "eq", App("A", SAnd(p, q)), SAnd(App("A", p), q), ("p", "q"))
+    holds = Law("holds", "leq", Meet(p, q), SAnd(p, q), ("p", "q"))
+    thm7 = [(law, {slot: quad[w] for slot, w in names.items()})
+            for law, names in _thm7_bindings()[:4]]
+    cases = [(early, {"A": quad["G"]}), (later, {"A": quad["H"]}), (holds, {})] + thm7
+    got = check_laws(cases, oml10, le3.n)
+    batches = _per_batch(log)
+    assert got == [check_law(law, oml10, le3.n, ops) for law, ops in cases]
+    count = proposition_count(oml10, le3.n)
+    assert [o.verdict for o in got] == [FAIL, FAIL] + [PASS] * 5
+    first = [[int(encode_props(oml10, np.array(o.witness_env[v]))) for v in "pq"]
+             for o in got[:2]]
+    assert first[0] == [0, 1]  # the first pair of the first batch
+    assert first[1][0] >= 16   # p row 16 or later: a later batch
+    assert len(batches) == count // 16 + 1
+    # G serves only the early law and H only the later one (these thm7 laws
+    # use P and F): each is gathered until its law fails, then never again
+    for label, last in (("G", 0), ("H", first[1][0] // 16)):
+        rows = [sum(name == label for name, _ in b) for b in batches]
+        assert all(rows[: last + 1]) and not any(rows[last + 1:]), label
+
+
+def test_each_subterm_is_gathered_once_per_batch(monkeypatch, oml10, le3):
+    log = []
+    quad = _logged_quadruple(oml10, le3, log)
+    _marked_batches(monkeypatch, log)
+    cases = [(law, {slot: quad[w] for slot, w in names.items()})
+             for law, names in _thm7_bindings()]
+    assert all(o.verdict == PASS for o in check_laws(cases, oml10, le3.n))
+    # distinct (operator, argument) pairs over the 32 laws, arguments
+    # rendered with the operator labels so equal subterms render equal
+    distinct = set()
+
+    def walk(expr, names):
+        if isinstance(expr, App):
+            distinct.add((names[expr.slot], render(expr.arg, names)))
+        for child in vars(expr).values():
+            if isinstance(child, (App, Neg, Join, Meet, SAnd, SImp)):
+                walk(child, names)
+
+    for law, ops in cases:
+        names = {slot: op.label for slot, op in ops.items()}
+        walk(law.lhs, names)
+        walk(law.rhs, names)
+    want = Counter(label for label, _ in distinct)
+    batches = _per_batch(log)
+    assert len(batches) == proposition_count(oml10, le3.n) // 16 + 1
+    for batch in batches:
+        assert Counter(label for label, _ in batch) == want
+
+
+def test_no_memo_entry_outlives_its_batch(monkeypatch, oml10, le3):
+    # every gathered id array and every list of connective block codes made
+    # in a batch must be freed before the next batch is handed out
+    log, refs = [], []
+    quad = _logged_quadruple(oml10, le3, log)
+
+    def all_freed():
+        gc.collect()
+        refs.extend(weakref.ref(out) for _, out in log if isinstance(out, np.ndarray))
+        log.clear()
+        assert all(ref() is None for ref in refs)
+
+    _marked_batches(monkeypatch, log, all_freed)
+    real = IdAlgebra.connective_codes
+
+    def logged(self, *args):
+        out = real(self, *args)
+        log.extend(("codes", code) for code in out)
+        return out
+
+    monkeypatch.setattr(IdAlgebra, "connective_codes", logged)
+    cases = [(law, {slot: quad[w] for slot, w in names.items()})
+             for law, names in _thm7_bindings()]
+    cases.append((Law("early", "leq", App("A", PVar("q")), PVar("p"), ("p", "q")),
+                  {"A": quad["F"]}))
+    outcomes = check_laws(cases, oml10, le3.n)
+    assert [o.verdict for o in outcomes] == [PASS] * 32 + [FAIL]
+    all_freed()
+    assert len(refs) > 1000
 
 
 # -- robustness ---------------------------------------------------------------
