@@ -376,7 +376,7 @@ def _add_budget_flags(sub) -> None:
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED,
                      help="seed for sampled quantification")
     sub.add_argument("--jobs", type=int, default=1,
-                     help="worker processes for exhaustive scans")
+                     help="worker processes for exhaustive scans past 2^20 propositions")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -452,6 +452,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise InvalidSpec(f"--jobs must be a positive integer, got {args.jobs}")
         return args.fn(args)
     except (ParseError, InvalidSpec, UnknownDemo, UnknownTimePoint) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,6 +8,13 @@ HG variant uses H(q) and G(q). Over the relation induced by the chosen
 operators, the extended frame's own P and F (or H and G) restrict back to
 the given ones on the original points; check_extension_* verifies exactly
 that, proposition by proposition.
+
+An exhaustive check of at most ID_PATH_MAX propositions over the original
+points reads the given operators' values off their id maps, in the calling
+process at any job count; only the bar operators, on 3|T| points, are
+applied to rows. A sampled check applies the given operators to its draws,
+in the calling process. Past the cap an exhaustive check applies them to
+blocks of rows, on worker processes when jobs > 1.
 """
 
 from __future__ import annotations
@@ -32,13 +39,16 @@ from .report import (
     Witness,
     aggregate,
 )
-from .induction import induce_R1, induce_R2
+from .induction import InducedRelationReport, induce_R1, induce_R2
 from .tense import (
     DEFAULT_CHUNK,
     DEFAULT_SEED,
+    ID_PATH_MAX,
     FrameInduced,
     Prop,
     TenseOperator,
+    decode_props,
+    id_blocks,
     partition_ranges,
     proposition_block,
     proposition_count,
@@ -104,32 +114,30 @@ def extend_prop_HG(lattice: Oml, q: Prop, H: TenseOperator, G: TenseOperator) ->
 
 
 def _ext_chunk(payload):
-    """First (index, op side, point) where a restriction fails; -1 index if none."""
-    lattice, n_points, lo_op, hi_op, barA, barB, lo, hi, step = payload
-    for start in range(lo, hi, step):
-        stop = min(start + step, hi)
-        block = proposition_block(lattice, n_points, start, stop)
-        bad = _ext_block_bad(lattice, n_points, lo_op, hi_op, barA, barB, block)
-        if bad is not None:
-            i, side, point = bad
-            return (start + i, side, point)
-    return (-1, 0, 0)
+    """_ext_first_miss inside odometer ids [lo, hi), applying the operators; picklable."""
+    lattice, n_points, op_a, op_b, bar_a, bar_b, lo, hi, step = payload
+
+    def blocks():
+        for start in range(lo, hi, step):
+            block = proposition_block(lattice, n_points, start, min(start + step, hi))
+            yield start, block, [op_a.apply_batch(block), op_b.apply_batch(block)]
+    return _ext_first_miss(n_points, bar_a, bar_b, blocks())
 
 
-def _ext_block_bad(lattice, n_points, op_a, op_b, bar_a, bar_b, block):
-    """Compare restricted bar evaluations with the direct ones on one block."""
-    a_vals = op_a.apply_batch(block)
-    b_vals = op_b.apply_batch(block)
-    qbar = np.concatenate([a_vals, block, b_vals], axis=1)
+def _ext_first_miss(n_points, bar_a, bar_b, blocks):
+    """First (index, op side, point) where a restricted bar evaluation differs
+    from the direct one, block by block, side A before side B within a block;
+    -1 index if none. blocks yields (start, q rows, [A(q) rows, B(q) rows])."""
     mid = slice(n_points, 2 * n_points)
-    for side, (bar_op, want) in enumerate(((bar_a, a_vals), (bar_b, b_vals))):
-        got = bar_op.apply_batch(qbar)[:, mid]
-        same = got == want
-        rows = same.all(axis=1)
-        if not rows.all():
-            i = int(np.argmin(rows))
-            return (i, side, int(np.argmin(same[i])))
-    return None
+    for start, block, (a_vals, b_vals) in blocks:
+        qbar = np.concatenate([a_vals, block, b_vals], axis=1)
+        for side, (bar_op, want) in enumerate(((bar_a, a_vals), (bar_b, b_vals))):
+            same = bar_op.apply_batch(qbar)[:, mid] == want
+            rows = same.all(axis=1)
+            if not rows.all():
+                i = int(np.argmin(rows))
+                return (start + i, side, int(np.argmin(same[i])))
+    return (-1, 0, 0)
 
 
 def _check_extension(lattice: Oml, points, op_a: TenseOperator, op_b: TenseOperator,
@@ -153,32 +161,33 @@ def _check_extension(lattice: Oml, points, op_a: TenseOperator, op_b: TenseOpera
                             note="restricting the extended relation does not recover the base")))
 
     space = proposition_count(lattice, n_points)
-    if space <= budget:
-        if jobs <= 1:
-            first = _ext_chunk((lattice, n_points, op_a, op_b, bar_a, bar_b,
-                                0, space, DEFAULT_CHUNK))
-        else:
-            ranges = partition_ranges(space, jobs * 4)
-            payloads = [(lattice, n_points, op_a, op_b, bar_a, bar_b, lo, hi, DEFAULT_CHUNK)
-                        for lo, hi in ranges]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_ext_chunk, payloads))
-            hits = [r for r in results if r[0] >= 0]
-            first = min(hits) if hits else (-1, 0, 0)
-        mode, samples = EXHAUSTIVE, space
-        decode = lambda i: tuple(
-            int(x) for x in proposition_block(lattice, n_points, i, i + 1)[0])
+    draws = None if space <= budget else sampled_block(lattice, n_points, budget, seed)
+    if draws is None and space <= ID_PATH_MAX:
+        first = _ext_first_miss(n_points, bar_a, bar_b, id_blocks((op_a, op_b)))
+    elif draws is not None:
+        blocks = [(0, draws, [op_a.apply_batch(draws), op_b.apply_batch(draws)])]
+        first = _ext_first_miss(n_points, bar_a, bar_b, blocks)
+    elif jobs <= 1:
+        first = _ext_chunk((lattice, n_points, op_a, op_b, bar_a, bar_b,
+                            0, space, DEFAULT_CHUNK))
     else:
-        block = sampled_block(lattice, n_points, budget, seed)
-        bad = _ext_block_bad(lattice, n_points, op_a, op_b, bar_a, bar_b, block)
-        first = (-1, 0, 0) if bad is None else bad
+        payloads = [(lattice, n_points, op_a, op_b, bar_a, bar_b, lo, hi, DEFAULT_CHUNK)
+                    for lo, hi in partition_ranges(space, jobs * 4)]
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(_ext_chunk, payloads))
+        hits = [r for r in results if r[0] >= 0]
+        first = min(hits) if hits else (-1, 0, 0)
+    if draws is None:
+        mode, samples = EXHAUSTIVE, space
+        decode = lambda i: decode_props(lattice, n_points, i)
+    else:
         mode, samples = SAMPLED, budget
-        decode = lambda i: tuple(int(x) for x in block[i])
+        decode = lambda i: draws[i]
 
     for side, label in enumerate(labels):
         law_id = f"{label}bar-restriction"
         if first[0] >= 0 and first[1] == side:
-            q = decode(first[0])
+            q = tuple(int(x) for x in decode(first[0]))
             op = (op_a, op_b)[side]
             bar_op = (bar_a, bar_b)[side]
             qbar = tuple(op_a(q)) + tuple(q) + tuple(op_b(q))
@@ -207,18 +216,26 @@ def _check_extension(lattice: Oml, points, op_a: TenseOperator, op_b: TenseOpera
 
 
 def check_extension_PF(lattice: Oml, points, P: TenseOperator, F: TenseOperator, *,
-                       budget: int | None = None, seed: int = DEFAULT_SEED,
-                       jobs: int = 1) -> VerifyReport:
-    """Extended-frame P and F restrict to the given P and F over the R1 relation."""
-    report = induce_R1(lattice, points, P, F, budget=budget, seed=seed, jobs=jobs)
+                       budget: int | None = None, seed: int = DEFAULT_SEED, jobs: int = 1,
+                       relation: InducedRelationReport | None = None) -> VerifyReport:
+    """Extended-frame P and F restrict to the given P and F over the R1 relation.
+
+    relation, when given, is the R1 report of P and F at this budget and seed.
+    """
+    report = relation if relation is not None else induce_R1(
+        lattice, points, P, F, budget=budget, seed=seed, jobs=jobs)
     return _check_extension(lattice, points, P, F, report, "ext-pf", ("P", "F"),
                             budget=budget, seed=seed, jobs=jobs)
 
 
 def check_extension_HG(lattice: Oml, points, H: TenseOperator, G: TenseOperator, *,
-                       budget: int | None = None, seed: int = DEFAULT_SEED,
-                       jobs: int = 1) -> VerifyReport:
-    """Extended-frame H and G restrict to the given H and G over the R2 relation."""
-    report = induce_R2(lattice, points, H, G, budget=budget, seed=seed, jobs=jobs)
+                       budget: int | None = None, seed: int = DEFAULT_SEED, jobs: int = 1,
+                       relation: InducedRelationReport | None = None) -> VerifyReport:
+    """Extended-frame H and G restrict to the given H and G over the R2 relation.
+
+    relation, when given, is the R2 report of H and G at this budget and seed.
+    """
+    report = relation if relation is not None else induce_R2(
+        lattice, points, H, G, budget=budget, seed=seed, jobs=jobs)
     return _check_extension(lattice, points, H, G, report, "ext-hg", ("H", "G"),
                             budget=budget, seed=seed, jobs=jobs)

@@ -13,6 +13,17 @@ The quantifier over q runs exhaustively in odometer order below the budget
 one-sidedly over a seeded sample above it (the reported relation is then a
 superset of the true one). No axioms are assumed of the operators; arbitrary
 quadruples are accepted and simply reported on.
+
+An exhaustive scan of at most ID_PATH_MAX propositions runs in the calling
+process, at any job count, on the operators' id maps: the values of an
+operator are tense.all_props(...)[op.id_map()], and two operators differ
+where their id maps do. A sampled scan applies the operators to its draws
+only, in the calling process, since building a map costs a pass over all
+propositions. Past the cap an exhaustive scan applies the operators to
+blocks of rows, on worker processes when jobs > 1; pooled results merge by
+least index. Every scan finds the first violation of all pairs (s, t) with
+the same s at once, and every path reports the same relations and
+witnesses.
 """
 
 from __future__ import annotations
@@ -40,10 +51,13 @@ from .report import (
 from .tense import (
     DEFAULT_CHUNK,
     DEFAULT_SEED,
-    FrameInduced,
+    ID_PATH_MAX,
     OperatorQuadruple,
     Prop,
     TenseOperator,
+    all_props,
+    decode_props,
+    id_blocks,
     ops_equal,
     partition_ranges,
     proposition_block,
@@ -88,18 +102,6 @@ class InducedRelationReport:
         return [(self.points[s], self.points[t]) for s, t in sorted(self.pairs)]
 
 
-def _pair_checks(which: str, batch: np.ndarray, quadruple: OperatorQuadruple,
-                 leq: np.ndarray):
-    """Yield (ineq_id, ok_matrix_fn) helpers bound to evaluated operator columns."""
-    if which == "R1":
-        pv = quadruple.P.apply_batch(batch)
-        fv = quadruple.F.apply_batch(batch)
-        return lambda s, t: (leq[batch[:, s], pv[:, t]], leq[batch[:, t], fv[:, s]])
-    hv = quadruple.H.apply_batch(batch)
-    gv = quadruple.G.apply_batch(batch)
-    return lambda s, t: (leq[hv[:, t], batch[:, s]], leq[gv[:, s], batch[:, t]])
-
-
 def _ineq_values(which: str, lattice: Oml, quadruple: OperatorQuadruple,
                  q: Prop, s: int, t: int, side: int) -> tuple[int, int]:
     if which == "R1":
@@ -111,31 +113,59 @@ def _ineq_values(which: str, lattice: Oml, quadruple: OperatorQuadruple,
     return quadruple.G(q)[s], q[t]
 
 
-def _scan_chunk(payload):
-    """For each pair, the first violating (index, side) inside [lo, hi); picklable."""
-    which, lattice, points, quadruple, lo, hi, step = payload
-    n_points = len(points)
-    found: dict[tuple[int, int], tuple[int, int]] = {}
-    pending = [(s, t) for s in range(n_points) for t in range(n_points)]
+def _row_blocks(lattice: Oml, n_points: int, ops, draws, lo: int, hi: int, step: int):
+    """Like tense.id_blocks, but applying the operators: to the sampled draws
+    in one block, or else to odometer ids [lo, hi) step rows at a time."""
+    if draws is not None:
+        yield 0, draws, [op.apply_batch(draws) for op in ops]
+        return
     for start in range(lo, hi, step):
-        stop = min(start + step, hi)
-        batch = proposition_block(lattice, n_points, start, stop)
-        checks = _pair_checks(which, batch, quadruple, lattice.leq)
-        done = []
-        for (s, t) in pending:
-            ok0, ok1 = checks(s, t)
+        block = proposition_block(lattice, n_points, start, min(start + step, hi))
+        yield start, block, [op.apply_batch(block) for op in ops]
+
+
+def _first_violations(which: str, leq: np.ndarray, n_points: int, blocks):
+    """For each pair (s, t), its first violating (index, side) over the blocks.
+
+    blocks yields (start, q rows, [A(q) rows, B(q) rows]) with (A, B) = (P, F)
+    for R1 and (H, G) for R2; side 0 is the inequality that reads A.
+    """
+    found: dict[tuple[int, int], tuple[int, int]] = {}
+    columns = np.arange(n_points)
+    flat, size = leq.ravel(), leq.shape[0]
+    # rows per step, so that the (rows, |T|) index arrays below stay near 1 MB
+    step = DEFAULT_CHUNK // max(n_points, 1)
+    pieces = ((start + lo, [v[lo:lo + step] for v in (rows, *values)])
+              for start, rows, values in blocks for lo in range(0, len(rows), step))
+    for start, piece in pieces:
+        # leq[x, y] is flat[x * size + y]; int32 index arithmetic is the fast kind.
+        # Each side adds the column at s to every column t.
+        q, a, b = (v.astype(np.int32) for v in piece)
+        if which == "R1":  # q(s) <= A(q)(t) and q(t) <= B(q)(s)
+            qs = q * size
+            s0, t0, s1, t1 = qs, a, b, qs
+        else:  # A(q)(t) <= q(s) and B(q)(s) <= q(t)
+            s0, t0, s1, t1 = q, a * size, b * size, q
+        for s in range(n_points):
+            if all((s, t) in found for t in range(n_points)):
+                continue
+            ok0 = flat.take(s0[:, s, None] + t0)
+            ok1 = flat.take(s1[:, s, None] + t1)
             bad = ~(ok0 & ok1)
-            if bad.any():
-                i = int(np.argmax(bad))
-                side = 0 if not ok0[i] else 1
-                found[(s, t)] = (start + i, side)
-                done.append((s, t))
-        if done:
-            gone = set(done)
-            pending = [pair for pair in pending if pair not in gone]
-        if not pending:
+            first = bad.argmax(axis=0)
+            for t in np.flatnonzero(bad[first, columns]):
+                i = first[t]
+                found.setdefault((s, int(t)), (start + int(i), 0 if not ok0[i, t] else 1))
+        if len(found) == n_points * n_points:
             break
     return found
+
+
+def _scan_chunk(payload):
+    """_first_violations inside odometer ids [lo, hi); picklable."""
+    which, lattice, n_points, ops, lo, hi, step = payload
+    return _first_violations(which, lattice.leq, n_points,
+                             _row_blocks(lattice, n_points, ops, None, lo, hi, step))
 
 
 def _induce(which: str, lattice: Oml, points, quadruple: OperatorQuadruple, *,
@@ -149,41 +179,34 @@ def _induce(which: str, lattice: Oml, points, quadruple: OperatorQuadruple, *,
     budget = resolve_budget(budget)
     space = proposition_count(lattice, n_points)
     ineq_names = _R1_INEQS if which == "R1" else _R2_INEQS
+    ops = (quadruple.P, quadruple.F) if which == "R1" else (quadruple.H, quadruple.G)
+    draws = None if space <= budget else sampled_block(lattice, n_points, budget, seed)
 
-    if space <= budget:
-        if jobs <= 1:
-            found = _scan_chunk((which, lattice, points, quadruple, 0, space, chunk))
-        else:
-            ranges = partition_ranges(space, jobs * 4)
-            payloads = [(which, lattice, points, quadruple, lo, hi, chunk)
-                        for lo, hi in ranges]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_scan_chunk, payloads))
-            found = {}
-            for part in results:
-                for pair, hit in part.items():
-                    if pair not in found or hit[0] < found[pair][0]:
-                        found[pair] = hit
-        mode, samples = EXHAUSTIVE, space
-        decode = lambda i: tuple(
-            int(x) for x in proposition_block(lattice, n_points, i, i + 1)[0])
+    if draws is None and space <= ID_PATH_MAX:
+        found = _first_violations(which, lattice.leq, n_points, id_blocks(ops, chunk))
+    elif draws is not None or jobs <= 1:
+        found = _first_violations(which, lattice.leq, n_points,
+                                  _row_blocks(lattice, n_points, ops, draws, 0, space, chunk))
     else:
-        block = sampled_block(lattice, n_points, budget, seed)
-        checks = _pair_checks(which, block, quadruple, lattice.leq)
+        payloads = [(which, lattice, n_points, ops, lo, hi, chunk)
+                    for lo, hi in partition_ranges(space, jobs * 4)]
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(_scan_chunk, payloads))
         found = {}
-        for s in range(n_points):
-            for t in range(n_points):
-                ok0, ok1 = checks(s, t)
-                bad = ~(ok0 & ok1)
-                if bad.any():
-                    i = int(np.argmax(bad))
-                    found[(s, t)] = (i, 0 if not ok0[i] else 1)
+        for part in results:
+            for pair, hit in part.items():
+                if pair not in found or hit[0] < found[pair][0]:
+                    found[pair] = hit
+    if draws is None:
+        mode, samples = EXHAUSTIVE, space
+        decode = lambda i: decode_props(lattice, n_points, i)
+    else:
         mode, samples = SAMPLED, budget
-        decode = lambda i: tuple(int(x) for x in block[i])
+        decode = lambda i: draws[i]
 
     witnesses = {}
     for pair, (index, side) in sorted(found.items()):
-        q = decode(index)
+        q = tuple(int(x) for x in decode(index))
         lhs, rhs = _ineq_values(which, lattice, quadruple, q, pair[0], pair[1], side)
         witnesses[pair] = PairWitness(q, ineq_names[side], lhs, rhs, index)
     pairs = frozenset((s, t) for s in range(n_points) for t in range(n_points)
@@ -215,6 +238,11 @@ def induce_R3(lattice: Oml, points, quadruple: OperatorQuadruple, *,
                    budget=budget, seed=seed, jobs=jobs)
     r2 = induce_R2(lattice, points, quadruple.H, quadruple.G,
                    budget=budget, seed=seed, jobs=jobs)
+    return _intersect(r1, r2)
+
+
+def _intersect(r1: InducedRelationReport, r2: InducedRelationReport) -> InducedRelationReport:
+    """The R3 report of an R1 and an R2 report over the same points."""
     pairs = r1.pairs & r2.pairs
     witnesses: dict[tuple[int, int], PairWitness] = {}
     n_points = len(r1.points)
@@ -230,7 +258,7 @@ def induce_R3(lattice: Oml, points, quadruple: OperatorQuadruple, *,
                 witnesses[(s, t)] = w1 or w2
     mode = EXHAUSTIVE if r1.mode == r2.mode == EXHAUSTIVE else SAMPLED
     return InducedRelationReport("R3", r1.points, pairs, witnesses, mode,
-                                 max(r1.samples, r2.samples), lattice)
+                                 max(r1.samples, r2.samples), r1.lattice)
 
 
 def indicator_proposition(lattice: Oml, points, u: str) -> Prop:
@@ -243,38 +271,55 @@ def indicator_proposition(lattice: Oml, points, u: str) -> Prop:
 
 def _first_op_difference(lattice: Oml, n_points: int, given: TenseOperator,
                          other: TenseOperator, budget: int, seed: int):
-    """First (q, point, got, want) where the operators differ, plus the mode."""
+    """First (index, q, point, got, want) where the operators differ, plus the
+    mode and the number of propositions compared. index is the position in
+    odometer order, or in draw order when the space exceeds the budget."""
     space = proposition_count(lattice, n_points)
-    if space <= budget:
-        blocks = ((proposition_block(lattice, n_points, lo, min(lo + DEFAULT_CHUNK, space))
-                   for lo in range(0, space, DEFAULT_CHUNK)), EXHAUSTIVE, space)
+    draws = None if space <= budget else sampled_block(lattice, n_points, budget, seed)
+    mode, samples = (EXHAUSTIVE, space) if draws is None else (SAMPLED, budget)
+    if draws is None and space <= ID_PATH_MAX:
+        got_ids, want_ids = given.id_map(), other.id_map()
+        diff = np.flatnonzero(got_ids != want_ids)
+        if not diff.size:
+            return None, mode, samples
+        index = int(diff[0])
+        props = all_props(lattice, n_points)
+        q, got, want = props[index], props[got_ids[index]], props[want_ids[index]]
     else:
-        blocks = (iter([sampled_block(lattice, n_points, budget, seed)]), SAMPLED, budget)
-    chunks, mode, samples = blocks
-    for block in chunks:
-        got = given.apply_batch(block)
-        want = other.apply_batch(block)
-        same = got == want
-        rows = same.all(axis=1)
-        if not rows.all():
-            i = int(np.argmin(rows))
-            point = int(np.argmin(same[i]))
-            q = tuple(int(x) for x in block[i])
-            return (q, point, int(got[i, point]), int(want[i, point])), mode, samples
-    return None, mode, samples
+        blocks = _row_blocks(lattice, n_points, (given, other), draws, 0, space, DEFAULT_CHUNK)
+        for start, block, (got, want) in blocks:
+            rows = (got == want).all(axis=1)
+            if not rows.all():
+                i = int(np.argmin(rows))
+                index, q, got, want = start + i, block[i], got[i], want[i]
+                break
+        else:
+            return None, mode, samples
+    point = int(np.argmax(got != want))
+    return ((index, tuple(int(x) for x in q), point, int(got[point]), int(want[point])),
+            mode, samples)
 
 
 def roundtrip_frame(lattice: Oml, frame: TimeFrame, *, budget: int | None = None,
-                    seed: int = DEFAULT_SEED, jobs: int = 1) -> VerifyReport:
+                    seed: int = DEFAULT_SEED, jobs: int = 1,
+                    quadruple: OperatorQuadruple | None = None,
+                    relations: tuple[InducedRelationReport, InducedRelationReport] | None = None
+                    ) -> VerifyReport:
     """Induce operators from the frame, recover the relation, compare both ways.
 
     The recovered R3 must equal the frame's relation, and the operators
     re-induced from the recovered relation must coincide with the originals.
+    A caller that already holds the frame's quadruple, or its R1 and R2
+    reports at this budget and seed, passes them to be reused.
     """
     budget = resolve_budget(budget)
-    quadruple = OperatorQuadruple.from_frame(lattice, frame)
-    report = induce_R3(lattice, frame.points, quadruple,
-                       budget=budget, seed=seed, jobs=jobs)
+    if quadruple is None:
+        quadruple = OperatorQuadruple.from_frame(lattice, frame)
+    if relations is None:
+        report = induce_R3(lattice, frame.points, quadruple,
+                           budget=budget, seed=seed, jobs=jobs)
+    else:
+        report = _intersect(*relations)
     laws: list[LawResult] = []
     mode = report.mode
     if report.pairs == frame.rel:
@@ -304,7 +349,7 @@ def roundtrip_frame(lattice: Oml, frame: TimeFrame, *, budget: int | None = None
             laws.append(LawResult(f"{label}-coincides", verdict,
                                   ops=((label, label),), mode=mode, samples=samples))
         else:
-            q, point, got, want = diff
+            _, q, point, got, want = diff
             laws.append(LawResult(
                 f"{label}-coincides", FAIL, ops=((label, label),),
                 mode=mode, samples=samples,
@@ -346,54 +391,46 @@ def classify_inducibility(lattice: Oml, points, quadruple: OperatorQuadruple, *,
     report = induce_R3(lattice, points, quadruple, budget=budget, seed=seed, jobs=jobs)
     rel_frame = TimeFrame("candidate", report.points, report.pairs, _allow_empty=True)
     candidate = OperatorQuadruple.from_frame(lattice, rel_frame)
-    n_points = len(report.points)
-    space = proposition_count(lattice, n_points)
-    exhaustive = space <= budget
     for label, given, induced in (("P", quadruple.P, candidate.P),
                                   ("F", quadruple.F, candidate.F),
                                   ("H", quadruple.H, candidate.H),
                                   ("G", quadruple.G, candidate.G)):
-        if exhaustive:
-            blocks = ((lo, proposition_block(lattice, n_points, lo, min(lo + DEFAULT_CHUNK, space)))
-                      for lo in range(0, space, DEFAULT_CHUNK))
-        else:
-            blocks = ((0, sampled_block(lattice, n_points, budget, seed)),)
-        for base, block in blocks:
-            got = given.apply_batch(block)
-            want = induced.apply_batch(block)
-            same = got == want
-            rows = same.all(axis=1)
-            if not rows.all():
-                i = int(np.argmin(rows))
-                point = int(np.argmin(same[i]))
-                q = tuple(int(x) for x in block[i])
-                witness = Witness(
-                    kind="op-mismatch", law="frame-inducibility",
-                    ops=((label, label), (label + "*", label + "*")),
-                    props=(("q", q),), point=point,
-                    lhs=int(got[i, point]), rhs=int(want[i, point]),
-                    note=f"{label}(q) and {label}*(q) first differ at index {base + i}")
-                return Classification("not-frame-inducible", report, witness)
+        diff, _, _ = _first_op_difference(lattice, len(report.points), given, induced,
+                                          budget, seed)
+        if diff is not None:
+            index, q, point, got, want = diff
+            witness = Witness(
+                kind="op-mismatch", law="frame-inducibility",
+                ops=((label, label), (label + "*", label + "*")),
+                props=(("q", q),), point=point, lhs=got, rhs=want,
+                note=f"{label}(q) and {label}*(q) first differ at index {index}")
+            return Classification("not-frame-inducible", report, witness)
     return Classification("frame-induced", report)
 
 
 def check_star_inequalities(lattice: Oml, points, quadruple: OperatorQuadruple, *,
                             budget: int | None = None, seed: int = DEFAULT_SEED,
-                            jobs: int = 1) -> VerifyReport:
+                            jobs: int = 1,
+                            relations: tuple[InducedRelationReport,
+                                             InducedRelationReport] | None = None
+                            ) -> VerifyReport:
     """Operators induced from the recovered relations bound the given ones.
 
     From the R1 relation: P* <= P and F* <= F. From the R2 relation: H <= H*
     and G <= G*. From R3: all four at once. Strictness (whether the starred
-    operator actually differs) is reported per law.
+    operator actually differs) is reported per law. relations, when given,
+    are the quadruple's R1 and R2 reports at this budget and seed.
     """
     from .laws import App, Law, PVar, build_witness, check_law
 
     budget = resolve_budget(budget)
     points = tuple(points)
-    r1 = induce_R1(lattice, points, quadruple.P, quadruple.F,
-                   budget=budget, seed=seed, jobs=jobs)
-    r2 = induce_R2(lattice, points, quadruple.H, quadruple.G,
-                   budget=budget, seed=seed, jobs=jobs)
+    if relations is None:
+        relations = (induce_R1(lattice, points, quadruple.P, quadruple.F,
+                               budget=budget, seed=seed, jobs=jobs),
+                     induce_R2(lattice, points, quadruple.H, quadruple.G,
+                               budget=budget, seed=seed, jobs=jobs))
+    r1, r2 = relations
     r3pairs = r1.pairs & r2.pairs
 
     laws: list[LawResult] = []

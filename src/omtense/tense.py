@@ -54,7 +54,10 @@ ID_PATH_MAX = 1 << 20
 def resolve_budget(budget: int | None = None) -> int:
     """Explicit argument, else the OMT_BUDGET environment variable, else 10**6."""
     if budget is not None:
-        return int(budget)
+        value = int(budget)
+        if value <= 0:
+            raise InvalidSpec(f"budget must be a positive integer, got {budget!r}")
+        return value
     env = os.environ.get("OMT_BUDGET")
     if env is not None:
         try:
@@ -353,15 +356,37 @@ def proposition_block(lattice: Oml, n_points: int, lo: int, hi: int) -> np.ndarr
     return decode_props(lattice, n_points, np.arange(lo, hi, dtype=np.int64))
 
 
+def all_props(lattice: Oml, n_points: int) -> np.ndarray:
+    """Every proposition as one read-only (N, |T|) array whose row i is id i.
+
+    The rows of an operator's values are then all_props(...)[op.id_map()].
+    Built on first use and kept on the lattice, for one point count at a time.
+    """
+    cached = lattice.__dict__.get("_all_props")
+    if cached is None or cached.shape[1] != n_points:
+        cached = proposition_block(lattice, n_points, 0, proposition_count(lattice, n_points))
+        cached.setflags(write=False)
+        lattice._all_props = cached
+    return cached
+
+
 def rows_id_map(lattice: Oml, n_points: int, rows_fn) -> np.ndarray:
     """A row-wise map of proposition arrays as an id -> id map, built in chunks."""
-    count = proposition_count(lattice, n_points)
-    out = np.empty(count, dtype=np.intp)
-    for lo in range(0, count, DEFAULT_CHUNK):
-        hi = min(lo + DEFAULT_CHUNK, count)
-        block = proposition_block(lattice, n_points, lo, hi)
-        out[lo:hi] = encode_props(lattice, rows_fn(block))
+    props = all_props(lattice, n_points)
+    out = np.empty(len(props), dtype=np.intp)
+    for lo in range(0, len(props), DEFAULT_CHUNK):
+        out[lo:lo + DEFAULT_CHUNK] = encode_props(lattice, rows_fn(props[lo:lo + DEFAULT_CHUNK]))
     return out
+
+
+def id_blocks(ops, step: int = DEFAULT_CHUNK):
+    """Yield (start, rows, [op values as rows for each op]) for every
+    proposition in id order, step rows at a time, read off the id maps.
+    The operators must share one lattice and point count."""
+    props = all_props(ops[0].lattice, ops[0].n_points)
+    maps = [op.id_map() for op in ops]
+    for lo in range(0, len(props), step):
+        yield lo, props[lo:lo + step], [props[m[lo:lo + step]] for m in maps]
 
 
 def partition_ranges(total: int, k: int) -> list[tuple[int, int]]:

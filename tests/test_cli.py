@@ -258,6 +258,26 @@ def test_bad_budget_env_exits_2(capsys, files, monkeypatch):
     assert "OMT_BUDGET" in err
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("verify", ["--budget", "0"]),
+    ("verify", ["--budget", "-5"]),
+    ("induce", ["--budget", "0"]),
+    ("verify", ["--jobs", "0"]),
+    ("induce", ["--jobs", "-3"]),
+], ids=["verify-budget-0", "verify-budget-minus-5", "induce-budget-0",
+        "verify-jobs-0", "induce-jobs-minus-3"])
+def test_non_positive_budget_or_jobs_exits_2(capsys, files, command, flags):
+    if command == "verify":
+        argv = ["verify", "--frame", str(files["le3"]), "--suite", "all"]
+    else:
+        argv = ["induce", "--ops", "example2"]
+    code, out, err = run_cli(capsys, *argv, "--lattice", str(files["oml10"]), *flags)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert flags[0].lstrip("-") in err
+
+
 def test_classify_worked_quadruple(capsys, files):
     code, out, _ = run_cli(capsys, "classify", "--lattice", str(files["oml10"]),
                            "--ops", "example2")

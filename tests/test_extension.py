@@ -1,5 +1,7 @@
 import pytest
 
+import converse_cases
+from omtense import extension
 from omtense import (
     EmptyRestriction,
     IdentityElseConstant,
@@ -13,7 +15,8 @@ from omtense import (
     extend_prop_PF,
     restrict,
 )
-from omtense.extension import BASE, FUTURE, PAST
+from omtense.extension import BASE, FUTURE, PAST, _check_extension
+from omtense.induction import induce_R1
 from omtense.fixtures import example2_quadruple, example_props
 
 
@@ -129,3 +132,62 @@ def test_extension_check_empty_relation_raises(oml10):
     bottom = IdentityElseConstant(oml10, 3, frozenset(), oml10.bottom, label="B")
     with pytest.raises(EmptyRestriction):
         check_extension_PF(oml10, ("1", "2", "3"), bottom, bottom)
+
+
+# -- id path against the row path ------------------------------------------------
+
+def _extension_reports(lattice, points, quad, budget, jobs=1):
+    """Both extension checks as (instance, verdict, laws), or "empty"."""
+    out = []
+    for checker, a, b in ((check_extension_PF, quad.P, quad.F),
+                          (check_extension_HG, quad.H, quad.G)):
+        try:
+            report = checker(lattice, points, a, b, budget=budget, jobs=jobs)
+        except EmptyRestriction:
+            out.append("empty")
+        else:
+            out.append((report.instance, report.verdict, report.laws))
+    return out
+
+
+@pytest.mark.parametrize("sampled", [False, True], ids=["exhaustive", "sampled"])
+@pytest.mark.parametrize("case", converse_cases.CASES)
+def test_id_path_matches_row_path(monkeypatch, case, sampled):
+    lattice, points, quad, _ = converse_cases.build(case)
+    budget = converse_cases.sampled_budget(lattice, points) if sampled else None
+    on_ids = _extension_reports(lattice, points, quad, budget)
+    converse_cases.force_row_path(monkeypatch)
+    assert _extension_reports(lattice, points, quad, budget) == on_ids
+
+
+def test_pooled_row_path_matches_id_path(monkeypatch):
+    lattice, points, quad, _ = converse_cases.build("oml10-le3")
+    on_ids = _extension_reports(lattice, points, quad, None)
+    starts = []
+
+    class Counted(extension.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            starts.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(extension, "ProcessPoolExecutor", Counted)
+    converse_cases.force_row_path(monkeypatch)
+    assert _extension_reports(lattice, points, quad, None, jobs=2) == on_ids
+    assert len(starts) == 2
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("budget", [None, 5], ids=["exhaustive", "sampled"])
+def test_restriction_failure_is_found_on_both_paths(monkeypatch, cube2, le2, budget, jobs):
+    # over a relation that is not the operators' own, the restriction fails
+    quad = OperatorQuadruple.from_frame(cube2, le2)
+    wrong = induce_R1(cube2, le2.points, quad.F, quad.P)
+
+    def check():
+        return _check_extension(cube2, le2.points, quad.P, quad.F, wrong, "ext-pf",
+                                ("P", "F"), budget=budget, seed=1729, jobs=jobs)
+
+    on_ids = check()
+    assert on_ids.verdict == "fail"
+    converse_cases.force_row_path(monkeypatch)
+    assert check().laws == on_ids.laws

@@ -1,6 +1,8 @@
 import pytest
 
+import converse_cases
 import oracles
+from omtense import cli, extension, induction, laws
 from omtense import (
     Classification,
     EmptyRestriction,
@@ -15,8 +17,10 @@ from omtense import (
     induce_R3,
     roundtrip_frame,
 )
-from omtense.fixtures import example2_quadruple, example_props
+from omtense.fixtures import LATTICE_TEXTS, example2_quadruple, example_props
 from omtense.report import EXHAUSTIVE, SAMPLED
+from omtense.tense import DEFAULT_SEED, sampled_block
+from omtense.verify import Instance, run_all
 
 T5 = ("1", "2", "3", "4", "5")
 
@@ -194,3 +198,118 @@ def test_roundtrip_verdicts(oml10, le3, nonserial2):
         assert {law.law for law in report.laws} == {
             "relation-roundtrip", "P-coincides", "F-coincides",
             "H-coincides", "G-coincides"}
+
+
+# -- id path against the row path ------------------------------------------------
+
+def _converse_reports(lattice, points, quad, frame, budget, jobs=1):
+    """Everything the converse problem computes for one quadruple; suite
+    reports as their laws, because their replay contexts hold fresh operators."""
+    kw = dict(budget=budget, jobs=jobs)
+    out = {
+        "R1": induce_R1(lattice, points, quad.P, quad.F, **kw),
+        "R2": induce_R2(lattice, points, quad.H, quad.G, **kw),
+        "R3": induce_R3(lattice, points, quad, **kw),
+        "classify": classify_inducibility(lattice, points, quad, **kw),
+        "cor1": check_star_inequalities(lattice, points, quad, **kw),
+    }
+    if frame is not None:
+        out["roundtrip"] = roundtrip_frame(lattice, frame, **kw)
+    for key in ("cor1", "roundtrip"):
+        if key in out:
+            report = out[key]
+            out[key] = (report.instance, report.verdict, report.laws)
+    return out
+
+
+@pytest.mark.parametrize("sampled", [False, True], ids=["exhaustive", "sampled"])
+@pytest.mark.parametrize("case", converse_cases.CASES)
+def test_id_path_matches_row_path(monkeypatch, case, sampled):
+    lattice, points, quad, frame = converse_cases.build(case)
+    budget = converse_cases.sampled_budget(lattice, points) if sampled else None
+    on_ids = _converse_reports(lattice, points, quad, frame, budget)
+    assert on_ids["R3"].mode == (SAMPLED if sampled else EXHAUSTIVE)
+    converse_cases.force_row_path(monkeypatch)
+    assert _converse_reports(lattice, points, quad, frame, budget) == on_ids
+
+
+@pytest.mark.parametrize("case", ["oml10-le3", "tabulated"])
+def test_pooled_row_path_matches_id_path(monkeypatch, case):
+    lattice, points, quad, frame = converse_cases.build(case)
+    on_ids = _converse_reports(lattice, points, quad, frame, None)
+    starts = []
+
+    class Counted(induction.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            starts.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(induction, "ProcessPoolExecutor", Counted)
+    converse_cases.force_row_path(monkeypatch)
+    assert _converse_reports(lattice, points, quad, frame, None, jobs=2) == on_ids
+    assert starts
+
+
+@pytest.mark.parametrize("case", ["o6-le3", "oml10-nonserial2", "tabulated"])
+def test_scan_step_does_not_move_witnesses(monkeypatch, case):
+    # the scan splits blocks into steps of DEFAULT_CHUNK // |T| rows
+    lattice, points, quad, _ = converse_cases.build(case)
+    whole = [induce_R1(lattice, points, quad.P, quad.F),
+             induce_R2(lattice, points, quad.H, quad.G)]
+    assert any(w.index >= 3 for r in whole for w in r.witnesses.values())
+    monkeypatch.setattr(induction, "DEFAULT_CHUNK", 3 * len(points))
+    assert [induce_R1(lattice, points, quad.P, quad.F),
+            induce_R2(lattice, points, quad.H, quad.G)] == whole
+
+
+def test_sampled_witnesses_index_the_draws(oml10, ex2_quad):
+    # a sampled witness's index is its position in the draws
+    budget = 3000
+    report = induce_R1(oml10, T5, ex2_quad.P, ex2_quad.F, budget=budget)
+    draws = sampled_block(oml10, 5, budget, DEFAULT_SEED)
+    assert report.witnesses
+    for w in report.witnesses.values():
+        assert w.q == tuple(int(x) for x in draws[w.index])
+
+
+# -- work shared by one run ----------------------------------------------------------
+
+def test_run_all_induces_each_relation_once(monkeypatch, oml10, le3, ex2_quad):
+    real = induction._induce
+    for inst in (Instance(oml10, frame=le3), Instance(oml10, ops=ex2_quad)):
+        calls = []
+
+        def counting(which, *args, **kwargs):
+            calls.append(which)
+            return real(which, *args, **kwargs)
+
+        monkeypatch.setattr(induction, "_induce", counting)
+        run_all(inst)
+        assert sorted(calls) == ["R1", "R2"]
+
+
+def test_instance_relations_follow_budget_and_seed(oml10, le3):
+    inst = Instance(oml10, frame=le3)
+    r1 = inst.relation("R1")
+    assert inst.relation("R1") is r1 and r1.which == "R1"
+    assert inst.relation("R2").which == "R2"
+    inst.budget = 100
+    sampled = inst.relation("R1")
+    assert sampled is not r1 and sampled.mode == SAMPLED
+    inst.seed = 7
+    assert inst.relation("R1") is not sampled
+
+
+def test_no_pool_below_the_cap(monkeypatch, capsys, tmp_path, oml10, le3):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was started below the id-path cap")
+
+    for module in (induction, extension, laws):
+        monkeypatch.setattr(module, "ProcessPoolExecutor", refuse)
+    run_all(Instance(oml10, frame=le3, jobs=2))
+    lattice_file = tmp_path / "oml10.lattice"
+    lattice_file.write_text(LATTICE_TEXTS["oml10"], encoding="utf-8")
+    for command in ("induce", "classify"):
+        argv = [command, "--lattice", str(lattice_file), "--ops", "example2", "--jobs", "2"]
+        assert cli.main(argv) == 0
+    assert "not-frame-inducible" in capsys.readouterr().out
