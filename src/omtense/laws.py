@@ -383,26 +383,32 @@ class _Subterms:
 
     A subterm is keyed by its connective or its operator object and its
     children, with each variable named by its position in law.vars, so a
-    subterm that several cases contain is one node. Nodes are numbered
+    subterm that several cases contain is one node. A case's check
+    (lhs <= rhs or lhs = rhs) and its guard's order check are nodes too, so
+    a guard that several cases share is checked once. Nodes are numbered
     children first. Within a batch each node is evaluated once, kept as ids,
-    block codes or both, and dropped after the last case that reads it.
+    block codes or both (a check as booleans), and dropped after the last
+    case that reads it.
     """
 
     def __init__(self, core: IdAlgebra, cases):
         self.core = core
         self.nodes: list[tuple] = []  # (kind, operand, children)
         self._number: dict[tuple, int] = {}
-        self.checks = []              # per case: (relation, lhs, rhs, guard nodes or None)
+        self.checks = []              # per case: (check node, guard check node or None)
         self.reads = []               # per case: every node its check reads
         for law, ops in cases:
-            lhs, rhs = (self._add(side, law.vars, ops) for side in (law.lhs, law.rhs))
+            sides = (self._add(side, law.vars, ops) for side in (law.lhs, law.rhs))
+            check = self._node((law.relation, None, tuple(sides)))
             guard = None
             if law.guard is not None:
-                guard = tuple(self._add(side, law.vars, ops) for side in law.guard)
-            self.checks.append((law.relation, lhs, rhs, guard))
-            self.reads.append(self._closure((lhs, rhs) + (guard or ())))
+                sides = (self._add(side, law.vars, ops) for side in law.guard)
+                guard = self._node(("leq", None, tuple(sides)))
+            self.checks.append((check, guard))
+            self.reads.append(self._closure((check,) if guard is None else (check, guard)))
         self._ids: dict[int, object] = {}
         self._codes: dict[int, list] = {}
+        self._holds: dict[int, object] = {}
         self._columns: tuple = ()
 
     def _add(self, expr: Expr, names: tuple[str, ...], ops: dict[str, TenseOperator]) -> int:
@@ -427,6 +433,9 @@ class _Subterms:
                        (self._add(a, names, ops), self._add(b, names, ops)))
             case _:
                 raise TypeError(f"not an expression: {expr!r}")
+        return self._node(key)
+
+    def _node(self, key: tuple) -> int:
         if key not in self._number:
             self._number[key] = len(self.nodes)
             self.nodes.append(key)
@@ -467,13 +476,21 @@ class _Subterms:
             self._codes[node] = out
         return self._codes[node]
 
-    def _rows_ok(self, relation: str, lhs: int, rhs: int, guard):
-        if relation == "leq":
-            ok = self.core.leq_codes(self._codes_of(lhs), self._codes_of(rhs))
-        else:
-            ok = self._ids_of(lhs) == self._ids_of(rhs)
+    def _holds_at(self, node: int):
+        """Whether a check node (leq or eq of its two children) holds, per binding."""
+        if node not in self._holds:
+            relation, _, (lhs, rhs) = self.nodes[node]
+            if relation == "leq":
+                out = self.core.leq_codes(self._codes_of(lhs), self._codes_of(rhs))
+            else:
+                out = self._ids_of(lhs) == self._ids_of(rhs)
+            self._holds[node] = out
+        return self._holds[node]
+
+    def _rows_ok(self, check: int, guard: int | None):
+        ok = self._holds_at(check)
         if guard is not None:
-            ok = ok | ~self.core.leq_codes(*map(self._codes_of, guard))
+            ok = ok | ~self._holds_at(guard)
         return ok
 
     def scan(self, batches) -> list[int]:
@@ -495,6 +512,7 @@ class _Subterms:
                     if last[node] == case:
                         self._ids.pop(node, None)
                         self._codes.pop(node, None)
+                        self._holds.pop(node, None)
             self._columns = ()
             active = [case for case in active if bad[case] < 0]
             if not active:

@@ -18,11 +18,22 @@ significant digit, so the first proposition is constant-bottom and
 position in that order is its id: encode_props and decode_props convert
 between ids and rows, and TenseOperator.id_map gives a whole operator as an
 id -> id map.
+
+A frame-induced operator's id map depends only on the lattice, the point
+count, the relation and which of P/F/H/G it is. The maps are therefore kept
+in one memo in this module, _FRAME_MAPS: per lattice, a weak-valued
+dictionary keyed (n_points, frame.rel, which). Operators re-induced from a
+relation equal to the frame's share the frame quadruple's map while any
+operator holding it is alive, and a map is freed with its last operator.
+all_props is cached per lattice in _ALL_PROPS. Both dictionaries are keyed
+weakly by the lattice and live outside it, so a pickled lattice carries
+neither.
 """
 
 from __future__ import annotations
 
 import os
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +60,10 @@ ID_DTYPE = np.int32
 # N = 10^6 took 0.28s on ids and 0.53s on elements; N = 10^7 took 9.2s on
 # ids and 1.1s on elements.
 ID_PATH_MAX = 1 << 20
+# caches derived from a lattice, kept here rather than on the Oml so that
+# pickles (pool payloads) stay small; an entry goes with its lattice
+_ALL_PROPS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()   # lattice -> all_props
+_FRAME_MAPS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # lattice -> id maps
 
 
 def resolve_budget(budget: int | None = None) -> int:
@@ -129,7 +144,7 @@ class TenseOperator:
         applied to id i. Built on first use and kept on the operator."""
         cached = self.__dict__.get("_id_map")
         if cached is None:
-            cached = self._build_id_map().astype(ID_DTYPE)
+            cached = self._build_id_map().astype(ID_DTYPE, copy=False)
             object.__setattr__(self, "_id_map", cached)
         return cached
 
@@ -165,17 +180,37 @@ class FrameInduced(TenseOperator):
         return _FRAME_EVAL[self.which](self.lattice, self.frame, q)
 
     def apply_batch(self, batch: np.ndarray) -> np.ndarray:
+        lattice = self.lattice
         joinlike = self.which in ("P", "F")
-        table = self.lattice.join_table if joinlike else self.lattice.meet_table
-        unit = self.lattice.bottom if joinlike else self.lattice.top
+        # table[x, y] is flat[x * n + y]: one gather on intp indices runs
+        # several times faster than fancy indexing the 2-D int16 table
+        table = lattice.join_table if joinlike else lattice.meet_table
+        flat = table.ravel().astype(np.intp)
+        unit = lattice.bottom if joinlike else lattice.top
         sources = self.frame.preds if self.which in ("P", "H") else self.frame.succs
+        columns = np.ascontiguousarray(batch.T, dtype=np.intp)
         out = np.empty_like(batch)
-        for s in range(self.frame.n):
-            acc = np.full(batch.shape[0], unit, dtype=batch.dtype)
-            for t in sources[s]:
-                acc = table[acc, batch[:, t]]
+        for s, points in enumerate(sources):
+            if not points:  # the empty join is the bottom, the empty meet the top
+                out[:, s] = unit
+                continue
+            acc = columns[points[0]]
+            for t in points[1:]:
+                acc = flat.take(acc * lattice.n + columns[t])
             out[:, s] = acc
         return out
+
+    def _build_id_map(self) -> np.ndarray:
+        # shared by every live operator with this lattice, point count,
+        # relation and which (see the module docstring)
+        maps = _FRAME_MAPS.setdefault(self.lattice, weakref.WeakValueDictionary())
+        key = (self.n_points, self.frame.rel, self.which)
+        cached = maps.get(key)
+        if cached is None:
+            cached = rows_id_map(self.lattice, self.n_points, self.apply_batch).astype(ID_DTYPE)
+            cached.setflags(write=False)
+            maps[key] = cached
+        return cached
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,13 +395,13 @@ def all_props(lattice: Oml, n_points: int) -> np.ndarray:
     """Every proposition as one read-only (N, |T|) array whose row i is id i.
 
     The rows of an operator's values are then all_props(...)[op.id_map()].
-    Built on first use and kept on the lattice, for one point count at a time.
+    Built on first use and kept per lattice, for one point count at a time.
     """
-    cached = lattice.__dict__.get("_all_props")
+    cached = _ALL_PROPS.get(lattice)
     if cached is None or cached.shape[1] != n_points:
         cached = proposition_block(lattice, n_points, 0, proposition_count(lattice, n_points))
         cached.setflags(write=False)
-        lattice._all_props = cached
+        _ALL_PROPS[lattice] = cached
     return cached
 
 

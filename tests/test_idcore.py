@@ -382,6 +382,30 @@ def test_each_subterm_is_gathered_once_per_batch(monkeypatch, oml10, le3):
         assert Counter(label for label, _ in batch) == want
 
 
+def test_shared_guard_is_checked_once_per_batch(monkeypatch, oml10, le3):
+    # the four thm1 monotonicity laws share the guard p <= q: per batch that is
+    # one order check for each law's sides and one for the guard
+    log = []
+    _marked_batches(monkeypatch, log)
+    real = IdAlgebra.leq_codes
+
+    def logged(self, a, b):
+        out = real(self, a, b)
+        log.append(("leq", out))
+        return out
+
+    monkeypatch.setattr(IdAlgebra, "leq_codes", logged)
+    quad = OperatorQuadruple.from_frame(oml10, le3).as_dict()
+    cases = [(law, quad) for law in _THM1_LAWS if law.guard is not None]
+    assert len(cases) == 4
+    got = check_laws(cases, oml10, le3.n)
+    batches = _per_batch(log)
+    assert [len(b) for b in batches] == [5] * (proposition_count(oml10, le3.n) // 16 + 1)
+    monkeypatch.undo()
+    assert got == [check_law(law, oml10, le3.n, ops) for law, ops in cases]
+    assert [o.verdict for o in got] == [PASS] * 4
+
+
 def test_no_memo_entry_outlives_its_batch(monkeypatch, oml10, le3):
     # every gathered id array and every list of connective block codes made
     # in a batch must be freed before the next batch is handed out

@@ -1,3 +1,7 @@
+from collections import Counter
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 import converse_cases
@@ -6,8 +10,10 @@ from omtense import cli, extension, induction, laws
 from omtense import (
     Classification,
     EmptyRestriction,
+    FrameInduced,
     IdentityElseConstant,
     OperatorQuadruple,
+    TenseOperator,
     UnknownTimePoint,
     check_star_inequalities,
     classify_inducibility,
@@ -17,9 +23,9 @@ from omtense import (
     induce_R3,
     roundtrip_frame,
 )
-from omtense.fixtures import LATTICE_TEXTS, example2_quadruple, example_props
-from omtense.report import EXHAUSTIVE, SAMPLED
-from omtense.tense import DEFAULT_SEED, sampled_block
+from omtense.fixtures import LATTICE_TEXTS, builtin_lattice, example2_quadruple, example_props
+from omtense.report import EXHAUSTIVE, FAIL, SAMPLED
+from omtense.tense import DEFAULT_SEED, proposition_count, sampled_block
 from omtense.verify import Instance, run_all
 
 T5 = ("1", "2", "3", "4", "5")
@@ -272,6 +278,64 @@ def test_sampled_witnesses_index_the_draws(oml10, ex2_quad):
         assert w.q == tuple(int(x) for x in draws[w.index])
 
 
+def _unshared_frame_maps(monkeypatch):
+    """Frame-induced operators as they were before their id maps were shared:
+    each builds its own map, folding the 2-D table from the unit per point."""
+    def apply_batch(self, batch):
+        joinlike = self.which in ("P", "F")
+        table = self.lattice.join_table if joinlike else self.lattice.meet_table
+        unit = self.lattice.bottom if joinlike else self.lattice.top
+        sources = self.frame.preds if self.which in ("P", "H") else self.frame.succs
+        out = np.empty_like(batch)
+        for s in range(self.frame.n):
+            acc = np.full(batch.shape[0], unit, dtype=batch.dtype)
+            for t in sources[s]:
+                acc = table[acc, batch[:, t]]
+            out[:, s] = acc
+        return out
+
+    monkeypatch.setattr(FrameInduced, "apply_batch", apply_batch)
+    monkeypatch.setattr(FrameInduced, "_build_id_map", TenseOperator._build_id_map)
+
+
+@pytest.mark.parametrize("sampled", [False, True], ids=["exhaustive", "sampled"])
+@pytest.mark.parametrize("case", ["oml10-le3", "o6-nonserial2", "mo2-le2", "example2",
+                                  "tabulated"])
+def test_cor1_matches_unshared_maps(monkeypatch, case, sampled):
+    lattice, points, quad, _ = converse_cases.build(case)
+    budget = converse_cases.sampled_budget(lattice, points) if sampled else None
+    got = check_star_inequalities(lattice, points, quad, budget=budget)
+    _unshared_frame_maps(monkeypatch)
+    lattice, points, quad, _ = converse_cases.build(case)
+    want = check_star_inequalities(lattice, points, quad, budget=budget)
+    assert len(got.laws) == len(want.laws) == 8
+    for a, b in zip(got.laws, want.laws):
+        assert a == b
+    assert got == want
+
+
+@pytest.mark.parametrize("sampled", [False, True], ids=["exhaustive", "sampled"])
+def test_cor1_matches_unshared_maps_on_failing_bounds(monkeypatch, le3, sampled):
+    # over the full relation P* and F* exceed P and F, and H* and G* fall
+    # below H and G, so every inequality fails with a witness
+    def cor1():
+        lattice = builtin_lattice("oml10")
+        quad = OperatorQuadruple.from_frame(lattice, le3)
+        budget = converse_cases.sampled_budget(lattice, le3.points) if sampled else None
+        full = frozenset((s, t) for s in range(le3.n) for t in range(le3.n))
+        r1, r2 = (replace(induce(lattice, le3.points, a, b, budget=budget), pairs=full)
+                  for induce, a, b in ((induce_R1, quad.P, quad.F), (induce_R2, quad.H, quad.G)))
+        return check_star_inequalities(lattice, le3.points, quad, budget=budget,
+                                       relations=(r1, r2))
+
+    got = cor1()
+    _unshared_frame_maps(monkeypatch)
+    want = cor1()
+    assert [law.verdict for law in want.laws] == [FAIL] * 8
+    assert all(law.witness is not None for law in want.laws)
+    assert got == want
+
+
 # -- work shared by one run ----------------------------------------------------------
 
 def test_run_all_induces_each_relation_once(monkeypatch, oml10, le3, ex2_quad):
@@ -286,6 +350,29 @@ def test_run_all_induces_each_relation_once(monkeypatch, oml10, le3, ex2_quad):
         monkeypatch.setattr(induction, "_induce", counting)
         run_all(inst)
         assert sorted(calls) == ["R1", "R2"]
+
+
+def test_run_all_applies_each_frame_map_once(monkeypatch, le3):
+    # a fresh lattice, so its memo of frame-induced id maps starts empty
+    lattice = builtin_lattice("oml10")
+    count = proposition_count(lattice, le3.n)
+    applied = Counter()
+    real = FrameInduced.apply_batch
+
+    def counting(self, batch):
+        if len(batch) == count:
+            applied[(self.frame.n, self.frame.rel, self.which)] += 1
+        return real(self, batch)
+
+    monkeypatch.setattr(FrameInduced, "apply_batch", counting)
+    run_all(Instance(lattice, frame=le3))
+    # the frame's four id maps serve the laws, the roundtrip's re-induced
+    # operators, cor1's starred operators and the extension checks; the bar
+    # operators of ext-pf and ext-hg are applied to all propositions once each
+    bar = extension.extend_frame(le3).bar
+    want = Counter({(le3.n, le3.rel, w): 1 for w in "PFHG"})
+    want.update({(bar.n, bar.rel, w): 1 for w in "PFHG"})
+    assert applied == want
 
 
 def test_instance_relations_follow_budget_and_seed(oml10, le3):

@@ -1,7 +1,12 @@
+import gc
+import pickle
+import weakref
+
 import numpy as np
 import pytest
 
 import oracles
+from omtense import tense
 from omtense import (
     BudgetExceeded,
     FrameInduced,
@@ -32,6 +37,8 @@ from omtense import (
     sampled_block,
     strict_points,
 )
+from omtense.fixtures import LATTICE_TEXTS, builtin_frame, builtin_lattice
+from omtense.frames import TimeFrame
 
 # the worked 5-point tables: one frozen row per operator and proposition
 TABLES = {
@@ -126,6 +133,96 @@ def test_batch_agrees_with_scalar(oml10, le5):
         out = op.apply_batch(block)
         for i in range(block.shape[0]):
             assert tuple(int(x) for x in out[i]) == op(tuple(int(x) for x in block[i]))
+
+
+def _fixture_frame(name):
+    if name == "empty":
+        return TimeFrame("empty", ("a", "b", "c"), (), _allow_empty=True)
+    return builtin_frame(name)
+
+
+@pytest.mark.parametrize("frame_name", ["le2", "le3", "le5", "blocks5", "nonserial2", "empty"])
+@pytest.mark.parametrize("lattice_name", sorted(LATTICE_TEXTS))
+def test_frame_batch_matches_oracle(lattice_name, frame_name):
+    lattice, frame = builtin_lattice(lattice_name), _fixture_frame(frame_name)
+    count = proposition_count(lattice, frame.n)
+    if count <= 2000:
+        block = proposition_block(lattice, frame.n, 0, count)
+    else:
+        block = sampled_block(lattice, frame.n, 500, seed=11)
+    join2, meet2 = _join2(lattice), _meet2(lattice)
+    literal = {
+        "P": lambda q: oracles.tense_P(join2, lattice.bottom, frame.rel, q),
+        "F": lambda q: oracles.tense_F(join2, lattice.bottom, frame.rel, q),
+        "H": lambda q: oracles.tense_H(meet2, lattice.top, frame.rel, q),
+        "G": lambda q: oracles.tense_G(meet2, lattice.top, frame.rel, q),
+    }
+    rows = [tuple(int(x) for x in row) for row in block]
+    for which, eval_op in EVAL.items():
+        out = FrameInduced(lattice, frame, which).apply_batch(block)
+        assert out.dtype == block.dtype and out.shape == block.shape
+        got = [tuple(int(x) for x in row) for row in out]
+        assert got == [literal[which](q) for q in rows], which
+        assert got == [eval_op(lattice, frame, q) for q in rows], which
+
+
+def _memo_keys(lattice):
+    return set(tense._FRAME_MAPS.get(lattice, {}))
+
+
+def test_frame_maps_are_shared_by_relation(le3):
+    lattice = builtin_lattice("oml10")
+    renamed = TimeFrame("renamed", le3.points, le3.rel)
+    quad = OperatorQuadruple.from_frame(lattice, le3)
+    for which in "PFHG":
+        m = getattr(quad, which).id_map()
+        assert FrameInduced(lattice, renamed, which).id_map() is m
+        assert not m.flags.writeable
+    assert len({id(getattr(quad, w).id_map()) for w in "PFHG"}) == 4
+    wider = FrameInduced(lattice, TimeFrame("wider", le3.points, le3.rel | {(2, 0)}), "P")
+    assert wider.id_map() is not quad.P.id_map()
+    assert _memo_keys(lattice) == ({(3, le3.rel, w) for w in "PFHG"}
+                                   | {(3, wider.frame.rel, "P")})
+
+
+def test_frame_map_lives_with_its_operators(le2, le3):
+    lattice = builtin_lattice("oml10")
+    short = FrameInduced(lattice, le2, "G")
+    first = short.id_map()
+    longer = FrameInduced(lattice, le3, "G")
+    longer.id_map()
+    assert _memo_keys(lattice) == {(2, le2.rel, "G"), (3, le3.rel, "G")}
+    assert FrameInduced(lattice, le2, "G").id_map() is first
+    del longer
+    assert _memo_keys(lattice) == {(2, le2.rel, "G")}
+    want = first.copy()
+    del short, first
+    assert _memo_keys(lattice) == set()
+    assert np.array_equal(FrameInduced(lattice, le2, "G").id_map(), want)
+
+
+def test_frame_map_memo_goes_with_its_lattice(le2):
+    lattice = builtin_lattice("oml10")
+    FrameInduced(lattice, le2, "P").id_map()
+    tense.all_props(lattice, le2.n)
+    ref = weakref.ref(lattice)
+    del lattice
+    gc.collect()
+    assert ref() is None
+
+
+def test_pickled_lattice_leaves_its_caches_behind(le5):
+    lattice = builtin_lattice("oml10")
+    op = FrameInduced(lattice, le5, "P")
+    sizes = (len(pickle.dumps(lattice)), len(pickle.dumps(op)))
+    props = tense.all_props(lattice, le5.n)
+    want = op.id_map()
+    assert (len(pickle.dumps(lattice)), len(pickle.dumps(op))) == sizes
+    clone = pickle.loads(pickle.dumps(op))
+    assert clone.lattice not in tense._ALL_PROPS and not _memo_keys(clone.lattice)
+    assert np.array_equal(tense.all_props(clone.lattice, le5.n), props)
+    assert np.array_equal(clone.id_map(), want)
+    assert tense._FRAME_MAPS[clone.lattice][(le5.n, le5.rel, "P")] is clone.id_map()
 
 
 def test_duality_through_complement(oml10, le5):
