@@ -99,18 +99,6 @@ class TimeFrame:
         return f"<TimeFrame {self.name!r}: {self.n} points, {len(self.rel)} pairs>"
 
 
-def is_serial(frame: TimeFrame) -> bool:
-    return frame.is_serial
-
-
-def is_reflexive(frame: TimeFrame) -> bool:
-    return frame.is_reflexive
-
-
-def is_transitive(frame: TimeFrame) -> bool:
-    return frame.is_transitive
-
-
 def restrict(frame: TimeFrame, keep) -> TimeFrame:
     """Sub-frame on the given points, kept in the frame's original order.
 

@@ -20,15 +20,21 @@ quantify over the pair-index space p-major, capped by the pair budget with
 stratified sampling beyond. On ids, the cases of one arity share one scan:
 the same batches in that order (sampled draws in draw order), each distinct
 subterm evaluated once per batch, and each case leaving the scan at its
-first failing index. On the element path each case runs alone, split into
-contiguous chunks over worker processes and merged by minimum failing
-index. Either way every case gets the outcome it would get checked alone,
-and parallel runs report exactly what a sequential run reports.
+first failing index. With jobs > 1 that scan is split into contiguous
+ranges of its batches, the first scanned by the calling process and each
+other one by a forked child, and merged per case by the first range that
+fails. On the element path each case runs alone, split into contiguous
+chunks over a process pool and merged by minimum failing index. Either way
+every case gets the outcome it would get checked alone, and parallel runs
+report exactly what a sequential run reports.
 """
 
 from __future__ import annotations
 
 import functools
+import os
+import signal
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -493,11 +499,12 @@ class _Subterms:
             ok = ok | ~self._holds_at(guard)
         return ok
 
-    def scan(self, batches) -> list[int]:
+    def scan(self, batches, bad: list[int] | None = None) -> list[int]:
         """Per case, the first failing index over (offset, columns, shape)
-        batches taken in order, or -1. A case leaves the scan when it fails."""
-        bad = [-1] * len(self.checks)
-        active = list(range(len(self.checks)))
+        batches taken in order, or -1. A case leaves the scan when it fails;
+        a case that bad already marks failed is not scanned."""
+        bad = [-1] * len(self.checks) if bad is None else list(bad)
+        active = [case for case, index in enumerate(bad) if index < 0]
         for offset, columns, shape in batches:
             last = {}
             for case in active:
@@ -520,27 +527,166 @@ class _Subterms:
         return bad
 
 
-def _exhaustive_batches(arity: int, count: int, step: int):
-    """Every binding in order: ids, or id pairs p-major as whole broadcast p rows."""
+def _exhaustive_starts(arity: int, count: int, step: int) -> range:
+    """Where each exhaustive batch starts: at an id, or at a p row of the pairs."""
+    return range(0, count, step if arity == 1 else max(1, step // count))
+
+
+def _exhaustive_batches(arity: int, count: int, step: int, part: slice = slice(None)):
+    """Every binding in order: ids, or id pairs p-major as whole broadcast p rows.
+    part picks a contiguous range of the batches."""
+    starts = _exhaustive_starts(arity, count, step)
     if arity == 1:
-        for lo in range(0, count, step):
+        for lo in starts[part]:
             hi = min(lo + step, count)
             yield lo, (np.arange(lo, hi, dtype=ID_DTYPE),), (hi - lo,)
         return
-    rows = max(1, step // count)
     right = np.arange(count, dtype=ID_DTYPE)[None, :]
-    for lo in range(0, count, rows):
-        hi = min(lo + rows, count)
+    for lo in starts[part]:
+        hi = min(lo + starts.step, count)
         left = np.arange(lo, hi, dtype=ID_DTYPE)[:, None]
         yield lo * count, (left, right), (hi - lo, count)
 
 
-def _draw_batches(columns, step: int):
-    """Sampled ids in draw order."""
+def _draw_batches(columns, step: int, part: slice = slice(None)):
+    """Sampled ids in draw order; part picks a contiguous range of the batches."""
     total = len(columns[0])
-    for lo in range(0, total, step):
+    for lo in range(0, total, step)[part]:
         hi = min(lo + step, total)
         yield lo, tuple(col[lo:hi] for col in columns), (hi - lo,)
+
+
+# what the last split scan in this process cost beyond its calling process's
+# own work, in seconds, as measured; 0 until a scan has been split
+_split_cost = 0.0
+
+
+def _split_scan(subterms: _Subterms, batches, n_batches: int, jobs: int) -> list[int]:
+    """subterms.scan over batches(), with the batches split over up to jobs
+    processes; the same first failing index per case either way.
+
+    At jobs 1, with one batch, or without os.fork this is subterms.scan on
+    the lazy stream. Otherwise the calling process first scans alone, in
+    order: the first batch, which builds every id map and table the scan
+    reads (every case reads all its subterms there), then at least one more
+    batch, until it has spent as long as the last split cost beyond its own
+    work (_split_cost, 0 before the first split). A scan whose cases have
+    all failed by then never forks. The rest is cut into k = min(jobs,
+    batches left) contiguous ranges, split only if, at the speed of the
+    timed batches, k processes would save more than that cost, and scanned
+    in-process otherwise. In a split a forked child scans each range but the
+    first, which the calling process scans, and each case takes its first
+    failure from the earliest range that reports one. A child inherits all
+    it reads, writes its indices to a pipe and leaves by os._exit. A child
+    that does not report has its range scanned in-process; children whose
+    ranges can no longer matter, because every case failed earlier, are
+    killed.
+    """
+    global _split_cost
+    if jobs <= 1 or n_batches < 2 or not hasattr(os, "fork"):
+        return subterms.scan(batches())
+    bad = subterms.scan(batches(slice(0, 1)))  # builds what every batch reads
+    if min(bad) >= 0:
+        return bad
+    timed = [0]
+    start = time.perf_counter()
+    bad = subterms.scan(_metered(batches(slice(1, None)), timed, start + _split_cost), bad)
+    if min(bad) >= 0:
+        return bad
+    per_batch = (time.perf_counter() - start) / timed[0]
+    done = 1 + timed[0]
+    rest = n_batches - done
+    parts = [slice(done + lo, done + hi) for lo, hi in partition_ranges(rest, jobs)]
+    if len(parts) < 2 or per_batch * rest * (1 - 1 / len(parts)) <= _split_cost:
+        return subterms.scan(batches(slice(done, None)), bad)
+    start = time.perf_counter()
+    cpu = _current_cpu()
+    own = [0]
+    children = []
+    try:
+        for k, part in enumerate(parts[1:]):
+            children.append((part, *_fork_scan(subterms, batches(part), bad, cpu, k)))
+        bad = subterms.scan(_metered(batches(parts[0]), own), bad)
+        while children:
+            part, pid, fd = children.pop(0)
+            if min(bad) >= 0:
+                _kill(pid, fd)
+                continue
+            found = _collect(pid, fd, len(bad))
+            if found is None:
+                bad = subterms.scan(batches(part), bad)
+            else:
+                bad = [old if old >= 0 else new for old, new in zip(bad, found)]
+    finally:
+        for _, pid, fd in children:
+            _kill(pid, fd)
+    _split_cost = max(0.0, time.perf_counter() - start - per_batch * own[0])
+    return bad
+
+
+def _metered(batches, taken: list[int], deadline: float = float("inf")):
+    """batches, counted in taken[0], with none handed out after the first
+    once time.perf_counter() reaches deadline."""
+    for batch in batches:
+        taken[0] += 1
+        yield batch
+        if time.perf_counter() >= deadline:
+            return
+
+
+def _current_cpu() -> int | None:
+    """The CPU this process last ran on, where Linux says (/proc/self/stat)."""
+    try:
+        with open("/proc/self/stat") as stat:
+            return int(stat.read().rsplit(")", 1)[1].split()[36])
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+def _fork_scan(subterms: _Subterms, batches, bad: list[int], cpu: int | None,
+               k: int) -> tuple[int, int]:
+    """(pid, read end of its pipe) of a child that scans batches from bad,
+    writes the first failing indices as int64 and exits.
+
+    The child binds itself to the k-th allowed CPU other than cpu, the one
+    the calling process runs on: a scheduler that does not balance load
+    across CPUs would otherwise keep it on its parent's CPU.
+    """
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            if cpu is not None and hasattr(os, "sched_setaffinity"):
+                others = sorted(os.sched_getaffinity(0) - {cpu})
+                if others:
+                    os.sched_setaffinity(0, {others[k % len(others)]})
+            with os.fdopen(write, "wb") as out:
+                out.write(np.asarray(subterms.scan(batches, bad), dtype=np.int64).tobytes())
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, read
+
+
+def _kill(pid: int, fd: int) -> None:
+    """Stop a scanning child, close its pipe and reap it."""
+    os.kill(pid, signal.SIGKILL)
+    os.close(fd)
+    os.waitpid(pid, 0)
+
+
+def _collect(pid: int, fd: int, size: int) -> list[int] | None:
+    """A scanning child's size indices, read from its pipe once it exits, or
+    None unless it wrote them all and exited cleanly."""
+    with os.fdopen(fd, "rb") as pipe:
+        data = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    if status != 0 or len(data) != 8 * size:
+        return None
+    return np.frombuffer(data, dtype=np.int64).tolist()
 
 
 def _stratified_pairs(count: int, cap: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -620,10 +766,11 @@ def check_laws(cases, lattice: Oml, n_points: int, *, budget: int | None = None,
     """Quantify each (law, ops) case over all (or sampled) propositions.
 
     Each outcome is what the case gets when checked alone. Up to ID_PATH_MAX
-    propositions the cases of one arity are checked on ids in-process,
-    whatever jobs says, in one scan: one IdAlgebra, one stream of batches
-    and each distinct subterm evaluated once per batch. Beyond that each case
-    runs on the element path, split over jobs worker processes.
+    propositions the cases of one arity are checked on ids in one scan: one
+    IdAlgebra, one stream of batches and each distinct subterm evaluated once
+    per batch, with the batches split over up to jobs processes, the calling
+    one and forked children (_split_scan). Beyond that each case runs on the
+    element path, split over jobs pooled worker processes.
     """
     budget = resolve_budget(budget)
     count = proposition_count(lattice, n_points)
@@ -647,15 +794,18 @@ def check_laws(cases, lattice: Oml, n_points: int, *, budget: int | None = None,
         exhaustive = space <= cap
         if exhaustive:
             columns = None
-            batches = _exhaustive_batches(arity, count, step)
+            batches = functools.partial(_exhaustive_batches, arity, count, step)
+            n_batches = len(_exhaustive_starts(arity, count, step))
         else:
             if arity == 1:
                 columns = (encode_props(lattice, sampled_block(lattice, n_points, cap, seed))
                            .astype(ID_DTYPE),)
             else:
                 columns = _pair_draw_ids(count, cap, seed)
-            batches = _draw_batches(columns, step)
-        bads = _Subterms(core, [cases[i] for i in members]).scan(batches)
+            batches = functools.partial(_draw_batches, columns, step)
+            n_batches = len(range(0, len(columns[0]), step))
+        subterms = _Subterms(core, [cases[i] for i in members])
+        bads = _split_scan(subterms, batches, n_batches, jobs)
         for i, bad in zip(members, bads):
             law, ops = cases[i]
             rows = None

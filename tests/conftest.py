@@ -1,6 +1,23 @@
+import os
+import sys
+
 import pytest
 
 from omtense import fixtures
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The module of each os.fork caller, in call order."""
+    callers = []
+    real = os.fork
+
+    def fork():
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return callers
 
 
 @pytest.fixture(scope="session")

@@ -387,16 +387,26 @@ def test_instance_relations_follow_budget_and_seed(oml10, le3):
     assert inst.relation("R1") is not sampled
 
 
-def test_no_pool_below_the_cap(monkeypatch, capsys, tmp_path, oml10, le3):
+def test_below_the_cap_only_law_scans_fork(monkeypatch, capsys, forks, tmp_path, oml10, le3):
+    # no process pool anywhere; at --jobs 2 law scans may fork, induction and
+    # extension never do; at --jobs 1 nothing forks
     def refuse(*args, **kwargs):
         raise AssertionError("a process pool was started below the id-path cap")
 
     for module in (induction, extension, laws):
         monkeypatch.setattr(module, "ProcessPoolExecutor", refuse)
-    run_all(Instance(oml10, frame=le3, jobs=2))
+    monkeypatch.setattr(laws, "_split_cost", 0.0)  # the first long law scan splits
+    split = run_all(Instance(oml10, frame=le3, jobs=2))
+    assert forks and set(forks) == {"omtense.laws"}
+    forks.clear()
+    alone = run_all(Instance(oml10, frame=le3, jobs=1))
+    assert not forks
+    assert [r.to_json() for r in split] == [r.to_json() for r in alone]
     lattice_file = tmp_path / "oml10.lattice"
     lattice_file.write_text(LATTICE_TEXTS["oml10"], encoding="utf-8")
     for command in ("induce", "classify"):
-        argv = [command, "--lattice", str(lattice_file), "--ops", "example2", "--jobs", "2"]
-        assert cli.main(argv) == 0
+        for jobs in ("2", "1"):
+            argv = [command, "--lattice", str(lattice_file), "--ops", "example2", "--jobs", jobs]
+            assert cli.main(argv) == 0
     assert "not-frame-inducible" in capsys.readouterr().out
+    assert not forks
