@@ -51,16 +51,13 @@ from .tense import (
     TenseOperator,
     apply,
     compose,
-    enumerate_propositions,
     eval_F,
     eval_G,
     eval_H,
     eval_P,
     format_prop,
     identity_operator,
-    op_leq,
     op_leq_counterexample,
-    op_leq_sampled,
     ops_equal,
     parse_props,
     partition_ranges,
@@ -78,7 +75,6 @@ from .sasaki import (
     prop_sasaki_imp,
     sasaki_and,
     sasaki_imp,
-    sasaki_projection,
 )
 from .laws import Law, check_law
 from .induction import (

@@ -376,9 +376,9 @@ def _add_budget_flags(sub) -> None:
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED,
                      help="seed for sampled quantification")
     sub.add_argument("--jobs", type=int, default=1,
-                     help="worker processes: up to 2^20 propositions a long law scan forks "
-                          "N-1 (induction and extension run in-process); past that, "
-                          "exhaustive scans use a pool of N")
+                     help="worker processes: a long law scan forks up to N-1 children; "
+                          "past 2^20 propositions an exhaustive induction or extension "
+                          "uses a pool of N")
 
 
 def build_parser() -> argparse.ArgumentParser:

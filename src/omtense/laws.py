@@ -2,31 +2,29 @@
 
 A law states lhs <= rhs (or lhs = rhs) for all propositions bound to its
 variables, optionally guarded by a side condition (used for monotonicity,
-whose claim only applies to ordered pairs). Expressions evaluate three ways:
+whose claim only applies to ordered pairs). Expressions evaluate two ways:
 
-  IdAlgebra    proposition ids (odometer indices) through operator id maps,
-               and their block codes through block-factored connective
-               tables, for the quantifiers whenever |L|^|T| is at most
-               ID_PATH_MAX
-  eval_batch   numpy arrays of shape (rows, points), for closed laws and for
-               the quantifiers on larger proposition spaces
+  _Subterms    a batch of bindings at a time, for check_laws: connectives and
+               the order check on block codes through block-factored tables;
+               operators through their id maps on proposition ids whenever
+               |L|^|T| is at most ID_PATH_MAX (IdAlgebra), and past it on the
+               element rows of the batch only (RowAlgebra)
   eval_trace   one proposition at a time, recording every intermediate value,
-               for witness replays
+               for witnesses and their replays
 
 check_laws quantifies a list of (law, operators) cases. Quantification is
 exhaustive in odometer order below the budget and falls back to
 deterministic seeded sampling above it (one-sided verdict). Pair laws
 quantify over the pair-index space p-major, capped by the pair budget with
-stratified sampling beyond. On ids, the cases of one arity share one scan:
-the same batches in that order (sampled draws in draw order), each distinct
-subterm evaluated once per batch, and each case leaving the scan at its
-first failing index. With jobs > 1 that scan is split into contiguous
-ranges of its batches, the first scanned by the calling process and each
-other one by a forked child, and merged per case by the first range that
-fails. On the element path each case runs alone, split into contiguous
-chunks over a process pool and merged by minimum failing index. Either way
-every case gets the outcome it would get checked alone, and parallel runs
-report exactly what a sequential run reports.
+stratified sampling beyond; a closed law is a scan of its one empty binding.
+The cases of one arity share one scan: the same batches in that order
+(sampled draws in draw order), each distinct subterm evaluated once per
+batch, and each case leaving the scan at its first failing index. With
+jobs > 1 that scan is split into contiguous ranges of its batches, the
+first scanned by the calling process and each other one by a forked child,
+and merged per case by the first range that fails. Every case gets the
+outcome it would get checked alone, and parallel runs report exactly what a
+sequential run reports.
 """
 
 from __future__ import annotations
@@ -35,13 +33,13 @@ import functools
 import os
 import signal
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401  perfbench/tracing.py hooks it
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoOrtho
-from .lattice import Oml
+from .lattice import INDEX_DTYPE, Oml
 from .report import EXHAUSTIVE, FAIL, ONE_SIDED, PASS, SAMPLED, Witness
 from .sasaki import (
     prop_sasaki_and,
@@ -142,33 +140,6 @@ def render(expr: Expr, names: dict[str, str] | None = None) -> str:
     raise TypeError(f"not an expression: {expr!r}")
 
 
-def eval_batch(expr: Expr, lattice: Oml, env: dict[str, np.ndarray],
-               ops: dict[str, TenseOperator], shape: tuple[int, int]) -> np.ndarray:
-    match expr:
-        case PVar(name):
-            return env[name]
-        case ConstProp(which):
-            value = lattice.bottom if which == "bottom" else lattice.top
-            return np.full(shape, value, dtype=np.int16)
-        case Neg(arg):
-            return lattice.comp[eval_batch(arg, lattice, env, ops, shape)]
-        case Join(a, b):
-            return lattice.join_table[eval_batch(a, lattice, env, ops, shape),
-                                      eval_batch(b, lattice, env, ops, shape)]
-        case Meet(a, b):
-            return lattice.meet_table[eval_batch(a, lattice, env, ops, shape),
-                                      eval_batch(b, lattice, env, ops, shape)]
-        case SAnd(a, b):
-            return sasaki_and_batch(lattice, eval_batch(a, lattice, env, ops, shape),
-                                    eval_batch(b, lattice, env, ops, shape))
-        case SImp(a, b):
-            return sasaki_imp_batch(lattice, eval_batch(a, lattice, env, ops, shape),
-                                    eval_batch(b, lattice, env, ops, shape))
-        case App(slot, arg):
-            return ops[slot].apply_batch(eval_batch(arg, lattice, env, ops, shape))
-    raise TypeError(f"not an expression: {expr!r}")
-
-
 def eval_trace(expr: Expr, lattice: Oml, env: dict[str, Prop], n_points: int,
                ops: dict[str, TenseOperator], names: dict[str, str],
                trace: list[tuple[str, Prop]]) -> Prop:
@@ -241,22 +212,6 @@ class LawOutcome:
     witness_point: int | None = None
 
 
-def _rows_ok(law: Law, lattice: Oml, env: dict[str, np.ndarray],
-             ops: dict[str, TenseOperator], shape: tuple[int, int]) -> np.ndarray:
-    lhs = eval_batch(law.lhs, lattice, env, ops, shape)
-    rhs = eval_batch(law.rhs, lattice, env, ops, shape)
-    if law.relation == "leq":
-        ok = lattice.leq[lhs, rhs]
-    else:
-        ok = lhs == rhs
-    rows = ok.all(axis=1)
-    if law.guard is not None:
-        gl = eval_batch(law.guard[0], lattice, env, ops, shape)
-        gr = eval_batch(law.guard[1], lattice, env, ops, shape)
-        rows |= ~lattice.leq[gl, gr].all(axis=1)
-    return rows
-
-
 # -- the id core ----------------------------------------------------------
 
 # ids (or id pairs) per evaluation step; keeps every temporary cache-sized
@@ -304,14 +259,14 @@ def _leq_batch(lattice: Oml, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class IdAlgebra:
     """Propositions as ids for one lattice and point count.
 
-    A proposition is its odometer index (tense.encode_props). Operators
-    (TenseOperator.id_map) and the complement are length-N id maps. Binary
-    connectives and the order check work on block codes: an id split into
-    blocks of a few points (codes), each block gathered from a small table
-    indexed by the pair of block codes. ids() rebuilds ids from block codes
-    by Horner, where an id map or an equality needs them. Table memory does
-    not depend on N. Tables are built on first use and live as long as this
-    object, which check_laws scopes to one call.
+    A proposition's value is its odometer index (tense.encode_props).
+    Operators (TenseOperator.id_map) and the complement are length-N id
+    maps. Binary connectives and the order check work on block codes: a
+    value split into blocks of a few points (codes), each block gathered
+    from a small table indexed by the pair of block codes. values() rebuilds
+    ids from block codes by Horner, where an id map or an equality needs
+    them. Table memory does not depend on N. Tables are built on first use
+    and live as long as this object, which check_laws scopes to one call.
     """
 
     def __init__(self, lattice: Oml, n_points: int):
@@ -326,18 +281,42 @@ class IdAlgebra:
         self._tables: dict[tuple[str, int], np.ndarray] = {}
         self._comp: np.ndarray | None = None
 
+    def column(self, lo: int, hi: int):
+        """The values of the propositions with ids lo..hi-1."""
+        return np.arange(lo, hi, dtype=ID_DTYPE)
+
+    def from_ids(self, ids):
+        """The values of the propositions with these ids."""
+        return ids
+
+    def from_rows(self, rows):
+        """The values of these propositions, given as element rows."""
+        return encode_props(self.lattice, rows).astype(ID_DTYPE)
+
+    def rows(self, values):
+        """The element rows of these values."""
+        return decode_props(self.lattice, self.n_points, values)
+
+    def constant(self, which: str):
+        value = self.lattice.bottom if which == "bottom" else self.lattice.top
+        return self.from_rows(np.full(self.n_points, value, dtype=INDEX_DTYPE))
+
     def complement_map(self) -> np.ndarray:
         if self._comp is None:
-            comp = self.lattice.comp
-            if comp is None:
-                raise NoOrtho(f"lattice {self.lattice.name!r} has no orthocomplementation")
+            comp = _comp_table(self.lattice)
             self._comp = rows_id_map(self.lattice, self.n_points,
                                      lambda rows: comp[rows]).astype(ID_DTYPE)
         return self._comp
 
-    def constant(self, which: str) -> int:
-        value = self.lattice.bottom if which == "bottom" else self.lattice.top
-        return int(encode_props(self.lattice, np.full(self.n_points, value, dtype=np.int16)))
+    def complement(self, values):
+        return np.take(self.complement_map(), values)
+
+    def apply(self, op: TenseOperator, values):
+        return np.take(op.id_map(), values)
+
+    def equal(self, x, y):
+        """Whether the propositions x and y are equal."""
+        return x == y
 
     def codes(self, ids) -> list:
         """Block codes of ids, most significant block first."""
@@ -349,7 +328,7 @@ class IdAlgebra:
         codes.append(ids)
         return codes[::-1]
 
-    def ids(self, codes):
+    def values(self, codes):
         """The ids with these block codes."""
         out = 0
         for radix, code in zip(self._radices, codes):
@@ -376,25 +355,78 @@ class IdAlgebra:
         return ok
 
     def connective(self, name: str, fn, x, y):
-        """fn(lattice, a, b) applied pointwise to the propositions with ids x and y."""
-        return self.ids(self.connective_codes(name, fn, self.codes(x), self.codes(y)))
+        """fn(lattice, a, b) applied pointwise to the propositions x and y."""
+        return self.values(self.connective_codes(name, fn, self.codes(x), self.codes(y)))
 
     def leq(self, x, y):
         """Whether proposition x is below proposition y at every point."""
         return self.leq_codes(self.codes(x), self.codes(y))
 
 
+class RowAlgebra(IdAlgebra):
+    """Propositions as element rows (shape (..., n_points)), for spaces past
+    ID_PATH_MAX.
+
+    Operators and the complement act on the rows of the current batch only,
+    so no length-N map is built, and no full id is formed (past 2^63
+    propositions one would not fit int64). Connectives and the order check
+    use the same block codes and tables as on ids, each block encoded from
+    its columns of the rows.
+    """
+
+    def column(self, lo: int, hi: int):
+        return proposition_block(self.lattice, self.n_points, lo, hi)
+
+    def from_ids(self, ids):
+        return decode_props(self.lattice, self.n_points, ids)
+
+    def from_rows(self, rows):
+        return rows
+
+    def rows(self, values):
+        return values
+
+    def complement(self, values):
+        return _comp_table(self.lattice)[values]
+
+    def apply(self, op: TenseOperator, values):
+        flat = values.reshape(-1, self.n_points)
+        return op.apply_batch(flat).reshape(values.shape)
+
+    def equal(self, x, y):
+        return (x == y).all(axis=-1)
+
+    def codes(self, rows) -> list:
+        """Block codes of rows, most significant block first."""
+        ends = np.cumsum(self._widths)
+        return [encode_props(self.lattice, rows[..., end - width:end])
+                for width, end in zip(self._widths, ends)]
+
+    def values(self, codes):
+        """The rows with these block codes."""
+        return np.concatenate([decode_props(self.lattice, width, code)
+                               for width, code in zip(self._widths, codes)], axis=-1)
+
+
+def _comp_table(lattice: Oml) -> np.ndarray:
+    """The lattice's orthocomplement as an element -> element table."""
+    if lattice.comp is None:
+        raise NoOrtho(f"lattice {lattice.name!r} has no orthocomplementation")
+    return lattice.comp
+
+
 class _Subterms:
-    """The distinct subterms of a list of cases, scanned together on ids.
+    """The distinct subterms of a list of cases, scanned together on the
+    values of a core (IdAlgebra or RowAlgebra).
 
     A subterm is keyed by its connective or its operator object and its
     children, with each variable named by its position in law.vars, so a
     subterm that several cases contain is one node. A case's check
     (lhs <= rhs or lhs = rhs) and its guard's order check are nodes too, so
     a guard that several cases share is checked once. Nodes are numbered
-    children first. Within a batch each node is evaluated once, kept as ids,
-    block codes or both (a check as booleans), and dropped after the last
-    case that reads it.
+    children first. Within a batch each node is evaluated once, kept as
+    values, block codes or both (a check as booleans), and dropped after the
+    last case that reads it.
     """
 
     def __init__(self, core: IdAlgebra, cases):
@@ -412,7 +444,7 @@ class _Subterms:
                 guard = self._node(("leq", None, tuple(sides)))
             self.checks.append((check, guard))
             self.reads.append(self._closure((check,) if guard is None else (check, guard)))
-        self._ids: dict[int, object] = {}
+        self._values: dict[int, object] = {}
         self._codes: dict[int, list] = {}
         self._holds: dict[int, object] = {}
         self._columns: tuple = ()
@@ -456,21 +488,21 @@ class _Subterms:
                 stack.extend(self.nodes[node][2])
         return sorted(seen)
 
-    def _ids_of(self, node: int):
-        if node not in self._ids:
+    def _values_of(self, node: int):
+        if node not in self._values:
             kind, operand, children = self.nodes[node]
             if kind == "var":
                 out = self._columns[operand]
             elif kind == "const":
                 out = self.core.constant(operand)
             elif kind == "neg":
-                out = np.take(self.core.complement_map(), self._ids_of(children[0]))
+                out = self.core.complement(self._values_of(children[0]))
             elif kind == "app":
-                out = np.take(operand.id_map(), self._ids_of(children[0]))
+                out = self.core.apply(operand, self._values_of(children[0]))
             else:
-                out = self.core.ids(self._codes_of(node))
-            self._ids[node] = out
-        return self._ids[node]
+                out = self.core.values(self._codes_of(node))
+            self._values[node] = out
+        return self._values[node]
 
     def _codes_of(self, node: int) -> list:
         if node not in self._codes:
@@ -478,7 +510,7 @@ class _Subterms:
             if len(children) == 2:
                 out = self.core.connective_codes(kind, operand, *map(self._codes_of, children))
             else:
-                out = self.core.codes(self._ids_of(node))
+                out = self.core.codes(self._values_of(node))
             self._codes[node] = out
         return self._codes[node]
 
@@ -489,7 +521,7 @@ class _Subterms:
             if relation == "leq":
                 out = self.core.leq_codes(self._codes_of(lhs), self._codes_of(rhs))
             else:
-                out = self._ids_of(lhs) == self._ids_of(rhs)
+                out = self.core.equal(self._values_of(lhs), self._values_of(rhs))
             self._holds[node] = out
         return self._holds[node]
 
@@ -517,7 +549,7 @@ class _Subterms:
                     bad[case] = offset + int(np.argmin(ok))
                 for node in self.reads[case]:
                     if last[node] == case:
-                        self._ids.pop(node, None)
+                        self._values.pop(node, None)
                         self._codes.pop(node, None)
                         self._holds.pop(node, None)
             self._columns = ()
@@ -528,28 +560,43 @@ class _Subterms:
 
 
 def _exhaustive_starts(arity: int, count: int, step: int) -> range:
-    """Where each exhaustive batch starts: at an id, or at a p row of the pairs."""
-    return range(0, count, step if arity == 1 else max(1, step // count))
+    """Where each exhaustive batch starts: at an id (the one empty binding of
+    a closed law), or at a p row of the pairs."""
+    if arity == 2:
+        return range(0, count, max(1, step // count))
+    return range(0, count ** arity, step)
 
 
-def _exhaustive_batches(arity: int, count: int, step: int, part: slice = slice(None)):
-    """Every binding in order: ids, or id pairs p-major as whole broadcast p rows.
+def _exhaustive_batches(core: IdAlgebra, arity: int, count: int, step: int,
+                        part: slice = slice(None)):
+    """Every binding in order, as the core's values: propositions, pairs
+    p-major as whole broadcast p rows, or the empty binding of a closed law.
     part picks a contiguous range of the batches."""
     starts = _exhaustive_starts(arity, count, step)
-    if arity == 1:
+    if arity < 2:
         for lo in starts[part]:
-            hi = min(lo + step, count)
-            yield lo, (np.arange(lo, hi, dtype=ID_DTYPE),), (hi - lo,)
+            hi = min(lo + step, count ** arity)
+            yield lo, ((core.column(lo, hi),) if arity else ()), (hi - lo,)
         return
-    right = np.arange(count, dtype=ID_DTYPE)[None, :]
+    right = core.column(0, count)[None, :]
     for lo in starts[part]:
         hi = min(lo + starts.step, count)
-        left = np.arange(lo, hi, dtype=ID_DTYPE)[:, None]
-        yield lo * count, (left, right), (hi - lo, count)
+        yield lo * count, (core.column(lo, hi)[:, None], right), (hi - lo, count)
+
+
+def _draws(core: IdAlgebra, arity: int, count: int, cap: int, seed: int) -> tuple:
+    """cap sampled bindings as columns of the core's values: uniform draws of
+    propositions (seed), pairs stratified over the pair-index space while
+    their ids fit ID_DTYPE (N <= 2^31), and past that independent uniform
+    draws per side (seed, seed + 1)."""
+    if arity == 2 and count <= 2 ** 31:
+        return tuple(core.from_ids(side) for side in _pair_draw_ids(count, cap, seed))
+    return tuple(core.from_rows(sampled_block(core.lattice, core.n_points, cap, seed + k))
+                 for k in range(arity))
 
 
 def _draw_batches(columns, step: int, part: slice = slice(None)):
-    """Sampled ids in draw order; part picks a contiguous range of the batches."""
+    """Sampled bindings in draw order; part picks a contiguous range of the batches."""
     total = len(columns[0])
     for lo in range(0, total, step)[part]:
         hi = min(lo + step, total)
@@ -712,29 +759,6 @@ def _pair_draw_ids(count: int, cap: int, seed: int) -> tuple[np.ndarray, np.ndar
     return columns
 
 
-def _env_for_range(law: Law, lattice: Oml, n_points: int,
-                   lo: int, hi: int) -> dict[str, np.ndarray]:
-    if len(law.vars) == 1:
-        return {law.vars[0]: proposition_block(lattice, n_points, lo, hi)}
-    count = proposition_count(lattice, n_points)
-    idx = np.arange(lo, hi, dtype=np.int64)
-    return {law.vars[0]: decode_props(lattice, n_points, idx // count),
-            law.vars[1]: decode_props(lattice, n_points, idx % count)}
-
-
-def _law_chunk(payload) -> int:
-    """First failing global index in [lo, hi), or -1. Top level for pickling."""
-    law, lattice, ops, n_points, lo, hi, step = payload
-    for start in range(lo, hi, step):
-        stop = min(start + step, hi)
-        env = _env_for_range(law, lattice, n_points, start, stop)
-        shape = (stop - start, n_points)
-        rows = _rows_ok(law, lattice, env, ops, shape)
-        if not rows.all():
-            return start + int(np.argmin(rows))
-    return -1
-
-
 def _failing_point(law: Law, lattice: Oml, env: dict[str, Prop], n_points: int,
                    ops: dict[str, TenseOperator]) -> tuple[int, int, int]:
     """(point, lhs value, rhs value) at the first point where the law breaks."""
@@ -765,43 +789,32 @@ def check_laws(cases, lattice: Oml, n_points: int, *, budget: int | None = None,
                jobs: int = 1, chunk: int = DEFAULT_CHUNK) -> list[LawOutcome]:
     """Quantify each (law, ops) case over all (or sampled) propositions.
 
-    Each outcome is what the case gets when checked alone. Up to ID_PATH_MAX
-    propositions the cases of one arity are checked on ids in one scan: one
-    IdAlgebra, one stream of batches and each distinct subterm evaluated once
-    per batch, with the batches split over up to jobs processes, the calling
-    one and forked children (_split_scan). Beyond that each case runs on the
-    element path, split over jobs pooled worker processes.
+    Each outcome is what the case gets when checked alone. The cases of one
+    arity are checked in one scan: one core, one stream of batches and each
+    distinct subterm evaluated once per batch, with the batches split over
+    up to jobs processes, the calling one and forked children (_split_scan).
+    The core is an IdAlgebra up to ID_PATH_MAX propositions and a RowAlgebra
+    past it; either way the same bindings are checked in the same order.
     """
     budget = resolve_budget(budget)
     count = proposition_count(lattice, n_points)
-    outcomes: list[LawOutcome | None] = [None] * len(cases)
-    by_arity: dict[int, list[int]] = {}
-    for i, (law, ops) in enumerate(cases):
-        arity = len(law.vars)
-        if arity == 0:
-            ok = bool(_rows_ok(law, lattice, {}, ops, (1, n_points)).all())
-            outcomes[i] = _outcome(law, lattice, n_points, ops, True, 1, None if ok else [])
-        elif count <= ID_PATH_MAX:
-            by_arity.setdefault(arity, []).append(i)
-        else:
-            outcomes[i] = _check_elements(law, lattice, n_points, ops, count, budget,
-                                          pair_budget, seed, jobs, chunk)
-
-    core = IdAlgebra(lattice, n_points)
+    core = (IdAlgebra if count <= ID_PATH_MAX else RowAlgebra)(lattice, n_points)
     step = min(chunk, ID_CHUNK)
-    for arity, members in by_arity.items():
+    by_arity: dict[int, list[int]] = {}
+    for i, (law, _) in enumerate(cases):
+        by_arity.setdefault(len(law.vars), []).append(i)
+    outcomes: list[LawOutcome | None] = [None] * len(cases)
+    # pairs first: a pair draw, the largest transient, then comes before any
+    # id map a unary or closed law would build
+    for arity, members in sorted(by_arity.items(), reverse=True):
         space, cap = _space(arity, count, budget, pair_budget)
         exhaustive = space <= cap
         if exhaustive:
             columns = None
-            batches = functools.partial(_exhaustive_batches, arity, count, step)
+            batches = functools.partial(_exhaustive_batches, core, arity, count, step)
             n_batches = len(_exhaustive_starts(arity, count, step))
         else:
-            if arity == 1:
-                columns = (encode_props(lattice, sampled_block(lattice, n_points, cap, seed))
-                           .astype(ID_DTYPE),)
-            else:
-                columns = _pair_draw_ids(count, cap, seed)
+            columns = _draws(core, arity, count, cap, seed)
             batches = functools.partial(_draw_batches, columns, step)
             n_batches = len(range(0, len(columns[0]), step))
         subterms = _Subterms(core, [cases[i] for i in members])
@@ -809,9 +822,10 @@ def check_laws(cases, lattice: Oml, n_points: int, *, budget: int | None = None,
         for i, bad in zip(members, bads):
             law, ops = cases[i]
             rows = None
-            if bad >= 0:
-                ids = _bound_ids(bad, count, arity) if exhaustive else [c[bad] for c in columns]
-                rows = [decode_props(lattice, n_points, x) for x in ids]
+            if bad >= 0 and exhaustive:
+                rows = [decode_props(lattice, n_points, x) for x in _bound_ids(bad, count, arity)]
+            elif bad >= 0:
+                rows = [core.rows(column[bad]) for column in columns]
             outcomes[i] = _outcome(law, lattice, n_points, ops, exhaustive,
                                    space if exhaustive else cap, rows)
     return outcomes
@@ -828,58 +842,15 @@ def check_law(law: Law, lattice: Oml, n_points: int, ops: dict[str, TenseOperato
 
 def _space(arity: int, count: int, budget: int, pair_budget: int) -> tuple[int, int]:
     """(bindings in the space, most bindings checked) for laws of this arity."""
-    if arity == 1:
-        return count, budget
+    if arity < 2:
+        return count ** arity, budget
     return count * count, min(pair_budget, budget * budget)
 
 
 def _bound_ids(index: int, count: int, arity: int) -> tuple[int, ...]:
-    """The ids bound by an index into the exhaustive space, p-major."""
-    return divmod(index, count) if arity == 2 else (index,)
-
-
-def _check_elements(law: Law, lattice: Oml, n_points: int, ops, count: int, budget: int,
-                    pair_budget: int, seed: int, jobs: int, chunk: int) -> LawOutcome:
-    """One case on (rows, |T|) element arrays, for proposition spaces past ID_PATH_MAX."""
-    arity = len(law.vars)
-    space, cap = _space(arity, count, budget, pair_budget)
-    if space <= cap:
-        bad = _run_exhaustive(law, lattice, ops, n_points, space, jobs, chunk)
-        rows = None if bad < 0 else [decode_props(lattice, n_points, x)
-                                     for x in _bound_ids(bad, count, arity)]
-        return _outcome(law, lattice, n_points, ops, True, space, rows)
-    bad, columns = _run_sampled(law, lattice, ops, n_points, count, cap, seed)
-    rows = None if bad < 0 else [col[bad] for col in columns]
-    return _outcome(law, lattice, n_points, ops, False, cap, rows)
-
-
-def _run_exhaustive(law: Law, lattice: Oml, ops, n_points: int, space: int,
-                    jobs: int, chunk: int) -> int:
-    if jobs <= 1:
-        return _law_chunk((law, lattice, ops, n_points, 0, space, chunk))
-    ranges = partition_ranges(space, jobs * 4)
-    payloads = [(law, lattice, ops, n_points, lo, hi, chunk) for lo, hi in ranges]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(_law_chunk, payloads))
-    bad = [r for r in results if r >= 0]
-    return min(bad) if bad else -1
-
-
-def _run_sampled(law: Law, lattice: Oml, ops, n_points: int, count: int,
-                 cap: int, seed: int) -> tuple[int, list[np.ndarray]]:
-    """Element-path draws: (first failing draw or -1, the drawn rows per variable)."""
-    if len(law.vars) == 1:
-        columns = [sampled_block(lattice, n_points, cap, seed)]
-    elif count <= 2 ** 31:
-        # stratified over the pair-index space when it is addressable, else
-        # independent uniform draws per side
-        columns = [decode_props(lattice, n_points, side)
-                   for side in _pair_draw_ids(count, cap, seed)]
-    else:
-        columns = [sampled_block(lattice, n_points, cap, seed),
-                   sampled_block(lattice, n_points, cap, seed + 1)]
-    ok = _rows_ok(law, lattice, dict(zip(law.vars, columns)), ops, columns[0].shape)
-    return (-1 if bool(ok.all()) else int(np.argmin(ok))), columns
+    """The ids bound by an index into the exhaustive space, p-major (none
+    for a closed law)."""
+    return divmod(index, count) if arity == 2 else (index,) * arity
 
 
 def build_witness(law: Law, lattice: Oml, env: dict[str, Prop], n_points: int,

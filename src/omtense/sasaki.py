@@ -34,11 +34,6 @@ def sasaki_imp(lattice: Oml, x: int, y: int) -> int:
     return int(lattice.join_table[lattice.meet_table[y, x], comp[x]])
 
 
-def sasaki_projection(lattice: Oml, y: int, x: int) -> int:
-    """Projection of x onto y; equals sasaki_and(x, y)."""
-    return sasaki_and(lattice, x, y)
-
-
 def prop_sasaki_and(lattice: Oml, a: Prop, b: Prop) -> Prop:
     return tuple(sasaki_and(lattice, x, y) for x, y in zip(a, b, strict=True))
 

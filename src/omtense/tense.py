@@ -55,10 +55,8 @@ ID_DTYPE = np.int32
 # on id maps. Each id map is built by applying its operator to all N
 # propositions, while a law checks at most budget (default 10^6) bindings and
 # samples beyond it, so a few times past the budget the maps cost more than
-# they save and the element path, which evaluates only the drawn rows, is
-# faster. On PG(q) <= q over oml10 and a linear frame (2-vCPU x86 box):
-# N = 10^6 took 0.28s on ids and 0.53s on elements; N = 10^7 took 9.2s on
-# ids and 1.1s on elements.
+# they save. Past the cap a law scan applies each operator to the rows of its
+# current batch only (laws.RowAlgebra), with the same scanner and batches.
 ID_PATH_MAX = 1 << 20
 # caches derived from a lattice, kept here rather than on the Oml so that
 # pickles (pool payloads) stay small; an entry goes with its lattice
@@ -431,15 +429,6 @@ def partition_ranges(total: int, k: int) -> list[tuple[int, int]]:
     return [(bounds[i], bounds[i + 1]) for i in range(k) if bounds[i] < bounds[i + 1]]
 
 
-def enumerate_propositions(lattice: Oml, n_points: int, *, chunk: tuple[int, int] | None = None):
-    """Yield every proposition (or one contiguous chunk) in odometer order."""
-    lo, hi = chunk if chunk is not None else (0, proposition_count(lattice, n_points))
-    for start in range(lo, hi, DEFAULT_CHUNK):
-        block = proposition_block(lattice, n_points, start, min(start + DEFAULT_CHUNK, hi))
-        for row in block:
-            yield tuple(int(x) for x in row)
-
-
 def sampled_block(lattice: Oml, n_points: int, count: int, seed: int) -> np.ndarray:
     """Uniformly drawn propositions (with repetition) for one-sided checks."""
     rng = np.random.default_rng(seed)
@@ -450,20 +439,14 @@ def sampled_block(lattice: Oml, n_points: int, count: int, seed: int) -> np.ndar
 
 # -- ordering between operators -------------------------------------------
 
-def op_leq(a: TenseOperator, b: TenseOperator, *, budget: int | None = None,
-           chunk: int = DEFAULT_CHUNK) -> bool:
-    """Whether a(q) <= b(q) pointwise for every proposition q.
-
-    Exhaustive over the odometer enumeration; short-circuits on the first
-    counterexample. Raises BudgetExceeded when |L|^|T| overruns the budget
-    (see op_leq_sampled for the one-sided fallback).
-    """
-    return op_leq_counterexample(a, b, budget=budget, chunk=chunk) is None
-
-
 def op_leq_counterexample(a: TenseOperator, b: TenseOperator, *, budget: int | None = None,
                           chunk: int = DEFAULT_CHUNK) -> tuple[Prop, int] | None:
-    """First (q, point) in odometer order with a(q)(point) not below b(q)(point)."""
+    """First (q, point) in odometer order with a(q)(point) not below b(q)(point),
+    or None when a(q) <= b(q) pointwise for every proposition q.
+
+    Exhaustive over the odometer enumeration; raises BudgetExceeded when
+    |L|^|T| overruns the budget.
+    """
     if a.lattice is not b.lattice or a.n_points != b.n_points:
         raise InvalidSpec("compared operators must share the lattice and the point set")
     lattice, n_points = a.lattice, a.n_points
@@ -480,19 +463,6 @@ def op_leq_counterexample(a: TenseOperator, b: TenseOperator, *, budget: int | N
             i = int(np.argmin(rows))
             point = int(np.argmin(ok[i]))
             return tuple(int(x) for x in block[i]), point
-    return None
-
-
-def op_leq_sampled(a: TenseOperator, b: TenseOperator, *, samples: int,
-                   seed: int = DEFAULT_SEED) -> tuple[Prop, int] | None:
-    """One-sided variant: None means no counterexample among the samples."""
-    block = sampled_block(a.lattice, a.n_points, samples, seed)
-    ok = a.lattice.leq[a.apply_batch(block), b.apply_batch(block)]
-    rows = ok.all(axis=1)
-    if not rows.all():
-        i = int(np.argmin(rows))
-        point = int(np.argmin(ok[i]))
-        return tuple(int(x) for x in block[i]), point
     return None
 
 

@@ -382,11 +382,14 @@ def _truth(outcome: LawOutcome) -> str:
     return "unknown"
 
 
-def _thm6_result(lattice: Oml, n_points: int, op: TenseOperator, label: str, *,
-                 budget, pair_budget, seed, jobs) -> LawResult:
+def _thm6_cases(op: TenseOperator) -> list:
+    return [(_THM6_LEFT, {"A": op}), (_THM6_RIGHT, {"A": op})]
+
+
+def _thm6_result(lattice: Oml, n_points: int, op: TenseOperator, label: str,
+                 left: LawOutcome, right: LawOutcome) -> LawResult:
+    """The thm6 result for A = op from the outcomes of its two connective laws."""
     ops = {"A": op}
-    left, right = check_laws([(_THM6_LEFT, ops), (_THM6_RIGHT, ops)], lattice, n_points,
-                             budget=budget, pair_budget=pair_budget, seed=seed, jobs=jobs)
     tl, tr = _truth(left), _truth(right)
     detail = f"(i) {tl}, (ii) {tr}"
     mode = EXHAUSTIVE if left.mode == right.mode == EXHAUSTIVE else SAMPLED
@@ -421,8 +424,9 @@ def check_thm6_equivalence(lattice: Oml, points, A: TenseOperator, *,
         return VerifyReport(suite="thm6", instance=inst_text, verdict=SKIPPED,
                             reason="requires an orthomodular lattice",
                             budget=resolve_budget(budget), seed=seed)
-    result = _thm6_result(lattice, len(points), A, A.label, budget=budget,
+    outcomes = check_laws(_thm6_cases(A), lattice, len(points), budget=budget,
                           pair_budget=pair_budget, seed=seed, jobs=jobs)
+    result = _thm6_result(lattice, len(points), A, A.label, *outcomes)
     return VerifyReport(suite="thm6", instance=inst_text, verdict=result.verdict,
                         laws=[result], budget=resolve_budget(budget), seed=seed,
                         context=ReplayContext(lattice=lattice, points=points,
@@ -438,11 +442,12 @@ def _suite_thm6(inst: Instance) -> VerifyReport:
         return _skip("thm6", inst, "requires an orthomodular lattice")
     points = inst.point_names()
     quad = inst.quadruple()
-    results = [
-        _thm6_result(inst.lattice, len(points), op, label, budget=inst.budget,
-                     pair_budget=inst.pair_budget, seed=inst.seed, jobs=inst.jobs)
-        for label, op in quad.as_dict().items()
-    ]
+    # the four operators' eight cases share one scan and one set of block tables
+    outcomes = check_laws([case for op in quad.as_dict().values() for case in _thm6_cases(op)],
+                          inst.lattice, len(points), budget=inst.budget,
+                          pair_budget=inst.pair_budget, seed=inst.seed, jobs=inst.jobs)
+    results = [_thm6_result(inst.lattice, len(points), op, label, *outcomes[2 * k:2 * k + 2])
+               for k, (label, op) in enumerate(quad.as_dict().items())]
     return VerifyReport(
         suite="thm6", instance=inst.descriptor(),
         verdict=aggregate([r.verdict for r in results]), laws=results,

@@ -26,9 +26,10 @@ from omtense.fixtures import (
 )
 from omtense.tense import (
     OperatorQuadruple,
-    enumerate_propositions,
     format_prop,
     ops_equal,
+    proposition_block,
+    proposition_count,
 )
 from omtense.verify import SUITE_IDS
 
@@ -339,7 +340,9 @@ def test_verify_unknown_suite_exits_2(capsys, files):
 def optable_text(lattice, points, quad):
     lines = [f"optable demo", "points " + " ".join(points)]
     for label, op in quad.as_dict().items():
-        for q in enumerate_propositions(lattice, len(points)):
+        for row in proposition_block(lattice, len(points), 0,
+                                     proposition_count(lattice, len(points))):
+            q = tuple(int(x) for x in row)
             key = ",".join(lattice.name_of(v) for v in q)
             out = ",".join(lattice.name_of(v) for v in op(q))
             lines.append(f"{label} {key} {out}")

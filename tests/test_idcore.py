@@ -262,9 +262,10 @@ def test_block_split_covers_wide_frames(chain2, cube2):
         assert np.array_equal(algebra.leq(x, y), lattice.leq[a, b].all(axis=1))
 
 
-def test_element_path_agrees_with_id_core(monkeypatch, oml10, le2):
-    # above ID_PATH_MAX check_law evaluates (rows, |T|) arrays instead; force
-    # that path with a tiny cap and expect the same outcomes
+def test_row_values_agree_with_id_maps(monkeypatch, oml10, le2):
+    # above ID_PATH_MAX the scan applies operators to each batch's element
+    # rows (RowAlgebra) instead of reading id maps; force that with a tiny
+    # cap and expect the same outcomes
     quad = OperatorQuadruple.from_frame(oml10, le2).as_dict()
     cases = [(law, quad, 10 ** 6, 1) for law in _THM1_LAWS]
     unguarded = Law("unguarded", "leq", App("P", PVar("p")), App("P", PVar("q")), ("p", "q"))
@@ -439,7 +440,7 @@ def test_no_memo_entry_outlives_its_batch(monkeypatch, oml10, le3):
 
 # -- robustness ---------------------------------------------------------------
 
-def test_one_element_lattice_matches_element_path(monkeypatch, capsys, tmp_path):
+def test_one_element_lattice_matches_row_values(monkeypatch, capsys, tmp_path):
     # every block width fits the table budget on a one-element lattice, so
     # blocks are capped by the point count
     one = tmp_path / "one.lattice"

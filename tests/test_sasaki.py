@@ -10,7 +10,6 @@ from omtense import (
     prop_sasaki_imp,
     sasaki_and,
     sasaki_imp,
-    sasaki_projection,
 )
 from omtense.sasaki import connective_tables, sasaki_and_batch, sasaki_imp_batch
 
@@ -21,7 +20,6 @@ def test_known_values(oml10):
     assert sasaki_and(oml10, e("c'"), e("a")) == e("a")
     assert sasaki_imp(oml10, e("d"), e("a")) == e("d'")
     assert sasaki_imp(oml10, e("c'"), e("d")) == e("c")
-    assert sasaki_projection(oml10, e("a"), e("c'")) == e("a")
 
 
 def test_matches_literal_definition(oml10, mo2, cube3):

@@ -180,15 +180,17 @@ def test_the_first_batch_builds_all_a_scan_reads(monkeypatch):
     ]
     cases = [(law, {"A": A}) for law in laws_]
     count = proposition_count(lattice, frame.n)
-    subterms = laws._Subterms(IdAlgebra(lattice, frame.n), cases)
-    head = subterms.scan(laws._exhaustive_batches(2, count, laws.ID_CHUNK, slice(0, 1)))
+    core = IdAlgebra(lattice, frame.n)
+    subterms = laws._Subterms(core, cases)
+    head = subterms.scan(laws._exhaustive_batches(core, 2, count, laws.ID_CHUNK, slice(0, 1)))
     for module, name in ((laws, "block_table"), (laws, "rows_id_map"), (tense, "rows_id_map")):
         monkeypatch.setattr(module, name, _refuse)
-    bad = subterms.scan(laws._exhaustive_batches(2, count, laws.ID_CHUNK, slice(1, None)), head)
+    bad = subterms.scan(laws._exhaustive_batches(core, 2, count, laws.ID_CHUNK, slice(1, None)),
+                        head)
     # a fresh algebra would have to build its tables in the scan
+    fresh = IdAlgebra(lattice, frame.n)
     with pytest.raises(AssertionError, match="built after"):
-        laws._Subterms(IdAlgebra(lattice, frame.n), cases).scan(
-            laws._exhaustive_batches(2, count, laws.ID_CHUNK))
+        laws._Subterms(fresh, cases).scan(laws._exhaustive_batches(fresh, 2, count, laws.ID_CHUNK))
     monkeypatch.undo()
     want = check_laws(cases, lattice, frame.n)
     assert [o.verdict for o in want] == [PASS, FAIL, PASS]

@@ -17,16 +17,13 @@ from omtense import (
     Tabulated,
     TabulatedMiss,
     compose,
-    enumerate_propositions,
     eval_F,
     eval_G,
     eval_H,
     eval_P,
     format_prop,
     identity_operator,
-    op_leq,
     op_leq_counterexample,
-    op_leq_sampled,
     ops_equal,
     parse_props,
     partition_ranges,
@@ -39,6 +36,8 @@ from omtense import (
 )
 from omtense.fixtures import LATTICE_TEXTS, builtin_frame, builtin_lattice
 from omtense.frames import TimeFrame
+from omtense.laws import App, Law, PVar, check_law
+from omtense.report import FAIL, ONE_SIDED
 
 # the worked 5-point tables: one frozen row per operator and proposition
 TABLES = {
@@ -249,13 +248,13 @@ def test_empty_join_and_meet_convention(oml10, nonserial2):
 
 def test_enumeration_count_and_bounds(oml10):
     assert proposition_count(oml10, 3) == 1000
-    listed = list(enumerate_propositions(oml10, 2))
+    listed = [tuple(int(x) for x in row) for row in proposition_block(oml10, 2, 0, 100)]
     assert len(listed) == 100
     assert len(set(listed)) == 100
 
 
 def test_enumeration_starts_at_bottom_and_rolls_last_point(cube3):
-    listed = list(enumerate_propositions(cube3, 2))
+    listed = [tuple(int(x) for x in row) for row in proposition_block(cube3, 2, 0, cube3.n ** 2)]
     bottom = cube3.bottom
     order = [bottom] + [i for i in range(cube3.n) if i != bottom]
     assert listed[0] == (bottom, bottom)
@@ -293,9 +292,8 @@ def test_sampled_block_is_deterministic(oml10):
 
 def test_op_leq_on_reflexive_frame(oml10, le3):
     quad = OperatorQuadruple.from_frame(oml10, le3)
-    assert op_leq(quad.H, quad.P)
-    assert op_leq(quad.G, quad.F)
-    assert not op_leq(quad.P, quad.H)
+    assert op_leq_counterexample(quad.H, quad.P) is None
+    assert op_leq_counterexample(quad.G, quad.F) is None
     q, point = op_leq_counterexample(quad.P, quad.H)
     assert not oml10.leq[quad.P(q)[point], quad.H(q)[point]]
 
@@ -303,17 +301,20 @@ def test_op_leq_on_reflexive_frame(oml10, le3):
 def test_op_leq_budget(oml10, le5):
     quad = OperatorQuadruple.from_frame(oml10, le5)
     with pytest.raises(BudgetExceeded):
-        op_leq(quad.H, quad.P, budget=10 ** 4)  # space is 10^5
-    assert op_leq_sampled(quad.H, quad.P, samples=2000) is None
-    hit = op_leq_sampled(quad.P, quad.H, samples=2000)
-    assert hit is not None
+        op_leq_counterexample(quad.H, quad.P, budget=10 ** 4)  # space is 10^5
+    # past the budget the order is a sampled law lo(q) <= hi(q)
+    order = Law("order", "leq", App("lo", PVar("q")), App("hi", PVar("q")), ("q",))
+    held = check_law(order, oml10, le5.n, {"lo": quad.H, "hi": quad.P}, budget=2000)
+    assert (held.verdict, held.checked) == (ONE_SIDED, 2000)
+    hit = check_law(order, oml10, le5.n, {"lo": quad.P, "hi": quad.H}, budget=2000)
+    assert hit.verdict == FAIL
 
 
 def test_op_leq_rejects_mismatched_operators(oml10, cube2, le3, le5):
     with pytest.raises(InvalidSpec):
-        op_leq(FrameInduced(oml10, le3, "P"), FrameInduced(oml10, le5, "P"))
+        op_leq_counterexample(FrameInduced(oml10, le3, "P"), FrameInduced(oml10, le5, "P"))
     with pytest.raises(InvalidSpec):
-        op_leq(FrameInduced(oml10, le3, "P"), FrameInduced(cube2, le3, "P"))
+        op_leq_counterexample(FrameInduced(oml10, le3, "P"), FrameInduced(cube2, le3, "P"))
 
 
 def test_ops_equal(oml10, le3):

@@ -204,6 +204,27 @@ def test_thm6_frame_operators(oml10, le2):
     assert all(law.detail == "(i) false, (ii) false" for law in report.laws)
 
 
+def test_thm6_suite_is_one_scan(monkeypatch, oml10, le3):
+    # the eight cases, two per operator, share one check_laws call and so
+    # one IdAlgebra; each result equals its operator checked alone
+    from omtense import laws
+    built = []
+    real = laws.IdAlgebra.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(laws.IdAlgebra, "__init__", counted)
+    inst = Instance(lattice=oml10, frame=le3)
+    report = run_suite("thm6", inst)
+    assert len(built) == 1
+    alone = [check_thm6_equivalence(oml10, le3.points, op).laws[0]
+             for op in inst.quadruple().as_dict().values()]
+    assert len(built) == 5
+    assert [law.to_json() for law in report.laws] == [law.to_json() for law in alone]
+
+
 def test_thm6_worked_quadruple_three_points(oml10):
     quad = example2_quadruple(oml10, ("1", "2", "3"))
     report = run_suite("thm6", Instance(lattice=oml10, ops=quad))
