@@ -4,11 +4,14 @@ A law states lhs <= rhs (or lhs = rhs) for all propositions bound to its
 variables, optionally guarded by a side condition (used for monotonicity,
 whose claim only applies to ordered pairs). Expressions evaluate two ways:
 
-  _Subterms    a batch of bindings at a time, for check_laws: connectives and
-               the order check on block codes through block-factored tables;
-               operators through their id maps on proposition ids whenever
-               |L|^|T| is at most ID_PATH_MAX (IdAlgebra), and past it on the
-               element rows of the batch only (RowAlgebra)
+  _Program     a batch of bindings at a time, for check_laws: one flat step
+               list compiled from the distinct subterms of the cases still in
+               a scan (_Subterms), each node producing only the forms its
+               readers use (values, plain or scaled block codes). Connectives
+               and the order check gather from small block tables at one add
+               per index; operators read their id maps whenever |L|^|T| is at
+               most ID_PATH_MAX (IdAlgebra), and past it act on the element
+               rows of the batch only (RowAlgebra)
   eval_trace   one proposition at a time, recording every intermediate value,
                for witnesses and their replays
 
@@ -19,7 +22,8 @@ quantify over the pair-index space p-major, capped by the pair budget with
 stratified sampling beyond; a closed law is a scan of its one empty binding.
 The cases of one arity share one scan: the same batches in that order
 (sampled draws in draw order), each distinct subterm evaluated once per
-batch, and each case leaving the scan at its first failing index. With
+batch, a guarded case checked only on the bindings where its guard holds,
+and each case leaving the scan at its first failing index. With
 jobs > 1 that scan is split into contiguous ranges of its batches, the
 first scanned by the calling process and each other one by a forked child,
 and merged per case by the first range that fails. Every case gets the
@@ -30,6 +34,7 @@ sequential run reports.
 from __future__ import annotations
 
 import functools
+import operator
 import os
 import signal
 import time
@@ -57,6 +62,7 @@ from .tense import (
     TenseOperator,
     decode_props,
     encode_props,
+    enumeration_order,
     partition_ranges,
     proposition_block,
     proposition_count,
@@ -214,8 +220,10 @@ class LawOutcome:
 
 # -- the id core ----------------------------------------------------------
 
-# ids (or id pairs) per evaluation step; keeps every temporary cache-sized
-ID_CHUNK = 1 << 14
+# ids (or id pairs) per batch; keeps every temporary cache-sized. On oml10
+# x le3 and le5, 24576 scans as fast as 2^15 with a lower peak RSS, and 2^14
+# and 2^16 scan slower
+ID_CHUNK = 24576
 # entries per block table: (|L|^k)^2 for blocks of k points
 BLOCK_TABLE_ENTRIES = 1 << 15
 
@@ -257,16 +265,26 @@ def _leq_batch(lattice: Oml, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class IdAlgebra:
-    """Propositions as ids for one lattice and point count.
+    """Propositions as ids for one lattice and point count: the values,
+    operators and block codes that a _Program computes with.
 
     A proposition's value is its odometer index (tense.encode_props).
     Operators (TenseOperator.id_map) and the complement are length-N id
     maps. Binary connectives and the order check work on block codes: a
-    value split into blocks of a few points (codes), each block gathered
-    from a small table indexed by the pair of block codes. values() rebuilds
-    ids from block codes by Horner, where an id map or an equality needs
-    them. Table memory does not depend on N. Tables are built on first use
-    and live as long as this object, which check_laws scopes to one call.
+    value split into blocks of a few points, most significant first, each
+    block coded like a proposition over its points. On one block, a
+    connective or the order check is one gather from a small table at the
+    index left * radix + right of its operands' codes (radix = |L|^width).
+    A left operand is therefore kept as scaled codes, already multiplied by
+    the radix, and a right one as plain codes, so that each index is one add.
+
+    The dtypes follow from the largest radix alone: while radix^2 <= 2^15
+    (radix <= 181), codes and code tables are uint8 and scaled codes, scaled
+    tables and indices int16; past it all of them are ID_DTYPE. Each table
+    comes from one block_table call per connective and block width; its
+    plain, scaled and value forms are derived from that result. Table
+    memory does not depend on N. Tables are built on first use and live as
+    long as this object, which check_laws scopes to one call.
     """
 
     def __init__(self, lattice: Oml, n_points: int):
@@ -276,9 +294,13 @@ class IdAlgebra:
         widths = [width] * (n_points // width)  # most significant block first
         if n_points % width:
             widths.append(n_points % width)
-        self._widths = widths
-        self._radices = [lattice.n ** w for w in widths]
-        self._tables: dict[tuple[str, int], np.ndarray] = {}
+        self.widths = widths
+        self.radices = [lattice.n ** w for w in widths]
+        self._places = [lattice.n ** sum(widths[b + 1:]) for b in range(len(widths))]
+        narrow = max(self.radices) ** 2 <= 1 << 15
+        self.code_dtype = np.uint8 if narrow else ID_DTYPE
+        self.index_dtype = np.int16 if narrow else ID_DTYPE
+        self._tables: dict[tuple, object] = {}
         self._comp: np.ndarray | None = None
 
     def column(self, lo: int, hi: int):
@@ -308,59 +330,63 @@ class IdAlgebra:
                                      lambda rows: comp[rows]).astype(ID_DTYPE)
         return self._comp
 
-    def complement(self, values):
-        return np.take(self.complement_map(), values)
+    def complementer(self):
+        """values -> the values of their complements."""
+        return self.complement_map().take
 
-    def apply(self, op: TenseOperator, values):
-        return np.take(op.id_map(), values)
+    def applier(self, op: TenseOperator):
+        """values -> the values of op applied to them."""
+        return op.id_map().take
 
     def equal(self, x, y):
         """Whether the propositions x and y are equal."""
         return x == y
 
     def codes(self, ids) -> list:
-        """Block codes of ids, most significant block first."""
-        codes = []
-        for radix in reversed(self._radices[1:]):
+        """The plain codes of ids, one array per block."""
+        out = []
+        for radix in reversed(self.radices[1:]):
             rest = ids // radix
-            codes.append(ids - rest * radix)
+            out.append((ids - rest * radix).astype(self.code_dtype))  # numpy's % is slower
             ids = rest
-        codes.append(ids)
-        return codes[::-1]
+        out.append(ids.astype(self.code_dtype))
+        return out[::-1]
 
-    def values(self, codes):
-        """The ids with these block codes."""
-        out = 0
-        for radix, code in zip(self._radices, codes):
-            out = out * radix + code
+    def scale(self, block: int, codes):
+        """Plain codes at this block as scaled codes."""
+        return np.multiply(codes, self.radices[block], dtype=self.index_dtype)
+
+    def tables(self, name: str, fn, block: int):
+        """block_table of fn at this block's width, built once: per index, for
+        the order check whether x <= y at every point of the block, for a
+        connective the plain and the scaled codes of fn(x, y)."""
+        key = (name, self.widths[block])
+        if key not in self._tables:
+            table = block_table(self.lattice, self.widths[block], fn)
+            if table.dtype != bool:
+                table = (table.astype(self.code_dtype),
+                         (table * self.radices[block]).astype(self.index_dtype))
+            self._tables[key] = table
+        return self._tables[key]
+
+    def value_table(self, name: str, fn, block: int) -> np.ndarray:
+        """Per index, this block's part of the value of fn(x, y), built once."""
+        key = (name, "value", block)
+        if key not in self._tables:
+            self._tables[key] = self._block_values(block, self.tables(name, fn, block)[0])
+        return self._tables[key]
+
+    def _block_values(self, block: int, codes):
+        """The part of a value that these plain codes at this block stand for."""
+        return codes.astype(ID_DTYPE) * self._places[block]
+
+    @staticmethod
+    def from_blocks(tables, *indices):
+        """The values of a connective, from its value tables and per-block indices."""
+        out = tables[0].take(indices[0])
+        for table, index in zip(tables[1:], indices[1:]):
+            out += table.take(index)
         return out
-
-    def _blocks(self, name: str, fn, a: list, b: list):
-        """Per block: (table of fn on that block width, index of the code pair)."""
-        for width, radix, x, y in zip(self._widths, self._radices, a, b):
-            key = (name, width)
-            if key not in self._tables:
-                self._tables[key] = block_table(self.lattice, width, fn)
-            yield self._tables[key], x * radix + y
-
-    def connective_codes(self, name: str, fn, a: list, b: list) -> list:
-        """Block codes of fn(lattice, x, y) applied pointwise, from those of x and y."""
-        return [np.take(table, index) for table, index in self._blocks(name, fn, a, b)]
-
-    def leq_codes(self, a: list, b: list):
-        """Whether x is below y at every point, from the block codes of x and y."""
-        ok = True
-        for table, index in self._blocks("leq", _leq_batch, a, b):
-            ok = ok & np.take(table, index)
-        return ok
-
-    def connective(self, name: str, fn, x, y):
-        """fn(lattice, a, b) applied pointwise to the propositions x and y."""
-        return self.values(self.connective_codes(name, fn, self.codes(x), self.codes(y)))
-
-    def leq(self, x, y):
-        """Whether proposition x is below proposition y at every point."""
-        return self.leq_codes(self.codes(x), self.codes(y))
 
 
 class RowAlgebra(IdAlgebra):
@@ -369,10 +395,23 @@ class RowAlgebra(IdAlgebra):
 
     Operators and the complement act on the rows of the current batch only,
     so no length-N map is built, and no full id is formed (past 2^63
-    propositions one would not fit int64). Connectives and the order check
-    use the same block codes and tables as on ids, each block encoded from
-    its columns of the rows.
+    propositions one would not fit int64). Block codes, indices and tables
+    are those of IdAlgebra. A block's code is a sum of gathers, one per
+    point of the block, from tables of each element's digit times its place
+    in the block, built once per core; a connective's rows are its blocks'
+    rows, gathered from the decoded code tables.
     """
+
+    def __init__(self, lattice: Oml, n_points: int):
+        super().__init__(lattice, n_points)
+        digit = np.empty(lattice.n, dtype=np.int64)
+        digit[enumeration_order(lattice)] = np.arange(lattice.n)
+        self._digits = []  # per block: (column, element -> digit * place) per point
+        start = 0
+        for width in self.widths:
+            self._digits.append([(start + j, (digit * lattice.n ** (width - 1 - j))
+                                  .astype(self.code_dtype)) for j in range(width)])
+            start += width
 
     def column(self, lo: int, hi: int):
         return proposition_block(self.lattice, self.n_points, lo, hi)
@@ -386,26 +425,33 @@ class RowAlgebra(IdAlgebra):
     def rows(self, values):
         return values
 
-    def complement(self, values):
-        return _comp_table(self.lattice)[values]
+    def complementer(self):
+        return _comp_table(self.lattice).take
 
-    def apply(self, op: TenseOperator, values):
-        flat = values.reshape(-1, self.n_points)
-        return op.apply_batch(flat).reshape(values.shape)
+    def applier(self, op: TenseOperator):
+        def apply(rows):
+            return op.apply_batch(rows.reshape(-1, self.n_points)).reshape(rows.shape)
+        return apply
 
     def equal(self, x, y):
         return (x == y).all(axis=-1)
 
     def codes(self, rows) -> list:
-        """Block codes of rows, most significant block first."""
-        ends = np.cumsum(self._widths)
-        return [encode_props(self.lattice, rows[..., end - width:end])
-                for width, end in zip(self._widths, ends)]
+        out = []
+        for (column, table), *rest in self._digits:
+            code = table.take(rows[..., column])
+            for column, table in rest:
+                code += table.take(rows[..., column])
+            out.append(code)
+        return out
 
-    def values(self, codes):
-        """The rows with these block codes."""
-        return np.concatenate([decode_props(self.lattice, width, code)
-                               for width, code in zip(self._widths, codes)], axis=-1)
+    def _block_values(self, block: int, codes):
+        return decode_props(self.lattice, self.widths[block], codes)
+
+    @staticmethod
+    def from_blocks(tables, *indices):
+        return np.concatenate([table.take(index, axis=0)
+                               for table, index in zip(tables, indices)], axis=-1)
 
 
 def _comp_table(lattice: Oml) -> np.ndarray:
@@ -413,6 +459,19 @@ def _comp_table(lattice: Oml) -> np.ndarray:
     if lattice.comp is None:
         raise NoOrtho(f"lattice {lattice.name!r} has no orthocomplementation")
     return lattice.comp
+
+
+def _below(tables, *codes):
+    """Whether x <= y at every point, from the order tables and, per block,
+    the scaled codes of x and the plain codes of y."""
+    ok = tables[0].take(codes[0] + codes[1])
+    for block in range(1, len(tables)):
+        ok &= tables[block].take(codes[2 * block] + codes[2 * block + 1])
+    return ok
+
+
+_CONNECTIVES = ("join", "meet", "sand", "simp")
+_VALUE, _LEFT, _RIGHT = "value", "left", "right"
 
 
 class _Subterms:
@@ -424,9 +483,8 @@ class _Subterms:
     subterm that several cases contain is one node. A case's check
     (lhs <= rhs or lhs = rhs) and its guard's order check are nodes too, so
     a guard that several cases share is checked once. Nodes are numbered
-    children first. Within a batch each node is evaluated once, kept as
-    values, block codes or both (a check as booleans), and dropped after the
-    last case that reads it.
+    children first. scan compiles the cases still in it into a _Program and
+    recompiles only when a case leaves.
     """
 
     def __init__(self, core: IdAlgebra, cases):
@@ -434,7 +492,6 @@ class _Subterms:
         self.nodes: list[tuple] = []  # (kind, operand, children)
         self._number: dict[tuple, int] = {}
         self.checks = []              # per case: (check node, guard check node or None)
-        self.reads = []               # per case: every node its check reads
         for law, ops in cases:
             sides = (self._add(side, law.vars, ops) for side in (law.lhs, law.rhs))
             check = self._node((law.relation, None, tuple(sides)))
@@ -443,11 +500,7 @@ class _Subterms:
                 sides = (self._add(side, law.vars, ops) for side in law.guard)
                 guard = self._node(("leq", None, tuple(sides)))
             self.checks.append((check, guard))
-            self.reads.append(self._closure((check,) if guard is None else (check, guard)))
-        self._values: dict[int, object] = {}
-        self._codes: dict[int, list] = {}
-        self._holds: dict[int, object] = {}
-        self._columns: tuple = ()
+        self.arity = max((len(law.vars) for law, _ in cases), default=0)
 
     def _add(self, expr: Expr, names: tuple[str, ...], ops: dict[str, TenseOperator]) -> int:
         match expr:
@@ -479,57 +532,20 @@ class _Subterms:
             self.nodes.append(key)
         return self._number[key]
 
-    def _closure(self, roots) -> list[int]:
-        seen, stack = set(), list(roots)
-        while stack:
-            node = stack.pop()
-            if node not in seen:
-                seen.add(node)
-                stack.extend(self.nodes[node][2])
-        return sorted(seen)
-
-    def _values_of(self, node: int):
-        if node not in self._values:
-            kind, operand, children = self.nodes[node]
-            if kind == "var":
-                out = self._columns[operand]
-            elif kind == "const":
-                out = self.core.constant(operand)
-            elif kind == "neg":
-                out = self.core.complement(self._values_of(children[0]))
-            elif kind == "app":
-                out = self.core.apply(operand, self._values_of(children[0]))
+    def compile(self, active: list[int], bad: list[int]) -> "_Program":
+        """The program that checks the active cases, writing each one's first
+        failing index into bad: unguarded checks on the whole batch, and each
+        guard's cases on the bindings where that guard holds."""
+        verdicts: dict[int, list[int]] = {}
+        guarded: dict[int, dict[int, list[int]]] = {}
+        for case in active:
+            check, guard = self.checks[case]
+            if guard is None:
+                verdicts.setdefault(check, []).append(case)
             else:
-                out = self.core.values(self._codes_of(node))
-            self._values[node] = out
-        return self._values[node]
-
-    def _codes_of(self, node: int) -> list:
-        if node not in self._codes:
-            kind, operand, children = self.nodes[node]
-            if len(children) == 2:
-                out = self.core.connective_codes(kind, operand, *map(self._codes_of, children))
-            else:
-                out = self.core.codes(self._values_of(node))
-            self._codes[node] = out
-        return self._codes[node]
-
-    def _holds_at(self, node: int):
-        """Whether a check node (leq or eq of its two children) holds, per binding."""
-        if node not in self._holds:
-            relation, _, (lhs, rhs) = self.nodes[node]
-            if relation == "leq":
-                out = self.core.leq_codes(self._codes_of(lhs), self._codes_of(rhs))
-            else:
-                out = self.core.equal(self._values_of(lhs), self._values_of(rhs))
-            self._holds[node] = out
-        return self._holds[node]
-
-    def _rows_ok(self, check: int, guard: int | None):
-        ok = self._holds_at(check)
-        if guard is not None:
-            ok = ok | ~self._holds_at(guard)
-        return ok
+                guarded.setdefault(guard, {}).setdefault(check, []).append(case)
+        regions = {guard: _Program(self, checks, {}, bad) for guard, checks in guarded.items()}
+        return _Program(self, verdicts, regions, bad)
 
     def scan(self, batches, bad: list[int] | None = None) -> list[int]:
         """Per case, the first failing index over (offset, columns, shape)
@@ -537,26 +553,182 @@ class _Subterms:
         a case that bad already marks failed is not scanned."""
         bad = [-1] * len(self.checks) if bad is None else list(bad)
         active = [case for case, index in enumerate(bad) if index < 0]
+        if not active:
+            return bad
+        program = self.compile(active, bad)
         for offset, columns, shape in batches:
-            last = {}
-            for case in active:
-                for node in self.reads[case]:
-                    last[node] = case
-            self._columns = columns
-            for case in active:
-                ok = np.broadcast_to(self._rows_ok(*self.checks[case]), shape).ravel()
-                if not ok.all():
-                    bad[case] = offset + int(np.argmin(ok))
-                for node in self.reads[case]:
-                    if last[node] == case:
-                        self._values.pop(node, None)
-                        self._codes.pop(node, None)
-                        self._holds.pop(node, None)
-            self._columns = ()
-            active = [case for case in active if bad[case] < 0]
-            if not active:
-                break
+            program.run(columns, shape, functools.partial(operator.add, offset))
+            if any(bad[case] >= 0 for case in active):
+                active = [case for case in active if bad[case] < 0]
+                if not active:
+                    break
+                program = self.compile(active, bad)
         return bad
+
+
+class _Program:
+    """One flat step list that evaluates a set of checks on a batch.
+
+    A step calls one function on registers and writes one register. The
+    registers hold the batch's columns (one per variable), constants, and
+    per node only the forms its readers use:
+      value   ids (IdAlgebra) or rows (RowAlgebra), read by operators, the
+              complement and equality
+      plain   block codes, one register per block, read as a right operand
+      scaled  block codes times the block's radix, read as a left operand
+    A connective adds its operands' codes into one index per block and
+    gathers each form it must produce from a table at that index; any other
+    node's codes are cut from its value. Nodes are evaluated children first,
+    each once per batch, and a register is dropped after its last reader.
+    Steps whose inputs are all constants run once, at compile time.
+
+    A check's verdict step finds the failing position (argmin) only in a
+    batch where the check fails. A guard's step runs the guard's own program
+    on just the bindings where the guard holds, and maps a failing position
+    back through them.
+    """
+
+    def __init__(self, subterms: _Subterms, verdicts: dict[int, list[int]],
+                 regions: dict[int, "_Program"], bad: list[int]):
+        core, nodes = subterms.core, subterms.nodes
+        self._init: list = [None] * subterms.arity
+        self._constant = [False] * subterms.arity
+        self._steps: list[tuple] = []
+        # (columns, shape, where) of the batch being run, for the verdict and
+        # guard steps; they hold this list, not the program, so that no
+        # reference cycle keeps a finished program alive
+        self._batch: list = []
+        roots = sorted(set(verdicts) | set(regions))
+        order = _closure(nodes, roots)
+        need: dict[int, set[str]] = {node: set() for node in order}
+        for node in reversed(order):
+            kind, _, children = nodes[node]
+            if kind in _CONNECTIVES or kind == "leq":
+                need[children[0]].add(_LEFT)
+                need[children[1]].add(_RIGHT)
+            else:
+                for child in children:
+                    need[child].add(_VALUE)
+        blocks = range(len(core.widths))
+        reg: dict[tuple, int] = {}
+        for node in order:
+            kind, operand, children = nodes[node]
+            forms = need[node]
+            if kind == "var":
+                reg[node, _VALUE] = operand
+            elif kind == "const":
+                reg[node, _VALUE] = self._register(core.constant(operand), True)
+            elif kind == "neg":
+                reg[node, _VALUE] = self._step(core.complementer(), reg[children[0], _VALUE])
+            elif kind == "app":
+                reg[node, _VALUE] = self._step(core.applier(operand), reg[children[0], _VALUE])
+            elif kind in _CONNECTIVES:
+                left, right = children
+                indices = [self._step(np.add, reg[left, _LEFT, b], reg[right, _RIGHT, b])
+                           for b in blocks]
+                for b, index in zip(blocks, indices):
+                    plain, scaled = core.tables(kind, operand, b)
+                    if _RIGHT in forms:
+                        reg[node, _RIGHT, b] = self._step(plain.take, index)
+                    if _LEFT in forms:
+                        reg[node, _LEFT, b] = self._step(scaled.take, index)
+                if _VALUE in forms:
+                    tables = [core.value_table(kind, operand, b) for b in blocks]
+                    reg[node, _VALUE] = self._step(
+                        functools.partial(core.from_blocks, tables), *indices)
+                continue
+            else:
+                lhs, rhs = children
+                if kind == "leq":
+                    codes = [r for b in blocks for r in (reg[lhs, _LEFT, b], reg[rhs, _RIGHT, b])]
+                    holds = self._step(functools.partial(
+                        _below, [core.tables(kind, _leq_batch, b) for b in blocks]), *codes)
+                else:
+                    holds = self._step(core.equal, reg[lhs, _VALUE], reg[rhs, _VALUE])
+                if node in verdicts:
+                    self._effect(functools.partial(_verdict, self._batch, bad, verdicts[node]),
+                                 holds)
+                if node in regions:
+                    self._effect(functools.partial(_region, self._batch, regions[node]), holds)
+                continue
+            if forms & {_LEFT, _RIGHT}:
+                codes = self._step(core.codes, reg[node, _VALUE])
+                for b in blocks:
+                    plain = self._step(operator.itemgetter(b), codes)
+                    reg[node, _RIGHT, b] = plain
+                    if _LEFT in forms:
+                        reg[node, _LEFT, b] = self._step(functools.partial(core.scale, b), plain)
+        last = {}
+        for k, (_, ins, _, _) in enumerate(self._steps):
+            for i in ins:
+                last[i] = k
+        dead: list[list[int]] = [[] for _ in self._steps]
+        for i, k in last.items():
+            dead[k].append(i)
+        self._steps = [(fn, ins, out, tuple(gone))
+                       for (fn, ins, out, _), gone in zip(self._steps, dead)]
+
+    def _register(self, value, constant: bool) -> int:
+        self._init.append(value)
+        self._constant.append(constant)
+        return len(self._init) - 1
+
+    def _step(self, fn, *ins: int) -> int:
+        """The register of fn applied to the registers ins: a constant when
+        every input is one, else written by a new step."""
+        if all(self._constant[i] for i in ins):
+            return self._register(fn(*(self._init[i] for i in ins)), True)
+        out = self._register(None, False)
+        self._steps.append((fn, ins, out, ()))
+        return out
+
+    def _effect(self, fn, *ins: int) -> None:
+        """A step run on every batch for its effect on bad; it writes the
+        spare last register, which no step reads."""
+        self._steps.append((fn, ins, -1, ()))
+
+    def run(self, columns: tuple, shape: tuple, where) -> None:
+        """Evaluate the steps on one batch: a binding per position in shape,
+        the variables' columns broadcasting to it; where maps a position to
+        its index in the scan."""
+        self._batch[:] = (columns, shape, where)
+        regs = [*self._init, None]
+        regs[:len(columns)] = columns
+        for fn, ins, out, dead in self._steps:
+            regs[out] = fn(*[regs[i] for i in ins])
+            for i in dead:
+                regs[i] = None
+        self._batch.clear()
+
+
+def _verdict(batch: list, bad: list[int], cases: list[int], holds) -> None:
+    """Where holds fails first in the batch, the failing index of cases."""
+    if not holds.all():
+        _, shape, where = batch
+        index = where(int(np.argmin(np.broadcast_to(holds, shape))))
+        for case in cases:
+            bad[case] = index
+
+
+def _region(batch: list, program: _Program, holds) -> None:
+    """program run on just the bindings of the batch where holds is true."""
+    columns, shape, where = batch
+    at = np.flatnonzero(np.broadcast_to(holds, shape))
+    if at.size:
+        index = np.unravel_index(at, shape)
+        program.run(tuple(np.broadcast_to(column, shape + column.shape[len(shape):])[index]
+                          for column in columns), at.shape, lambda pos: where(int(at[pos])))
+
+
+def _closure(nodes: list[tuple], roots) -> list[int]:
+    """The roots and every node below them, children first."""
+    seen, stack = set(), list(roots)
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen.add(node)
+            stack.extend(nodes[node][2])
+    return sorted(seen)
 
 
 def _exhaustive_starts(arity: int, count: int, step: int) -> range:

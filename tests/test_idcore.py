@@ -7,12 +7,15 @@ checked, witness_env, witness_point) can be compared exactly.
 """
 
 import gc
+import itertools
 import pickle
 import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from omtense import cli, laws, tense
@@ -248,18 +251,36 @@ def test_encoding_and_operator_maps(lattice_name, frame_name):
 
 
 def test_block_split_covers_wide_frames(chain2, cube2):
-    # nine points: blocks of 7 + 2 on chain2, three blocks of 3 on cube2
-    frame = parse_frame("frame line\npoints " + " ".join(f"t{i}" for i in range(9))
-                        + "\nrel " + " ".join(f"t{i}>t{i}" for i in range(9)) + "\n")
+    # nine points: blocks of 7 + 2 on chain2, three blocks of 3 on cube2; the
+    # scan's meets, joins, equalities and order checks on block codes must
+    # agree with the element tables applied point by point on the same draws
+    p, q = PVar("p"), PVar("q")
+    cases = [
+        Law("meet-below", "leq", Meet(p, q), p, ("p", "q")),
+        Law("below-meet", "leq", p, Meet(p, q), ("p", "q")),
+        Law("meet-commutes", "eq", Meet(p, q), Meet(q, p), ("p", "q")),
+        Law("join-is-meet", "eq", Join(p, q), Meet(q, p), ("p", "q")),
+        Law("join-above", "leq", q, Join(Meet(p, q), q), ("p", "q")),
+    ]
+    cap = 300
     for lattice in (chain2, cube2):
-        algebra = IdAlgebra(lattice, frame.n)
-        rng = np.random.default_rng(5)
-        x = rng.integers(0, proposition_count(lattice, frame.n), 300).astype(np.int32)
-        y = rng.integers(0, proposition_count(lattice, frame.n), 300).astype(np.int32)
-        a, b = decode_props(lattice, frame.n, x), decode_props(lattice, frame.n, y)
-        got = algebra.connective("meet", lambda lat, u, v: lat.meet_table[u, v], x, y)
-        assert np.array_equal(got, encode_props(lattice, lattice.meet_table[a, b]))
-        assert np.array_equal(algebra.leq(x, y), lattice.leq[a, b].all(axis=1))
+        count = proposition_count(lattice, 9)
+        got = check_laws([(law, {}) for law in cases], lattice, 9, pair_budget=cap)
+        a, b = (decode_props(lattice, 9, side)
+                for side in laws._pair_draw_ids(count, cap, DEFAULT_SEED))
+        meet, join = lattice.meet_table[a, b], lattice.join_table[a, b]
+        holds = [lattice.leq[meet, a], lattice.leq[a, meet], meet == lattice.meet_table[b, a],
+                 join == lattice.meet_table[b, a], lattice.leq[b, lattice.join_table[meet, b]]]
+        for law, outcome, ok in zip(cases, got, holds):
+            fails = np.flatnonzero(~ok.all(axis=1))
+            if not fails.size:
+                assert outcome == LawOutcome(ONE_SIDED, SAMPLED, cap), law.id
+                continue
+            k = fails[0]
+            env = {"p": tuple(int(x) for x in a[k]), "q": tuple(int(x) for x in b[k])}
+            point = int(np.argmin(ok[k]))
+            assert outcome == LawOutcome(FAIL, SAMPLED, cap, env, point), law.id
+        assert [o.verdict for o in got] == [ONE_SIDED, FAIL, ONE_SIDED, FAIL, ONE_SIDED]
 
 
 def test_row_values_agree_with_id_maps(monkeypatch, oml10, le2):
@@ -282,10 +303,103 @@ def test_row_values_agree_with_id_maps(monkeypatch, oml10, le2):
     assert run() == want
 
 
+# -- random laws ---------------------------------------------------------------
+
+SLOTS = ("A", "B")
+# pair spaces above this many pairs are compared on sampled draws
+RANDOM_PAIR_BUDGET = 300
+
+
+def _expressions(names, depth):
+    """Expressions over the variables names, at most depth connectives or
+    operators deep."""
+    leaf = st.builds(ConstProp, st.sampled_from(["bottom", "top"]))
+    if names:
+        leaf = st.one_of(st.sampled_from([PVar(name) for name in names]), leaf)
+    if depth == 0:
+        return leaf
+    sub = _expressions(names, depth - 1)
+    return st.one_of(leaf, st.builds(Neg, sub), st.builds(App, st.sampled_from(SLOTS), sub),
+                     *(st.builds(kind, sub, sub) for kind in (Join, Meet, SAnd, SImp)))
+
+
+@st.composite
+def _random_laws(draw):
+    """A law of arity 0-2, its sides at most three deep, leq or eq, about 30%
+    guarded; a third of them built to hold, so they scan to the end."""
+    names = ("p", "q")[2 - draw(st.integers(0, 2)):]
+    lhs = draw(_expressions(names, 3))
+    relation = draw(st.sampled_from(["leq", "eq"]))
+    if draw(st.integers(0, 2)) == 0:
+        rhs = lhs if relation == "eq" else Join(lhs, draw(_expressions(names, 2)))
+    else:
+        rhs = draw(_expressions(names, 3))
+    guard = None
+    if draw(st.integers(0, 9)) < 3:
+        guard = (draw(_expressions(names, 2)), draw(_expressions(names, 2)))
+    return Law("random", relation, lhs, rhs, names, guard)
+
+
+def _mo_lattice(n):
+    """The horizontal sum MO_n of n four-element Boolean blocks: 2n + 2 elements."""
+    atoms = [f"a{i}" for i in range(n)] + [f"a{i}'" for i in range(n)]
+    covers = [f"0<{a}" for a in atoms] + [f"{a}<1" for a in atoms]
+    ortho = ["0:1"] + [f"a{i}:a{i}'" for i in range(n)]
+    return build_lattice(parse_lattice(
+        f"lattice mo{n}\nelements 0 {' '.join(atoms)} 1\ncovers {' '.join(covers)}\n"
+        f"ortho {' '.join(ortho)}\n"))
+
+
+MO90 = _mo_lattice(90)  # 182 elements: radix 182 > 181, so the core keeps int32
+POINT = parse_frame("frame one\npoints 1\nrel 1>1\n")
+
+
+@settings(max_examples=30, deadline=None)
+@given(instance=st.sampled_from([(lattice, frame) for lattice in ("chain2", "mo2", "oml10")
+                                 for frame in ("le2", "le3", "nonserial2")] + [("mo90", "one")]),
+       bound=st.lists(st.tuples(_random_laws(), st.sampled_from("PFHG"),
+                                st.sampled_from("PFHG")), min_size=1, max_size=3))
+def test_random_laws_match_the_oracles_at_every_setting(instance, bound):
+    # one reference per case from the oracles, checked against eval_trace on
+    # the failing binding; check_laws must report it at the default and a
+    # one-binding ID_CHUNK, on ids and on rows, at jobs 1 and 2
+    lattice_name, frame_name = instance
+    if lattice_name == "mo90":
+        lattice, frame = MO90, POINT
+        assert IdAlgebra(lattice, 1).code_dtype == IdAlgebra(lattice, 1).index_dtype == ID_DTYPE
+    else:
+        lattice, frame = builtin_lattice(lattice_name), builtin_frame(frame_name)
+    quad = OperatorQuadruple.from_frame(lattice, frame).as_dict()
+    brute = Brute(lattice, frame)
+    cases = [(law, {"A": quad[a], "B": quad[b]}) for law, a, b in bound]
+    want = [brute.outcome(law, {"A": a, "B": b}, RANDOM_PAIR_BUDGET) for law, a, b in bound]
+    for (law, ops), outcome in zip(cases, want):
+        if outcome.verdict == FAIL:
+            env, point = outcome.witness_env, outcome.witness_point
+            lhs, rhs = (laws.eval_trace(side, lattice, env, frame.n, ops, {}, [])
+                        for side in (law.lhs, law.rhs))
+            if law.relation == "leq":
+                assert not lattice.leq[lhs[point], rhs[point]]
+            else:
+                assert lhs[point] != rhs[point]
+    for chunk, row_core, jobs in itertools.product((laws.ID_CHUNK, 1), (False, True), (1, 2)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(laws, "ID_CHUNK", chunk)
+            if row_core:
+                patch.setattr(laws, "ID_PATH_MAX", 0)
+            patch.setattr(laws, "_split_cost", 0.0)
+            got = check_laws(cases, lattice, frame.n, pair_budget=RANDOM_PAIR_BUDGET, jobs=jobs)
+        assert got == want, (chunk, row_core, jobs)
+
+
 # -- one scan for a list of cases ----------------------------------------------
 
 class GatherLog(np.ndarray):
-    """An operator id map that records each gather made from it in log."""
+    """An operator id map (or block table) that records each gather made
+    from it, or from an array derived from it, in log."""
+
+    def __array_finalize__(self, obj):
+        self.log, self.label = getattr(obj, "log", None), getattr(obj, "label", None)
 
     def take(self, indices, *args, **kwargs):
         out = np.asarray(self).take(indices, *args, **kwargs)
@@ -325,8 +439,16 @@ def _per_batch(log):
     return batches
 
 
+def _batch_rows(count):
+    """p rows per exhaustive pair batch, and the number of batches, for count
+    propositions."""
+    rows = laws.ID_CHUNK // count
+    return rows, -(-count // rows)
+
+
 def test_failing_cases_leave_the_scan(monkeypatch, oml10, le3):
-    # oml10 x le3 is scanned exhaustively in batches of 16 p rows of 1000 q
+    # oml10 x le3 is scanned exhaustively in batches of ID_CHUNK // 1000 p
+    # rows of 1000 q
     log = []
     quad = _logged_quadruple(oml10, le3, log)
     _marked_batches(monkeypatch, log)
@@ -341,17 +463,18 @@ def test_failing_cases_leave_the_scan(monkeypatch, oml10, le3):
     batches = _per_batch(log)
     assert got == [check_law(law, oml10, le3.n, ops) for law, ops in cases]
     count = proposition_count(oml10, le3.n)
+    rows, n_batches = _batch_rows(count)
     assert [o.verdict for o in got] == [FAIL, FAIL] + [PASS] * 5
     first = [[int(encode_props(oml10, np.array(o.witness_env[v]))) for v in "pq"]
              for o in got[:2]]
-    assert first[0] == [0, 1]  # the first pair of the first batch
-    assert first[1][0] >= 16   # p row 16 or later: a later batch
-    assert len(batches) == count // 16 + 1
+    assert first[0] == [0, 1]      # the first pair of the first batch
+    assert first[1][0] >= rows     # a p row of a later batch
+    assert len(batches) == n_batches
     # G serves only the early law and H only the later one (these thm7 laws
     # use P and F): each is gathered until its law fails, then never again
-    for label, last in (("G", 0), ("H", first[1][0] // 16)):
-        rows = [sum(name == label for name, _ in b) for b in batches]
-        assert all(rows[: last + 1]) and not any(rows[last + 1:]), label
+    for label, last in (("G", 0), ("H", first[1][0] // rows)):
+        gathers = [sum(name == label for name, _ in b) for b in batches]
+        assert all(gathers[: last + 1]) and not any(gathers[last + 1:]), label
 
 
 def test_each_subterm_is_gathered_once_per_batch(monkeypatch, oml10, le3):
@@ -378,64 +501,103 @@ def test_each_subterm_is_gathered_once_per_batch(monkeypatch, oml10, le3):
         walk(law.rhs, names)
     want = Counter(label for label, _ in distinct)
     batches = _per_batch(log)
-    assert len(batches) == proposition_count(oml10, le3.n) // 16 + 1
+    assert len(batches) == _batch_rows(proposition_count(oml10, le3.n))[1]
     for batch in batches:
         assert Counter(label for label, _ in batch) == want
 
 
 def test_shared_guard_is_checked_once_per_batch(monkeypatch, oml10, le3):
     # the four thm1 monotonicity laws share the guard p <= q: per batch that is
-    # one order check for each law's sides and one for the guard
+    # one order check of the guard on every binding, then one for each law's
+    # sides on just the bindings where the guard holds
     log = []
     _marked_batches(monkeypatch, log)
-    real = IdAlgebra.leq_codes
+    real = laws._below
 
-    def logged(self, a, b):
-        out = real(self, a, b)
+    def logged(*args):
+        out = real(*args)
         log.append(("leq", out))
         return out
 
-    monkeypatch.setattr(IdAlgebra, "leq_codes", logged)
+    monkeypatch.setattr(laws, "_below", logged)
     quad = OperatorQuadruple.from_frame(oml10, le3).as_dict()
     cases = [(law, quad) for law in _THM1_LAWS if law.guard is not None]
     assert len(cases) == 4
     got = check_laws(cases, oml10, le3.n)
     batches = _per_batch(log)
-    assert [len(b) for b in batches] == [5] * (proposition_count(oml10, le3.n) // 16 + 1)
     monkeypatch.undo()
+    count = proposition_count(oml10, le3.n)
+    rows, n_batches = _batch_rows(count)
+    props = decode_props(oml10, le3.n, np.arange(count))
+    below = oml10.leq[props[:, None, :], props[None, :, :]].all(axis=-1)
+    assert len(batches) == n_batches
+    for b, batch in enumerate(batches):
+        guard, *sides = [out for _, out in batch]
+        region = below[b * rows:(b + 1) * rows]
+        assert np.array_equal(guard, region)
+        assert [side.shape for side in sides] == [(np.count_nonzero(region),)] * 4
     assert got == [check_law(law, oml10, le3.n, ops) for law, ops in cases]
     assert [o.verdict for o in got] == [PASS] * 4
 
 
 def test_no_memo_entry_outlives_its_batch(monkeypatch, oml10, le3):
-    # every gathered id array and every list of connective block codes made
-    # in a batch must be freed before the next batch is handed out
-    log, refs = [], []
-    quad = _logged_quadruple(oml10, le3, log)
+    # every gathered id array and every array of block codes, connective
+    # values or indices made in a batch must be freed before the next batch
+    # is handed out, and within a batch each is dropped after its last
+    # reader, so few are alive at once
+    log, refs, live = [], [], []  # per batch: arrays made; weakrefs; alive at each make
+
+    class Made(list):
+        def append(self, entry):
+            if entry[1] is not None:
+                live.append(sum(ref() is not None for ref in refs))
+                refs.append(weakref.ref(entry[1]))
+
+    made = Made()
+    quad = _logged_quadruple(oml10, le3, made)
 
     def all_freed():
         gc.collect()
-        refs.extend(weakref.ref(out) for _, out in log if isinstance(out, np.ndarray))
-        log.clear()
         assert all(ref() is None for ref in refs)
+        log.append(len(refs))
+        refs.clear()
 
-    _marked_batches(monkeypatch, log, all_freed)
-    real = IdAlgebra.connective_codes
+    _marked_batches(monkeypatch, made, all_freed)
 
-    def logged(self, *args):
-        out = real(self, *args)
-        log.extend(("codes", code) for code in out)
-        return out
+    def logged(real):
+        def making(*args):
+            out = real(*args)
+            for x in (out if isinstance(out, list) else [out]):
+                made.append(("made", x))
+            return out
+        return making
 
-    monkeypatch.setattr(IdAlgebra, "connective_codes", logged)
+    def logged_tables(self, *args):
+        tables = real_tables(self, *args)
+        logged = []
+        for table in tables if isinstance(tables, tuple) else [tables]:
+            table = table.view(GatherLog)
+            table.log, table.label = made, "codes"
+            logged.append(table)
+        return tuple(logged) if isinstance(tables, tuple) else logged[0]
+
+    real_tables = IdAlgebra.tables
+    monkeypatch.setattr(IdAlgebra, "tables", logged_tables)
+    monkeypatch.setattr(IdAlgebra, "codes", logged(IdAlgebra.codes))
+    monkeypatch.setattr(IdAlgebra, "scale", logged(IdAlgebra.scale))
+    monkeypatch.setattr(IdAlgebra, "from_blocks", staticmethod(logged(IdAlgebra.from_blocks)))
+    monkeypatch.setattr(np, "add", logged(np.add))
     cases = [(law, {slot: quad[w] for slot, w in names.items()})
              for law, names in _thm7_bindings()]
     cases.append((Law("early", "leq", App("A", PVar("q")), PVar("p"), ("p", "q")),
                   {"A": quad["F"]}))
     outcomes = check_laws(cases, oml10, le3.n)
+    monkeypatch.undo()
     assert [o.verdict for o in outcomes] == [PASS] * 32 + [FAIL]
     all_freed()
-    assert len(refs) > 1000
+    per_batch = log[1:]
+    assert len(per_batch) == _batch_rows(proposition_count(oml10, le3.n))[1]
+    assert min(per_batch) > 200 and max(live) <= min(per_batch) // 8
 
 
 # -- robustness ---------------------------------------------------------------
