@@ -61,13 +61,10 @@ from .tense import (
     ops_equal,
     parse_props,
     partition_ranges,
-    pointwise_complement,
-    prop_leq,
     proposition_block,
     proposition_count,
     resolve_budget,
     sampled_block,
-    strict_points,
 )
 from .sasaki import (
     connective_tables,

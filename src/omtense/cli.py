@@ -376,9 +376,7 @@ def _add_budget_flags(sub) -> None:
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED,
                      help="seed for sampled quantification")
     sub.add_argument("--jobs", type=int, default=1,
-                     help="worker processes: a long law scan forks up to N-1 children; "
-                          "past 2^20 propositions an exhaustive induction or extension "
-                          "uses a pool of N")
+                     help="worker processes: a long law scan forks up to N-1 children")
 
 
 def build_parser() -> argparse.ArgumentParser:

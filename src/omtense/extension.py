@@ -9,17 +9,17 @@ operators, the extended frame's own P and F (or H and G) restrict back to
 the given ones on the original points; check_extension_* verifies exactly
 that, proposition by proposition.
 
-An exhaustive check of at most ID_PATH_MAX propositions over the original
-points reads the given operators' values off their id maps, in the calling
-process at any job count; only the bar operators, on 3|T| points, are
-applied to rows. A sampled check applies the given operators to its draws,
-in the calling process. Past the cap an exhaustive check applies them to
-blocks of rows, on worker processes when jobs > 1.
+Each side is the law Abar|T(q) = A(q) over the original points, where
+Abar|T is the extended frame's operator read on the original points after
+extending q (RestrictedBar). Both sides are cases of one laws.check_laws
+scan, so each reports its own first failure. The id map of Abar|T takes
+A(q) and B(q) from the given operators' id maps and applies only the bar
+operator, on 3|T| points, to all propositions.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401  perfbench/tracing.py hooks it
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,12 +27,10 @@ import numpy as np
 from .errors import NameCollision
 from .frames import TimeFrame, restrict
 from .lattice import Oml
+from .laws import App, Law, PVar, check_laws
 from .report import (
-    EXHAUSTIVE,
     FAIL,
-    ONE_SIDED,
     PASS,
-    SAMPLED,
     LawResult,
     ReplayContext,
     VerifyReport,
@@ -41,20 +39,19 @@ from .report import (
 )
 from .induction import InducedRelationReport, induce_R1, induce_R2
 from .tense import (
-    DEFAULT_CHUNK,
     DEFAULT_SEED,
-    ID_PATH_MAX,
+    ID_DTYPE,
     FrameInduced,
     Prop,
     TenseOperator,
-    decode_props,
-    id_blocks,
-    partition_ranges,
-    proposition_block,
-    proposition_count,
+    all_props,
+    encode_props,
     resolve_budget,
-    sampled_block,
 )
+from .tense import proposition_block, sampled_block  # noqa: F401  perfbench/tracing.py hooks them
+
+# extended rows per step of RestrictedBar's id map: 3|T| intp columns each
+_BAR_CHUNK = 1 << 16
 
 PAST = "past"
 BASE = "base"
@@ -113,31 +110,51 @@ def extend_prop_HG(lattice: Oml, q: Prop, H: TenseOperator, G: TenseOperator) ->
     return tuple(H(q)) + tuple(q) + tuple(G(q))
 
 
-def _ext_chunk(payload):
-    """_ext_first_miss inside odometer ids [lo, hi), applying the operators; picklable."""
-    lattice, n_points, op_a, op_b, bar_a, bar_b, lo, hi, step = payload
+@dataclass(frozen=True, eq=False)
+class RestrictedBar(TenseOperator):
+    """q -> bar(ext(q)) on the base points, where ext(q) = A(q) + q + B(q)
+    places A(q) on the past copies and B(q) on the future ones."""
 
-    def blocks():
-        for start in range(lo, hi, step):
-            block = proposition_block(lattice, n_points, start, min(start + step, hi))
-            yield start, block, [op_a.apply_batch(block), op_b.apply_batch(block)]
-    return _ext_first_miss(n_points, bar_a, bar_b, blocks())
+    bar: FrameInduced
+    a: TenseOperator
+    b: TenseOperator
 
+    @property
+    def lattice(self) -> Oml:
+        return self.a.lattice
 
-def _ext_first_miss(n_points, bar_a, bar_b, blocks):
-    """First (index, op side, point) where a restricted bar evaluation differs
-    from the direct one, block by block, side A before side B within a block;
-    -1 index if none. blocks yields (start, q rows, [A(q) rows, B(q) rows])."""
-    mid = slice(n_points, 2 * n_points)
-    for start, block, (a_vals, b_vals) in blocks:
-        qbar = np.concatenate([a_vals, block, b_vals], axis=1)
-        for side, (bar_op, want) in enumerate(((bar_a, a_vals), (bar_b, b_vals))):
-            same = bar_op.apply_batch(qbar)[:, mid] == want
-            rows = same.all(axis=1)
-            if not rows.all():
-                i = int(np.argmin(rows))
-                return (start + i, side, int(np.argmin(same[i])))
-    return (-1, 0, 0)
+    @property
+    def n_points(self) -> int:
+        return self.a.n_points
+
+    def extend(self, q: Prop) -> Prop:
+        return tuple(self.a(q)) + tuple(q) + tuple(self.b(q))
+
+    def __call__(self, q: Prop) -> Prop:
+        return tuple(self.bar(self.extend(q))[self.n_points:2 * self.n_points])
+
+    def apply_batch(self, batch: np.ndarray) -> np.ndarray:
+        qbar = np.concatenate([self.a.apply_batch(batch), batch, self.b.apply_batch(batch)],
+                              axis=-1)
+        return self.bar.apply_batch(qbar)[:, self.n_points:2 * self.n_points]
+
+    def _build_id_map(self) -> np.ndarray:
+        # A(q) and B(q) come off the given operators' id maps; only the bar
+        # operator is applied to all propositions, to extended rows built as
+        # Fortran-ordered intp, whose transposed columns FrameInduced.apply_batch
+        # reads without a copy
+        n = self.n_points
+        props = all_props(self.lattice, n)
+        maps = (self.a.id_map(), self.b.id_map())
+        out = np.empty(len(props), dtype=ID_DTYPE)
+        for lo in range(0, len(props), _BAR_CHUNK):
+            hi = min(lo + _BAR_CHUNK, len(props))
+            qbar = np.empty((hi - lo, 3 * n), dtype=np.intp, order="F")
+            qbar[:, :n] = props.take(maps[0][lo:hi], axis=0)
+            qbar[:, n:2 * n] = props[lo:hi]
+            qbar[:, 2 * n:] = props.take(maps[1][lo:hi], axis=0)
+            out[lo:hi] = encode_props(self.lattice, self.bar.apply_batch(qbar)[:, n:2 * n])
+        return out
 
 
 def _check_extension(lattice: Oml, points, op_a: TenseOperator, op_b: TenseOperator,
@@ -160,50 +177,24 @@ def _check_extension(lattice: Oml, points, op_a: TenseOperator, op_b: TenseOpera
             witness=Witness(kind="relation-mismatch", law="relation-restriction",
                             note="restricting the extended relation does not recover the base")))
 
-    space = proposition_count(lattice, n_points)
-    draws = None if space <= budget else sampled_block(lattice, n_points, budget, seed)
-    if draws is None and space <= ID_PATH_MAX:
-        first = _ext_first_miss(n_points, bar_a, bar_b, id_blocks((op_a, op_b)))
-    elif draws is not None:
-        blocks = [(0, draws, [op_a.apply_batch(draws), op_b.apply_batch(draws)])]
-        first = _ext_first_miss(n_points, bar_a, bar_b, blocks)
-    elif jobs <= 1:
-        first = _ext_chunk((lattice, n_points, op_a, op_b, bar_a, bar_b,
-                            0, space, DEFAULT_CHUNK))
-    else:
-        payloads = [(lattice, n_points, op_a, op_b, bar_a, bar_b, lo, hi, DEFAULT_CHUNK)
-                    for lo, hi in partition_ranges(space, jobs * 4)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_ext_chunk, payloads))
-        hits = [r for r in results if r[0] >= 0]
-        first = min(hits) if hits else (-1, 0, 0)
-    if draws is None:
-        mode, samples = EXHAUSTIVE, space
-        decode = lambda i: decode_props(lattice, n_points, i)
-    else:
-        mode, samples = SAMPLED, budget
-        decode = lambda i: draws[i]
-
-    for side, label in enumerate(labels):
+    law = Law("restriction", "eq", App("restricted", PVar("q")), App("given", PVar("q")), ("q",))
+    sides = [(op, RestrictedBar(bar, op_a, op_b)) for op, bar in ((op_a, bar_a), (op_b, bar_b))]
+    outcomes = check_laws([(law, {"restricted": restricted, "given": op})
+                           for op, restricted in sides],
+                          lattice, n_points, budget=budget, seed=seed, jobs=jobs)
+    for label, (op, restricted), outcome in zip(labels, sides, outcomes):
         law_id = f"{label}bar-restriction"
-        if first[0] >= 0 and first[1] == side:
-            q = tuple(int(x) for x in decode(first[0]))
-            op = (op_a, op_b)[side]
-            bar_op = (bar_a, bar_b)[side]
-            qbar = tuple(op_a(q)) + tuple(q) + tuple(op_b(q))
-            got = bar_op(qbar)[n_points + first[2]]
-            want = op(q)[first[2]]
-            laws.append(LawResult(
-                law_id, FAIL, mode=mode, samples=samples,
-                witness=Witness(
-                    kind="op-mismatch", law=law_id,
-                    ops=((label + "bar", label + "bar"), (label, label)),
-                    props=(("q", q), ("qbar", qbar)), point=first[2],
-                    lhs=int(got), rhs=int(want),
-                    note=f"restricted {label}bar(qbar) differs from {label}(q)")))
-        else:
-            verdict = PASS if mode == EXHAUSTIVE else ONE_SIDED
-            laws.append(LawResult(law_id, verdict, mode=mode, samples=samples))
+        witness = None
+        if outcome.verdict == FAIL:
+            q, point = outcome.witness_env["q"], outcome.witness_point
+            witness = Witness(
+                kind="op-mismatch", law=law_id,
+                ops=((label + "bar", label + "bar"), (label, label)),
+                props=(("q", q), ("qbar", restricted.extend(q))), point=point,
+                lhs=int(restricted(q)[point]), rhs=int(op(q)[point]),
+                note=f"restricted {label}bar(qbar) differs from {label}(q)")
+        laws.append(LawResult(law_id, outcome.verdict, mode=outcome.mode,
+                              samples=outcome.checked, witness=witness))
 
     verdict = aggregate([law.verdict for law in laws])
     return VerifyReport(

@@ -14,28 +14,24 @@ one-sidedly over a seeded sample above it (the reported relation is then a
 superset of the true one). No axioms are assumed of the operators; arbitrary
 quadruples are accepted and simply reported on.
 
-An exhaustive scan of at most ID_PATH_MAX propositions runs in the calling
-process, at any job count, on the operators' id maps: the values of an
-operator are tense.all_props(...)[op.id_map()], and two operators differ
-where their id maps do. A sampled scan applies the operators to its draws
-only, in the calling process, since building a map costs a pass over all
-propositions. Past the cap an exhaustive scan applies the operators to
-blocks of rows, on worker processes when jobs > 1; pooled results merge by
-least index. Every scan finds the first violation of all pairs (s, t) with
-the same s at once, and every path reports the same relations and
-witnesses.
+Every quantifier here is a case of laws.check_laws, so it runs on the one
+law scanner, its id maps or batch rows, and its forked split scans at
+--jobs > 1. Each inequality of a pair (s, t) is a law between two point
+projections (laws.At), for example At(q, s) <= At(P(q), t); one scan checks
+all 2|T|^2 of them, and a pair's witness is the earlier of its two first
+failures, the first inequality on a tie. Two operators are compared by the
+law A(q) = B(q), the four of the roundtrip or of classify in one scan.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401  perfbench/tracing.py hooks it
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import BudgetExceeded, EmptyRestriction, UnknownTimePoint
 from .frames import TimeFrame
 from .lattice import Oml
+from .laws import App, At, Law, PVar, check_laws, eval_trace
 from .report import (
     EXHAUSTIVE,
     FAIL,
@@ -48,23 +44,8 @@ from .report import (
     Witness,
     aggregate,
 )
-from .tense import (
-    DEFAULT_CHUNK,
-    DEFAULT_SEED,
-    ID_PATH_MAX,
-    OperatorQuadruple,
-    Prop,
-    TenseOperator,
-    all_props,
-    decode_props,
-    id_blocks,
-    ops_equal,
-    partition_ranges,
-    proposition_block,
-    proposition_count,
-    resolve_budget,
-    sampled_block,
-)
+from .tense import DEFAULT_SEED, OperatorQuadruple, Prop, TenseOperator, ops_equal, resolve_budget
+from .tense import proposition_block, sampled_block  # noqa: F401  perfbench/tracing.py hooks them
 
 _R1_INEQS = ("q(s) <= P(q)(t)", "q(t) <= F(q)(s)")
 _R2_INEQS = ("H(q)(t) <= q(s)", "G(q)(s) <= q(t)")
@@ -102,116 +83,43 @@ class InducedRelationReport:
         return [(self.points[s], self.points[t]) for s, t in sorted(self.pairs)]
 
 
-def _ineq_values(which: str, lattice: Oml, quadruple: OperatorQuadruple,
-                 q: Prop, s: int, t: int, side: int) -> tuple[int, int]:
-    if which == "R1":
-        if side == 0:
-            return q[s], quadruple.P(q)[t]
-        return q[t], quadruple.F(q)[s]
-    if side == 0:
-        return quadruple.H(q)[t], q[s]
-    return quadruple.G(q)[s], q[t]
-
-
-def _row_blocks(lattice: Oml, n_points: int, ops, draws, lo: int, hi: int, step: int):
-    """Like tense.id_blocks, but applying the operators: to the sampled draws
-    in one block, or else to odometer ids [lo, hi) step rows at a time."""
-    if draws is not None:
-        yield 0, draws, [op.apply_batch(draws) for op in ops]
-        return
-    for start in range(lo, hi, step):
-        block = proposition_block(lattice, n_points, start, min(start + step, hi))
-        yield start, block, [op.apply_batch(block) for op in ops]
-
-
-def _first_violations(which: str, leq: np.ndarray, n_points: int, blocks):
-    """For each pair (s, t), its first violating (index, side) over the blocks.
-
-    blocks yields (start, q rows, [A(q) rows, B(q) rows]) with (A, B) = (P, F)
-    for R1 and (H, G) for R2; side 0 is the inequality that reads A.
-    """
-    found: dict[tuple[int, int], tuple[int, int]] = {}
-    columns = np.arange(n_points)
-    flat, size = leq.ravel(), leq.shape[0]
-    # rows per step, so that the (rows, |T|) index arrays below stay near 1 MB
-    step = DEFAULT_CHUNK // max(n_points, 1)
-    pieces = ((start + lo, [v[lo:lo + step] for v in (rows, *values)])
-              for start, rows, values in blocks for lo in range(0, len(rows), step))
-    for start, piece in pieces:
-        # leq[x, y] is flat[x * size + y]; int32 index arithmetic is the fast kind.
-        # Each side adds the column at s to every column t.
-        q, a, b = (v.astype(np.int32) for v in piece)
-        if which == "R1":  # q(s) <= A(q)(t) and q(t) <= B(q)(s)
-            qs = q * size
-            s0, t0, s1, t1 = qs, a, b, qs
-        else:  # A(q)(t) <= q(s) and B(q)(s) <= q(t)
-            s0, t0, s1, t1 = q, a * size, b * size, q
-        for s in range(n_points):
-            if all((s, t) in found for t in range(n_points)):
-                continue
-            ok0 = flat.take(s0[:, s, None] + t0)
-            ok1 = flat.take(s1[:, s, None] + t1)
-            bad = ~(ok0 & ok1)
-            first = bad.argmax(axis=0)
-            for t in np.flatnonzero(bad[first, columns]):
-                i = first[t]
-                found.setdefault((s, int(t)), (start + int(i), 0 if not ok0[i, t] else 1))
-        if len(found) == n_points * n_points:
-            break
-    return found
-
-
-def _scan_chunk(payload):
-    """_first_violations inside odometer ids [lo, hi); picklable."""
-    which, lattice, n_points, ops, lo, hi, step = payload
-    return _first_violations(which, lattice.leq, n_points,
-                             _row_blocks(lattice, n_points, ops, None, lo, hi, step))
-
-
 def _induce(which: str, lattice: Oml, points, quadruple: OperatorQuadruple, *,
-            budget: int | None = None, seed: int = DEFAULT_SEED, jobs: int = 1,
-            chunk: int = DEFAULT_CHUNK) -> InducedRelationReport:
+            budget: int | None = None, seed: int = DEFAULT_SEED,
+            jobs: int = 1) -> InducedRelationReport:
     points = tuple(points)
     n_points = len(points)
     if quadruple.n_points != n_points:
         raise UnknownTimePoint(
             f"operators are bound to {quadruple.n_points} points, got {n_points}")
-    budget = resolve_budget(budget)
-    space = proposition_count(lattice, n_points)
     ineq_names = _R1_INEQS if which == "R1" else _R2_INEQS
-    ops = (quadruple.P, quadruple.F) if which == "R1" else (quadruple.H, quadruple.G)
-    draws = None if space <= budget else sampled_block(lattice, n_points, budget, seed)
-
-    if draws is None and space <= ID_PATH_MAX:
-        found = _first_violations(which, lattice.leq, n_points, id_blocks(ops, chunk))
-    elif draws is not None or jobs <= 1:
-        found = _first_violations(which, lattice.leq, n_points,
-                                  _row_blocks(lattice, n_points, ops, draws, 0, space, chunk))
-    else:
-        payloads = [(which, lattice, n_points, ops, lo, hi, chunk)
-                    for lo, hi in partition_ranges(space, jobs * 4)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_scan_chunk, payloads))
-        found = {}
-        for part in results:
-            for pair, hit in part.items():
-                if pair not in found or hit[0] < found[pair][0]:
-                    found[pair] = hit
-    if draws is None:
-        mode, samples = EXHAUSTIVE, space
-        decode = lambda i: decode_props(lattice, n_points, i)
-    else:
-        mode, samples = SAMPLED, budget
-        decode = lambda i: draws[i]
+    ops = ({"A": quadruple.P, "B": quadruple.F} if which == "R1"
+           else {"A": quadruple.H, "B": quadruple.G})
+    q, a, b = PVar("q"), App("A", PVar("q")), App("B", PVar("q"))
+    pairs = [(s, t) for s in range(n_points) for t in range(n_points)]
+    cases = []
+    for s, t in pairs:
+        if which == "R1":  # q(s) <= A(q)(t) and q(t) <= B(q)(s)
+            sides = ((At(q, s), At(a, t)), (At(q, t), At(b, s)))
+        else:  # A(q)(t) <= q(s) and B(q)(s) <= q(t)
+            sides = ((At(a, t), At(q, s)), (At(b, s), At(q, t)))
+        cases += [(Law(f"{which} ({s}, {t}) {name}", "leq", lhs, rhs, ("q",)), ops)
+                  for name, (lhs, rhs) in zip(ineq_names, sides)]
+    outcomes = check_laws(cases, lattice, n_points, budget=budget, seed=seed, jobs=jobs)
 
     witnesses = {}
-    for pair, (index, side) in sorted(found.items()):
-        q = tuple(int(x) for x in decode(index))
-        lhs, rhs = _ineq_values(which, lattice, quadruple, q, pair[0], pair[1], side)
-        witnesses[pair] = PairWitness(q, ineq_names[side], lhs, rhs, index)
-    pairs = frozenset((s, t) for s in range(n_points) for t in range(n_points)
-                      if (s, t) not in found)
-    return InducedRelationReport(which, points, pairs, witnesses, mode, samples, lattice)
+    for k, pair in enumerate(pairs):
+        failed = [(outcome.index, side, outcome)
+                  for side, outcome in enumerate(outcomes[2 * k:2 * k + 2])
+                  if outcome.verdict == FAIL]
+        if failed:  # the earlier first failure, side 0 on a tie
+            index, side, outcome = min(failed, key=lambda hit: hit[:2])
+            law, env = cases[2 * k + side][0], outcome.witness_env
+            lhs, rhs = (eval_trace(expr, lattice, env, n_points, ops, {}, [])[0]
+                        for expr in (law.lhs, law.rhs))
+            witnesses[pair] = PairWitness(env["q"], ineq_names[side], lhs, rhs, index)
+    kept = frozenset(pair for pair in pairs if pair not in witnesses)
+    return InducedRelationReport(which, points, kept, witnesses, outcomes[0].mode,
+                                 outcomes[0].checked, lattice)
 
 
 def induce_R1(lattice: Oml, points, P: TenseOperator, F: TenseOperator, *,
@@ -269,35 +177,13 @@ def indicator_proposition(lattice: Oml, points, u: str) -> Prop:
     return tuple(lattice.top if p == u else lattice.bottom for p in points)
 
 
-def _first_op_difference(lattice: Oml, n_points: int, given: TenseOperator,
-                         other: TenseOperator, budget: int, seed: int):
-    """First (index, q, point, got, want) where the operators differ, plus the
-    mode and the number of propositions compared. index is the position in
-    odometer order, or in draw order when the space exceeds the budget."""
-    space = proposition_count(lattice, n_points)
-    draws = None if space <= budget else sampled_block(lattice, n_points, budget, seed)
-    mode, samples = (EXHAUSTIVE, space) if draws is None else (SAMPLED, budget)
-    if draws is None and space <= ID_PATH_MAX:
-        got_ids, want_ids = given.id_map(), other.id_map()
-        diff = np.flatnonzero(got_ids != want_ids)
-        if not diff.size:
-            return None, mode, samples
-        index = int(diff[0])
-        props = all_props(lattice, n_points)
-        q, got, want = props[index], props[got_ids[index]], props[want_ids[index]]
-    else:
-        blocks = _row_blocks(lattice, n_points, (given, other), draws, 0, space, DEFAULT_CHUNK)
-        for start, block, (got, want) in blocks:
-            rows = (got == want).all(axis=1)
-            if not rows.all():
-                i = int(np.argmin(rows))
-                index, q, got, want = start + i, block[i], got[i], want[i]
-                break
-        else:
-            return None, mode, samples
-    point = int(np.argmax(got != want))
-    return ((index, tuple(int(x) for x in q), point, int(got[point]), int(want[point])),
-            mode, samples)
+def _op_differences(lattice: Oml, n_points: int, given: OperatorQuadruple,
+                    other: OperatorQuadruple, budget: int, seed: int, jobs: int):
+    """Per operator, in P, F, H, G order, the outcome of the law given(q) =
+    other(q), all four checked in one law scan."""
+    law = Law("coincides", "eq", App("given", PVar("q")), App("other", PVar("q")), ("q",))
+    cases = [(law, {"given": given.as_dict()[w], "other": other.as_dict()[w]}) for w in "PFHG"]
+    return check_laws(cases, lattice, n_points, budget=budget, seed=seed, jobs=jobs)
 
 
 def roundtrip_frame(lattice: Oml, frame: TimeFrame, *, budget: int | None = None,
@@ -338,25 +224,19 @@ def roundtrip_frame(lattice: Oml, frame: TimeFrame, *, budget: int | None = None
     rel_frame = TimeFrame(frame.name + "|reinduced", frame.points, report.pairs,
                           _allow_empty=True)
     reinduced = OperatorQuadruple.from_frame(lattice, rel_frame)
-    for label, given, again in (("P", quadruple.P, reinduced.P),
-                                ("F", quadruple.F, reinduced.F),
-                                ("H", quadruple.H, reinduced.H),
-                                ("G", quadruple.G, reinduced.G)):
-        diff, mode, samples = _first_op_difference(lattice, frame.n, given, again,
-                                                   budget, seed)
-        if diff is None:
-            verdict = PASS if mode == EXHAUSTIVE else ONE_SIDED
-            laws.append(LawResult(f"{label}-coincides", verdict,
-                                  ops=((label, label),), mode=mode, samples=samples))
-        else:
-            _, q, point, got, want = diff
-            laws.append(LawResult(
-                f"{label}-coincides", FAIL, ops=((label, label),),
-                mode=mode, samples=samples,
-                witness=Witness(kind="op-mismatch", law=f"{label}-coincides",
-                                ops=((label, label), (label + "*", label + "*")),
-                                props=(("q", q),), point=point, lhs=got, rhs=want,
-                                note=f"{label}(q) and the reinduced {label}*(q) differ")))
+    outcomes = _op_differences(lattice, frame.n, quadruple, reinduced, budget, seed, jobs)
+    given, again = quadruple.as_dict(), reinduced.as_dict()
+    for label, outcome in zip("PFHG", outcomes):
+        witness = None
+        if outcome.verdict == FAIL:
+            q, point = outcome.witness_env["q"], outcome.witness_point
+            witness = Witness(kind="op-mismatch", law=f"{label}-coincides",
+                              ops=((label, label), (label + "*", label + "*")),
+                              props=(("q", q),), point=point, lhs=int(given[label](q)[point]),
+                              rhs=int(again[label](q)[point]),
+                              note=f"{label}(q) and the reinduced {label}*(q) differ")
+        laws.append(LawResult(f"{label}-coincides", outcome.verdict, ops=((label, label),),
+                              mode=outcome.mode, samples=outcome.checked, witness=witness))
     verdict = aggregate([law.verdict for law in laws])
     replay_ops: dict[str, TenseOperator] = dict(quadruple.as_dict())
     for label, op in reinduced.as_dict().items():
@@ -391,19 +271,18 @@ def classify_inducibility(lattice: Oml, points, quadruple: OperatorQuadruple, *,
     report = induce_R3(lattice, points, quadruple, budget=budget, seed=seed, jobs=jobs)
     rel_frame = TimeFrame("candidate", report.points, report.pairs, _allow_empty=True)
     candidate = OperatorQuadruple.from_frame(lattice, rel_frame)
-    for label, given, induced in (("P", quadruple.P, candidate.P),
-                                  ("F", quadruple.F, candidate.F),
-                                  ("H", quadruple.H, candidate.H),
-                                  ("G", quadruple.G, candidate.G)):
-        diff, _, _ = _first_op_difference(lattice, len(report.points), given, induced,
-                                          budget, seed)
-        if diff is not None:
-            index, q, point, got, want = diff
+    outcomes = _op_differences(lattice, len(report.points), quadruple, candidate,
+                               budget, seed, jobs)
+    given, induced = quadruple.as_dict(), candidate.as_dict()
+    for label, outcome in zip("PFHG", outcomes):
+        if outcome.verdict == FAIL:
+            q, point = outcome.witness_env["q"], outcome.witness_point
             witness = Witness(
                 kind="op-mismatch", law="frame-inducibility",
                 ops=((label, label), (label + "*", label + "*")),
-                props=(("q", q),), point=point, lhs=got, rhs=want,
-                note=f"{label}(q) and {label}*(q) first differ at index {index}")
+                props=(("q", q),), point=point, lhs=int(given[label](q)[point]),
+                rhs=int(induced[label](q)[point]),
+                note=f"{label}(q) and {label}*(q) first differ at index {outcome.index}")
             return Classification("not-frame-inducible", report, witness)
     return Classification("frame-induced", report)
 

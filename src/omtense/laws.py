@@ -15,6 +15,11 @@ whose claim only applies to ordered pairs). Expressions evaluate two ways:
   eval_trace   one proposition at a time, recording every intermediate value,
                for witnesses and their replays
 
+A point projection At(expr, s), expr's value at the point s, may only be a
+whole side of a leq check whose other side is one too. A scan evaluates it
+to a digit (one 1-point block code) and checks the pair with one gather from
+the 1-point order table; eval_trace makes it the constant proposition.
+
 check_laws quantifies a list of (law, operators) cases. Quantification is
 exhaustive in odometer order below the budget and falls back to
 deterministic seeded sampling above it (one-sided verdict). Pair laws
@@ -119,7 +124,16 @@ class App:
     arg: "Expr"
 
 
-Expr = PVar | ConstProp | Neg | Join | Meet | SAnd | SImp | App
+@dataclass(frozen=True)
+class At:
+    """arg's value at one point, as a constant proposition. Only a whole side
+    of a leq check whose other side is an At too, a comparison at two points."""
+
+    arg: "Expr"
+    point: int
+
+
+Expr = PVar | ConstProp | Neg | Join | Meet | SAnd | SImp | App | At
 
 
 def render(expr: Expr, names: dict[str, str] | None = None) -> str:
@@ -143,6 +157,8 @@ def render(expr: Expr, names: dict[str, str] | None = None) -> str:
             return f"({render(a, names)} -> {render(b, names)})"
         case App(slot, arg):
             return f"{names.get(slot, slot)}({render(arg, names)})"
+        case At(arg, point):
+            return f"{render(arg, names)}({point})"
     raise TypeError(f"not an expression: {expr!r}")
 
 
@@ -181,6 +197,8 @@ def eval_trace(expr: Expr, lattice: Oml, env: dict[str, Prop], n_points: int,
                                   eval_trace(b, lattice, env, n_points, ops, names, trace))
         case App(slot, arg):
             out = ops[slot](eval_trace(arg, lattice, env, n_points, ops, names, trace))
+        case At(arg, point):
+            out = (eval_trace(arg, lattice, env, n_points, ops, names, trace)[point],) * n_points
         case _:
             raise TypeError(f"not an expression: {expr!r}")
     trace.append((render(expr, names), out))
@@ -216,6 +234,7 @@ class LawOutcome:
     checked: int
     witness_env: dict[str, Prop] | None = None
     witness_point: int | None = None
+    index: int | None = None       # first failing index: an id, pair index or draw position
 
 
 # -- the id core ----------------------------------------------------------
@@ -388,6 +407,30 @@ class IdAlgebra:
             out += table.take(index)
         return out
 
+    def point_codes(self, point: int):
+        """values -> their codes at one point: the point's digit, a plain
+        1-point block code."""
+        n, dtype = self.lattice.n, self.code_dtype
+        place = n ** (self.n_points - 1 - point)
+
+        def digits(ids):
+            rest = ids // place if place > 1 else ids
+            if point:
+                rest = rest - rest // n * n  # numpy's % is slower
+            return rest.astype(dtype)
+        return digits
+
+    def point_scale(self, codes):
+        """Plain 1-point codes as scaled ones, the left operand of point_table."""
+        return np.multiply(codes, self.lattice.n, dtype=self.index_dtype)
+
+    def point_table(self) -> np.ndarray:
+        """Per index left * |L| + right of two 1-point codes, whether left <= right."""
+        key = ("leq", 1)
+        if key not in self._tables:
+            self._tables[key] = block_table(self.lattice, 1, _leq_batch)
+        return self._tables[key]
+
 
 class RowAlgebra(IdAlgebra):
     """Propositions as element rows (shape (..., n_points)), for spaces past
@@ -406,6 +449,7 @@ class RowAlgebra(IdAlgebra):
         super().__init__(lattice, n_points)
         digit = np.empty(lattice.n, dtype=np.int64)
         digit[enumeration_order(lattice)] = np.arange(lattice.n)
+        self._digit = digit.astype(self.code_dtype)
         self._digits = []  # per block: (column, element -> digit * place) per point
         start = 0
         for width in self.widths:
@@ -447,6 +491,10 @@ class RowAlgebra(IdAlgebra):
 
     def _block_values(self, block: int, codes):
         return decode_props(self.lattice, self.widths[block], codes)
+
+    def point_codes(self, point: int):
+        digit = self._digit
+        return lambda rows: digit.take(rows[..., point])
 
     @staticmethod
     def from_blocks(tables, *indices):
@@ -493,7 +541,7 @@ class _Subterms:
         self._number: dict[tuple, int] = {}
         self.checks = []              # per case: (check node, guard check node or None)
         for law, ops in cases:
-            sides = (self._add(side, law.vars, ops) for side in (law.lhs, law.rhs))
+            sides = (self._side(side, law, ops) for side in (law.lhs, law.rhs))
             check = self._node((law.relation, None, tuple(sides)))
             guard = None
             if law.guard is not None:
@@ -501,6 +549,15 @@ class _Subterms:
                 guard = self._node(("leq", None, tuple(sides)))
             self.checks.append((check, guard))
         self.arity = max((len(law.vars) for law, _ in cases), default=0)
+
+    def _side(self, expr: Expr, law: Law, ops: dict[str, TenseOperator]) -> int:
+        """A node for one side of law's check; an At side only in a leq check
+        between two At sides."""
+        if not isinstance(expr, At):
+            return self._add(expr, law.vars, ops)
+        if law.relation != "leq" or not isinstance(law.lhs, At) or not isinstance(law.rhs, At):
+            raise TypeError(f"At is a side of a leq check between two points only: {law.id}")
+        return self._node(("at", expr.point, (self._add(expr.arg, law.vars, ops),)))
 
     def _add(self, expr: Expr, names: tuple[str, ...], ops: dict[str, TenseOperator]) -> int:
         match expr:
@@ -522,6 +579,8 @@ class _Subterms:
             case SImp(a, b):
                 key = ("simp", sasaki_imp_batch,
                        (self._add(a, names, ops), self._add(b, names, ops)))
+            case At():
+                raise TypeError(f"At is a whole side of a leq check only: {expr!r}")
             case _:
                 raise TypeError(f"not an expression: {expr!r}")
         return self._node(key)
@@ -622,6 +681,12 @@ class _Program:
                 reg[node, _VALUE] = self._step(core.complementer(), reg[children[0], _VALUE])
             elif kind == "app":
                 reg[node, _VALUE] = self._step(core.applier(operand), reg[children[0], _VALUE])
+            elif kind == "at":
+                plain = self._step(core.point_codes(operand), reg[children[0], _VALUE])
+                reg[node, _RIGHT] = plain
+                if _LEFT in forms:
+                    reg[node, _LEFT] = self._step(core.point_scale, plain)
+                continue
             elif kind in _CONNECTIVES:
                 left, right = children
                 indices = [self._step(np.add, reg[left, _LEFT, b], reg[right, _RIGHT, b])
@@ -639,7 +704,10 @@ class _Program:
                 continue
             else:
                 lhs, rhs = children
-                if kind == "leq":
+                if nodes[lhs][0] == "at":
+                    holds = self._step(functools.partial(_below, [core.point_table()]),
+                                       reg[lhs, _LEFT], reg[rhs, _RIGHT])
+                elif kind == "leq":
                     codes = [r for b in blocks for r in (reg[lhs, _LEFT, b], reg[rhs, _RIGHT, b])]
                     holds = self._step(functools.partial(
                         _below, [core.tables(kind, _leq_batch, b) for b in blocks]), *codes)
@@ -945,15 +1013,15 @@ def _failing_point(law: Law, lattice: Oml, env: dict[str, Prop], n_points: int,
 
 
 def _outcome(law: Law, lattice: Oml, n_points: int, ops: dict[str, TenseOperator],
-             exhaustive: bool, checked: int, rows) -> LawOutcome:
-    """The outcome of a scan; rows holds the failing binding, one proposition
-    per variable, or is None when nothing failed."""
+             exhaustive: bool, checked: int, index: int, rows) -> LawOutcome:
+    """The outcome of a scan; rows holds the binding at the first failing
+    index, one proposition per variable, or is None when nothing failed."""
     mode = EXHAUSTIVE if exhaustive else SAMPLED
     if rows is None:
         return LawOutcome(PASS if exhaustive else ONE_SIDED, mode, checked)
     env = {name: tuple(int(x) for x in row) for name, row in zip(law.vars, rows)}
     point, _, _ = _failing_point(law, lattice, env, n_points, ops)
-    return LawOutcome(FAIL, mode, checked, witness_env=env, witness_point=point)
+    return LawOutcome(FAIL, mode, checked, witness_env=env, witness_point=point, index=index)
 
 
 def check_laws(cases, lattice: Oml, n_points: int, *, budget: int | None = None,
@@ -999,7 +1067,7 @@ def check_laws(cases, lattice: Oml, n_points: int, *, budget: int | None = None,
             elif bad >= 0:
                 rows = [core.rows(column[bad]) for column in columns]
             outcomes[i] = _outcome(law, lattice, n_points, ops, exhaustive,
-                                   space if exhaustive else cap, rows)
+                                   space if exhaustive else cap, bad, rows)
     return outcomes
 
 

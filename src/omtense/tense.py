@@ -59,7 +59,7 @@ ID_DTYPE = np.int32
 # current batch only (laws.RowAlgebra), with the same scanner and batches.
 ID_PATH_MAX = 1 << 20
 # caches derived from a lattice, kept here rather than on the Oml so that
-# pickles (pool payloads) stay small; an entry goes with its lattice
+# pickles stay small; an entry goes with its lattice
 _ALL_PROPS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()   # lattice -> all_props
 _FRAME_MAPS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # lattice -> id maps
 
@@ -108,19 +108,6 @@ def eval_G(lattice: Oml, frame: TimeFrame, q: Prop) -> Prop:
 _FRAME_EVAL = {"P": eval_P, "F": eval_F, "H": eval_H, "G": eval_G}
 
 
-def pointwise_complement(lattice: Oml, q: Prop) -> Prop:
-    return tuple(lattice.orthocomplement(x) for x in q)
-
-
-def prop_leq(lattice: Oml, a: Prop, b: Prop) -> bool:
-    return all(lattice.leq[x, y] for x, y in zip(a, b, strict=True))
-
-
-def strict_points(lattice: Oml, a: Prop, b: Prop) -> list[int]:
-    """Points where a < b strictly, assuming a <= b pointwise."""
-    return [s for s, (x, y) in enumerate(zip(a, b, strict=True)) if x != y]
-
-
 # -- operator kinds -------------------------------------------------------
 
 class TenseOperator:
@@ -150,7 +137,7 @@ class TenseOperator:
         return rows_id_map(self.lattice, self.n_points, self.apply_batch)
 
     def __getstate__(self):
-        # worker processes rebuild the id map if they need it
+        # an unpickled copy rebuilds the id map if it needs it
         return {k: v for k, v in self.__dict__.items() if k != "_id_map"}
 
 
@@ -373,14 +360,19 @@ def decode_props(lattice: Oml, n_points: int, ids: np.ndarray) -> np.ndarray:
 
 
 def encode_props(lattice: Oml, rows: np.ndarray) -> np.ndarray:
-    """Odometer index of each proposition along the last axis; inverts decode_props."""
-    digit = np.empty(lattice.n, dtype=np.intp)
+    """Odometer index of each proposition along the last axis; inverts decode_props.
+
+    The ids are ID_DTYPE while every id over that many points fits it, and
+    int64 past that.
+    """
+    n_points = rows.shape[-1]
+    fits = lattice.n ** n_points <= np.iinfo(ID_DTYPE).max + 1
+    digit = np.empty(lattice.n, dtype=ID_DTYPE if fits else np.int64)
     digit[enumeration_order(lattice)] = np.arange(lattice.n)
-    digits = digit[rows]
-    ids = np.zeros(digits.shape[:-1], dtype=np.intp)
-    for j in range(digits.shape[-1]):
+    ids = np.zeros(rows.shape[:-1], dtype=digit.dtype)
+    for j in range(n_points):
         ids *= lattice.n
-        ids += digits[..., j]
+        ids += digit.take(rows[..., j])
     return ids
 
 
@@ -410,16 +402,6 @@ def rows_id_map(lattice: Oml, n_points: int, rows_fn) -> np.ndarray:
     for lo in range(0, len(props), DEFAULT_CHUNK):
         out[lo:lo + DEFAULT_CHUNK] = encode_props(lattice, rows_fn(props[lo:lo + DEFAULT_CHUNK]))
     return out
-
-
-def id_blocks(ops, step: int = DEFAULT_CHUNK):
-    """Yield (start, rows, [op values as rows for each op]) for every
-    proposition in id order, step rows at a time, read off the id maps.
-    The operators must share one lattice and point count."""
-    props = all_props(ops[0].lattice, ops[0].n_points)
-    maps = [op.id_map() for op in ops]
-    for lo in range(0, len(props), step):
-        yield lo, props[lo:lo + step], [props[m[lo:lo + step]] for m in maps]
 
 
 def partition_ranges(total: int, k: int) -> list[tuple[int, int]]:

@@ -7,7 +7,7 @@ frame the quadruple came from (None for quadruples no frame induced).
 
 import numpy as np
 
-from omtense import extension, induction, laws, tense
+from omtense import laws, tense
 from omtense.fixtures import builtin_frame, builtin_lattice, example2_quadruple
 from omtense.tense import OperatorQuadruple, Tabulated, proposition_block
 
@@ -51,6 +51,7 @@ def sampled_budget(lattice, points):
 
 
 def force_row_path(monkeypatch):
-    """Send every quantifier below the id-path cap down the row path."""
-    for module in (induction, extension, laws, tense):
+    """Send every quantifier below the id-path cap down the row path: the law
+    scans (laws.RowAlgebra) and the operator comparisons (tense.ops_equal)."""
+    for module in (laws, tense):
         monkeypatch.setattr(module, "ID_PATH_MAX", 0)

@@ -109,26 +109,38 @@ def all_props(n_elements, n_points):
     return list(product(range(n_elements), repeat=n_points))
 
 
-def induced_R1(props, leq, apply_P, apply_F, n_points):
-    """Pairs (s, t) with q(s) <= P(q)(t) and q(t) <= F(q)(s) for every q."""
-    pairs = set()
+def _induced(props, first, second, n_points):
+    """(kept pairs, {excluded pair: (index, side)}): a pair is kept when both
+    of its inequalities hold for every q in props; an excluded pair records
+    the first q (its index in props) where one fails, side 0 when the first
+    inequality does."""
+    pairs, violations = set(), {}
     for s in range(n_points):
         for t in range(n_points):
-            if all(leq[q[s]][apply_P(q)[t]] and leq[q[t]][apply_F(q)[s]]
-                   for q in props):
+            for index, q in enumerate(props):
+                if not first(q, s, t):
+                    violations[(s, t)] = (index, 0)
+                    break
+                if not second(q, s, t):
+                    violations[(s, t)] = (index, 1)
+                    break
+            else:
                 pairs.add((s, t))
-    return pairs
+    return pairs, violations
+
+
+def induced_R1(props, leq, apply_P, apply_F, n_points):
+    """Pairs (s, t) with q(s) <= P(q)(t) and q(t) <= F(q)(s) for every q,
+    and the first violation of each other pair (see _induced)."""
+    return _induced(props, lambda q, s, t: leq[q[s]][apply_P(q)[t]],
+                    lambda q, s, t: leq[q[t]][apply_F(q)[s]], n_points)
 
 
 def induced_R2(props, leq, apply_H, apply_G, n_points):
-    """Pairs (s, t) with H(q)(t) <= q(s) and G(q)(s) <= q(t) for every q."""
-    pairs = set()
-    for s in range(n_points):
-        for t in range(n_points):
-            if all(leq[apply_H(q)[t]][q[s]] and leq[apply_G(q)[s]][q[t]]
-                   for q in props):
-                pairs.add((s, t))
-    return pairs
+    """Pairs (s, t) with H(q)(t) <= q(s) and G(q)(s) <= q(t) for every q,
+    and the first violation of each other pair (see _induced)."""
+    return _induced(props, lambda q, s, t: leq[apply_H(q)[t]][q[s]],
+                    lambda q, s, t: leq[apply_G(q)[s]][q[t]], n_points)
 
 
 def boolean_cube_covers(k):

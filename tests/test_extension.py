@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import pytest
 
 import converse_cases
-from omtense import extension
+from omtense import laws
 from omtense import (
     EmptyRestriction,
+    FrameInduced,
     IdentityElseConstant,
     NameCollision,
     OperatorQuadruple,
@@ -14,10 +17,12 @@ from omtense import (
     extend_prop_HG,
     extend_prop_PF,
     restrict,
+    replay_witness,
 )
 from omtense.extension import BASE, FUTURE, PAST, _check_extension
 from omtense.induction import induce_R1
 from omtense.fixtures import example2_quadruple, example_props
+from omtense.tense import proposition_block, sampled_block
 
 
 def test_extended_frame_shape(le5):
@@ -160,20 +165,15 @@ def test_id_path_matches_row_path(monkeypatch, case, sampled):
     assert _extension_reports(lattice, points, quad, budget) == on_ids
 
 
-def test_pooled_row_path_matches_id_path(monkeypatch):
+def test_forked_row_path_matches_id_path(monkeypatch, forks):
+    # past a lowered cap, in batches small enough for every scan to split
     lattice, points, quad, _ = converse_cases.build("oml10-le3")
     on_ids = _extension_reports(lattice, points, quad, None)
-    starts = []
-
-    class Counted(extension.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            starts.append(1)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(extension, "ProcessPoolExecutor", Counted)
     converse_cases.force_row_path(monkeypatch)
+    monkeypatch.setattr(laws, "ID_CHUNK", 64)
+    monkeypatch.setattr(laws, "_split_cost", 0.0)
     assert _extension_reports(lattice, points, quad, None, jobs=2) == on_ids
-    assert len(starts) == 2
+    assert forks and set(forks) == {"omtense.laws"}
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -191,3 +191,39 @@ def test_restriction_failure_is_found_on_both_paths(monkeypatch, cube2, le2, bud
     assert on_ids.verdict == "fail"
     converse_cases.force_row_path(monkeypatch)
     assert check().laws == on_ids.laws
+
+
+@pytest.mark.parametrize("budget", [None, 5], ids=["exhaustive", "sampled"])
+def test_each_restriction_side_reports_its_own_first_failure(cube2, le2, budget):
+    # over the R1 of (F, P) both sides fail; each reports the first q, in
+    # odometer or draw order, where its restricted bar operator differs
+    quad = OperatorQuadruple.from_frame(cube2, le2)
+    wrong = induce_R1(cube2, le2.points, quad.F, quad.P)
+    report = _check_extension(cube2, le2.points, quad.P, quad.F, wrong, "ext-pf",
+                              ("P", "F"), budget=budget, seed=1729, jobs=1)
+    count = cube2.n ** le2.n
+    order = (proposition_block(cube2, le2.n, 0, count) if budget is None
+             else sampled_block(cube2, le2.n, budget, 1729))
+    bar = extend_frame(wrong.frame()).bar
+    by_id = {law.law: law for law in report.laws}
+    for label, op in (("P", quad.P), ("F", quad.F)):
+        law = by_id[f"{label}bar-restriction"]
+        bar_op = FrameInduced(cube2, bar, label)
+        misses = []
+        for row in order:
+            q = tuple(int(x) for x in row)
+            qbar = tuple(quad.P(q)) + q + tuple(quad.F(q))
+            got, want = bar_op(qbar)[le2.n:2 * le2.n], op(q)
+            if got != want:
+                point = next(s for s in range(le2.n) if got[s] != want[s])
+                misses.append((q, qbar, point, got[point], want[point]))
+        assert misses and law.verdict == "fail"
+        assert law.samples == (count if budget is None else budget)
+        q, qbar, point, got, want = misses[0]
+        witness = law.witness
+        assert witness.props == (("q", q), ("qbar", qbar))
+        assert (witness.point, witness.lhs, witness.rhs) == (point, got, want)
+        alone = replace(report, laws=[law])  # replay_witness replays the first failure
+        text = replay_witness(alone)
+        assert f"{label}bar(qbar) = " in text and f"{label}(q) = " in text
+        assert f"first difference at point {point}" in text

@@ -174,7 +174,7 @@ class Brute:
             envs = ({law.vars[0]: self.props[i], law.vars[1]: self.props[j]}
                     for i, j in stratified_draws(count, pair_budget, DEFAULT_SEED))
             mode, checked = SAMPLED, pair_budget
-        for env in envs:
+        for index, env in enumerate(envs):
             lhs, rhs = self.eval(law.lhs, env, ops), self.eval(law.rhs, env, ops)
             if law.relation == "leq":
                 bad = [s for s in range(self.n_points) if not self.leq[lhs[s]][rhs[s]]]
@@ -185,7 +185,8 @@ class Brute:
                 if not all(self.leq[x][y] for x, y in zip(gl, gr)):
                     continue
             if bad:
-                return LawOutcome(FAIL, mode, checked, witness_env=env, witness_point=bad[0])
+                return LawOutcome(FAIL, mode, checked, witness_env=env, witness_point=bad[0],
+                                  index=index)
         return LawOutcome(PASS if mode == EXHAUSTIVE else ONE_SIDED, mode, checked)
 
 
@@ -279,7 +280,7 @@ def test_block_split_covers_wide_frames(chain2, cube2):
             k = fails[0]
             env = {"p": tuple(int(x) for x in a[k]), "q": tuple(int(x) for x in b[k])}
             point = int(np.argmin(ok[k]))
-            assert outcome == LawOutcome(FAIL, SAMPLED, cap, env, point), law.id
+            assert outcome == LawOutcome(FAIL, SAMPLED, cap, env, point, int(k)), law.id
         assert [o.verdict for o in got] == [ONE_SIDED, FAIL, ONE_SIDED, FAIL, ONE_SIDED]
 
 

@@ -84,8 +84,8 @@ def test_relations_match_literal_quantifier(cube2, frame_name, request):
     props = oracles.all_props(cube2.n, frame.n)
     leq = [[bool(cube2.leq[x, y]) for y in range(cube2.n)] for x in range(cube2.n)]
     P, F, H, G = _apply_ops(quad)
-    want_r1 = oracles.induced_R1(props, leq, P, F, frame.n)
-    want_r2 = oracles.induced_R2(props, leq, H, G, frame.n)
+    want_r1, _ = oracles.induced_R1(props, leq, P, F, frame.n)
+    want_r2, _ = oracles.induced_R2(props, leq, H, G, frame.n)
     assert set(induce_R1(cube2, frame.points, quad.P, quad.F).pairs) == want_r1
     assert set(induce_R2(cube2, frame.points, quad.H, quad.G).pairs) == want_r2
 
@@ -240,30 +240,25 @@ def test_id_path_matches_row_path(monkeypatch, case, sampled):
 
 
 @pytest.mark.parametrize("case", ["oml10-le3", "tabulated"])
-def test_pooled_row_path_matches_id_path(monkeypatch, case):
+def test_forked_row_path_matches_id_path(monkeypatch, forks, case):
+    # past a lowered cap, in batches small enough for every scan to split
     lattice, points, quad, frame = converse_cases.build(case)
     on_ids = _converse_reports(lattice, points, quad, frame, None)
-    starts = []
-
-    class Counted(induction.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            starts.append(1)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(induction, "ProcessPoolExecutor", Counted)
     converse_cases.force_row_path(monkeypatch)
+    monkeypatch.setattr(laws, "ID_CHUNK", 64)
+    monkeypatch.setattr(laws, "_split_cost", 0.0)
     assert _converse_reports(lattice, points, quad, frame, None, jobs=2) == on_ids
-    assert starts
+    assert forks and set(forks) == {"omtense.laws"}
 
 
 @pytest.mark.parametrize("case", ["o6-le3", "oml10-nonserial2", "tabulated"])
 def test_scan_step_does_not_move_witnesses(monkeypatch, case):
-    # the scan splits blocks into steps of DEFAULT_CHUNK // |T| rows
+    # the law scan reads ID_CHUNK propositions per batch
     lattice, points, quad, _ = converse_cases.build(case)
     whole = [induce_R1(lattice, points, quad.P, quad.F),
              induce_R2(lattice, points, quad.H, quad.G)]
     assert any(w.index >= 3 for r in whole for w in r.witnesses.values())
-    monkeypatch.setattr(induction, "DEFAULT_CHUNK", 3 * len(points))
+    monkeypatch.setattr(laws, "ID_CHUNK", 3 * len(points))
     assert [induce_R1(lattice, points, quad.P, quad.F),
             induce_R2(lattice, points, quad.H, quad.G)] == whole
 
@@ -388,8 +383,8 @@ def test_instance_relations_follow_budget_and_seed(oml10, le3):
 
 
 def test_below_the_cap_only_law_scans_fork(monkeypatch, capsys, forks, tmp_path, oml10, le3):
-    # no process pool anywhere; at --jobs 2 law scans may fork, induction and
-    # extension never do; at --jobs 1 nothing forks
+    # no process pool anywhere; at --jobs 2 the law scans, which induction,
+    # classify and extension run on too, may fork; at --jobs 1 nothing forks
     def refuse(*args, **kwargs):
         raise AssertionError("a process pool was started below the id-path cap")
 
@@ -405,8 +400,12 @@ def test_below_the_cap_only_law_scans_fork(monkeypatch, capsys, forks, tmp_path,
     lattice_file = tmp_path / "oml10.lattice"
     lattice_file.write_text(LATTICE_TEXTS["oml10"], encoding="utf-8")
     for command in ("induce", "classify"):
+        printed = []
         for jobs in ("2", "1"):
+            forks.clear()
             argv = [command, "--lattice", str(lattice_file), "--ops", "example2", "--jobs", jobs]
             assert cli.main(argv) == 0
-    assert "not-frame-inducible" in capsys.readouterr().out
-    assert not forks
+            printed.append(capsys.readouterr().out)
+            assert set(forks) <= ({"omtense.laws"} if jobs == "2" else set())
+        assert printed[0] == printed[1]
+    assert "not-frame-inducible" in printed[1]

@@ -3,6 +3,7 @@ import pytest
 from omtense import OperatorQuadruple
 from omtense.laws import (
     App,
+    At,
     ConstProp,
     Join,
     Law,
@@ -16,6 +17,7 @@ from omtense.laws import (
     eval_trace,
     render,
 )
+from omtense.tense import proposition_block
 from omtense.report import EXHAUSTIVE, FAIL, ONE_SIDED, PASS, SAMPLED
 
 P_OF_Q = App("P", PVar("q"))
@@ -136,3 +138,38 @@ def test_build_witness_and_trace(cube2, le2):
     got = eval_trace(P_OF_Q, cube2, {"q": (1, 0)}, le2.n, ops, {}, trace)
     assert got == (1, 1)
     assert trace == [("P(q)", (1, 1))]  # leaves stay out of the trace
+
+
+def test_point_projections(cube2, le3):
+    # q(s) <= P(q)(t) for one pair (s, t) per check; the first failing q in
+    # odometer order, found by a plain loop, is the witness
+    ops = OperatorQuadruple.from_frame(cube2, le3).as_dict()
+    q = PVar("q")
+    props = [tuple(int(x) for x in row) for row in proposition_block(cube2, 3, 0, cube2.n ** 3)]
+    for s in range(3):
+        for t in range(3):
+            law = Law("at", "leq", At(q, s), At(P_OF_Q, t), ("q",))
+            assert law.describe() == f"q({s}) <= P(q)({t})"
+            outcome = check_law(law, cube2, 3, ops)
+            misses = [i for i, row in enumerate(props)
+                      if not cube2.leq[row[s], ops["P"](row)[t]]]
+            if not misses:
+                assert outcome.verdict == PASS and outcome.index is None
+                continue
+            assert outcome.verdict == FAIL and outcome.index == misses[0]
+            assert outcome.witness_env == {"q": props[misses[0]]}
+            trace = []
+            value = eval_trace(law.lhs, cube2, outcome.witness_env, 3, ops, {}, trace)
+            assert value == (props[misses[0]][s],) * 3 and trace[-1][0] == f"q({s})"
+
+
+@pytest.mark.parametrize("law", [
+    Law("eq", "eq", At(PVar("q"), 0), At(PVar("q"), 1), ("q",)),
+    Law("one-side", "leq", At(PVar("q"), 0), PVar("q"), ("q",)),
+    Law("nested", "leq", App("P", At(PVar("q"), 0)), PVar("q"), ("q",)),
+    Law("guard", "leq", PVar("q"), PVar("q"), ("q",), guard=(At(PVar("q"), 0), At(PVar("q"), 1))),
+], ids=lambda law: law.id)
+def test_point_projection_only_as_a_side_of_an_order_check(cube2, le2, law):
+    ops = OperatorQuadruple.from_frame(cube2, le2).as_dict()
+    with pytest.raises(TypeError, match="At"):
+        check_law(law, cube2, 2, ops)

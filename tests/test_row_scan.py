@@ -51,7 +51,8 @@ def _reference(law, lattice, n_points, ops, cap, seed=DEFAULT_SEED):
             continue
         ok = _holds(lattice, law, env, n_points, ops, (law.lhs, law.rhs))
         if not all(ok):
-            return LawOutcome(FAIL, SAMPLED, cap, witness_env=env, witness_point=ok.index(False))
+            return LawOutcome(FAIL, SAMPLED, cap, witness_env=env, witness_point=ok.index(False),
+                              index=k)
     return LawOutcome(ONE_SIDED, SAMPLED, cap)
 
 

@@ -27,12 +27,9 @@ from omtense import (
     ops_equal,
     parse_props,
     partition_ranges,
-    pointwise_complement,
-    prop_leq,
     proposition_block,
     proposition_count,
     sampled_block,
-    strict_points,
 )
 from omtense.fixtures import LATTICE_TEXTS, builtin_frame, builtin_lattice
 from omtense.frames import TimeFrame
@@ -86,9 +83,9 @@ def test_dynamic_pair_inequalities_are_strict_somewhere(oml10, le5, pq, prop_nam
     pg, gp = quad.P(quad.G(q)), quad.G(quad.P(q))
     fh, hf = quad.F(quad.H(q)), quad.H(quad.F(q))
     for lo, hi in ((pg, q), (q, gp), (fh, q), (q, hf)):
-        assert prop_leq(oml10, lo, hi)
-    assert strict_points(oml10, pg, q)
-    assert strict_points(oml10, q, gp)
+        assert all(oml10.leq[x, y] for x, y in zip(lo, hi, strict=True))
+    assert pg != q
+    assert q != gp
 
 
 def _join2(lat):
@@ -230,9 +227,9 @@ def test_duality_through_complement(oml10, le5):
     block = sampled_block(oml10, le5.n, 100, seed=11)
     for row in block:
         q = tuple(int(x) for x in row)
-        qc = pointwise_complement(oml10, q)
-        assert quad.H(q) == pointwise_complement(oml10, quad.P(qc))
-        assert quad.G(q) == pointwise_complement(oml10, quad.F(qc))
+        qc = tuple(oml10.orthocomplement(x) for x in q)
+        assert quad.H(q) == tuple(oml10.orthocomplement(x) for x in quad.P(qc))
+        assert quad.G(q) == tuple(oml10.orthocomplement(x) for x in quad.F(qc))
 
 
 def test_empty_join_and_meet_convention(oml10, nonserial2):
