@@ -23,6 +23,7 @@ from .errors import (
     OrthoViolation,
     ParseError,
     TabulatedMiss,
+    TooBigForMemory,
     UnknownDemo,
     UnknownTimePoint,
 )

@@ -3,7 +3,8 @@
 Subcommands: check-lattice, eval, sasaki-table, induce, classify, roundtrip,
 extend, verify, demo. All output is deterministic; errors go to stderr with
 an `error:` prefix. Exit codes: 0 success (including skipped and one-sided
-verdicts), 1 verification or lattice-law failure, 2 usage or parse error.
+verdicts), 1 verification or lattice-law failure, 2 usage or parse error
+or an input whose arrays would not fit in physical memory.
 The default proposition budget comes from OMT_BUDGET when set.
 """
 
@@ -19,6 +20,7 @@ from .errors import (
     InvalidSpec,
     OmtError,
     ParseError,
+    TooBigForMemory,
     UnknownDemo,
     UnknownTimePoint,
 )
@@ -455,7 +457,7 @@ def main(argv=None) -> int:
         if getattr(args, "jobs", 1) < 1:
             raise InvalidSpec(f"--jobs must be a positive integer, got {args.jobs}")
         return args.fn(args)
-    except (ParseError, InvalidSpec, UnknownDemo, UnknownTimePoint) as exc:
+    except (ParseError, InvalidSpec, TooBigForMemory, UnknownDemo, UnknownTimePoint) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -86,6 +86,14 @@ class BudgetExceeded(OmtError):
         super().__init__(message)
 
 
+class TooBigForMemory(OmtError):
+    """An array would hold more bytes than the machine has physical memory."""
+
+    def __init__(self, message: str, nbytes: int):
+        self.nbytes = nbytes
+        super().__init__(message)
+
+
 class NotAFailure(OmtError):
     """replay_witness was handed a report whose verdict is not 'fail'."""
 

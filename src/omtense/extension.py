@@ -40,18 +40,16 @@ from .report import (
 from .induction import InducedRelationReport, induce_R1, induce_R2
 from .tense import (
     DEFAULT_SEED,
-    ID_DTYPE,
+    ID_CHUNK,
     FrameInduced,
     Prop,
     TenseOperator,
     all_props,
     encode_props,
+    new_id_map,
     resolve_budget,
 )
 from .tense import proposition_block, sampled_block  # noqa: F401  perfbench/tracing.py hooks them
-
-# extended rows per step of RestrictedBar's id map: 3|T| intp columns each
-_BAR_CHUNK = 1 << 16
 
 PAST = "past"
 BASE = "base"
@@ -140,15 +138,15 @@ class RestrictedBar(TenseOperator):
 
     def _build_id_map(self) -> np.ndarray:
         # A(q) and B(q) come off the given operators' id maps; only the bar
-        # operator is applied to all propositions, to extended rows built as
-        # Fortran-ordered intp, whose transposed columns FrameInduced.apply_batch
-        # reads without a copy
+        # operator is applied to all propositions, ID_CHUNK at a time, to
+        # extended rows built as Fortran-ordered intp, whose transposed
+        # columns FrameInduced.apply_batch reads without a copy
         n = self.n_points
-        props = all_props(self.lattice, n)
         maps = (self.a.id_map(), self.b.id_map())
-        out = np.empty(len(props), dtype=ID_DTYPE)
-        for lo in range(0, len(props), _BAR_CHUNK):
-            hi = min(lo + _BAR_CHUNK, len(props))
+        out = new_id_map(len(maps[0]))
+        props = all_props(self.lattice, n)
+        for lo in range(0, len(props), ID_CHUNK):
+            hi = min(lo + ID_CHUNK, len(props))
             qbar = np.empty((hi - lo, 3 * n), dtype=np.intp, order="F")
             qbar[:, :n] = props.take(maps[0][lo:hi], axis=0)
             qbar[:, n:2 * n] = props[lo:hi]

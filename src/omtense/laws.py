@@ -58,9 +58,9 @@ from .sasaki import (
     sasaki_imp_batch,
 )
 from .tense import (
-    DEFAULT_CHUNK,
     DEFAULT_PAIR_BUDGET,
     DEFAULT_SEED,
+    ID_CHUNK,
     ID_DTYPE,
     ID_PATH_MAX,
     Prop,
@@ -68,9 +68,11 @@ from .tense import (
     decode_props,
     encode_props,
     enumeration_order,
+    id_dtype,
     partition_ranges,
     proposition_block,
     proposition_count,
+    require_memory,
     resolve_budget,
     rows_id_map,
     sampled_block,
@@ -239,10 +241,6 @@ class LawOutcome:
 
 # -- the id core ----------------------------------------------------------
 
-# ids (or id pairs) per batch; keeps every temporary cache-sized. On oml10
-# x le3 and le5, 24576 scans as fast as 2^15 with a lower peak RSS, and 2^14
-# and 2^16 scan slower
-ID_CHUNK = 24576
 # entries per block table: (|L|^k)^2 for blocks of k points
 BLOCK_TABLE_ENTRIES = 1 << 15
 
@@ -332,7 +330,7 @@ class IdAlgebra:
 
     def from_rows(self, rows):
         """The values of these propositions, given as element rows."""
-        return encode_props(self.lattice, rows).astype(ID_DTYPE)
+        return encode_props(self.lattice, rows)
 
     def rows(self, values):
         """The element rows of these values."""
@@ -345,8 +343,7 @@ class IdAlgebra:
     def complement_map(self) -> np.ndarray:
         if self._comp is None:
             comp = _comp_table(self.lattice)
-            self._comp = rows_id_map(self.lattice, self.n_points,
-                                     lambda rows: comp[rows]).astype(ID_DTYPE)
+            self._comp = rows_id_map(self.lattice, self.n_points, lambda rows: comp[rows])
         return self._comp
 
     def complementer(self):
@@ -977,15 +974,21 @@ def _collect(pid: int, fd: int, size: int) -> list[int] | None:
 
 
 def _stratified_pairs(count: int, cap: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """One uniform draw from each of cap near-equal strata of the p-major pair space."""
-    total = count * count
-    q, r = divmod(total, cap)
-    i = np.arange(cap, dtype=np.int64)
-    starts = i * q + np.minimum(i, r)
-    widths = q + (i < r)
+    """One uniform draw from each of cap near-equal strata of the p-major
+    pair space, as (p ids, q ids): ID_DTYPE columns while count <= 2^31 and
+    int64 past that. Drawn ID_CHUNK strata at a time from one generator,
+    which yields the same pairs as drawing all cap at once."""
+    q, r = divmod(count * count, cap)
+    dtype = id_dtype(count)
+    require_memory((2, cap), dtype, f"a draw of {cap} pairs")
+    columns = np.empty((2, cap), dtype=dtype)
     rng = np.random.default_rng(seed)
-    ks = starts + rng.integers(0, widths)
-    return ks // count, ks % count
+    for lo in range(0, cap, ID_CHUNK):
+        hi = min(lo + ID_CHUNK, cap)
+        i = np.arange(lo, hi, dtype=np.int64)
+        ks = i * q + np.minimum(i, r) + rng.integers(0, q + (i < r))
+        np.divmod(ks, count, out=(columns[0, lo:hi], columns[1, lo:hi]))
+    return columns[0], columns[1]
 
 
 @functools.lru_cache(maxsize=1)
@@ -993,7 +996,7 @@ def _pair_draw_ids(count: int, cap: int, seed: int) -> tuple[np.ndarray, np.ndar
     """_stratified_pairs as read-only ID_DTYPE columns, drawn once for all the
     pair laws of a run (the draw depends on nothing else). count must be at
     most 2^31 so that ids fit ID_DTYPE."""
-    columns = tuple(side.astype(ID_DTYPE) for side in _stratified_pairs(count, cap, seed))
+    columns = _stratified_pairs(count, cap, seed)
     for col in columns:
         col.flags.writeable = False
     return columns
@@ -1026,7 +1029,7 @@ def _outcome(law: Law, lattice: Oml, n_points: int, ops: dict[str, TenseOperator
 
 def check_laws(cases, lattice: Oml, n_points: int, *, budget: int | None = None,
                pair_budget: int = DEFAULT_PAIR_BUDGET, seed: int = DEFAULT_SEED,
-               jobs: int = 1, chunk: int = DEFAULT_CHUNK) -> list[LawOutcome]:
+               jobs: int = 1, chunk: int = ID_CHUNK) -> list[LawOutcome]:
     """Quantify each (law, ops) case over all (or sampled) propositions.
 
     Each outcome is what the case gets when checked alone. The cases of one
@@ -1074,7 +1077,7 @@ def check_laws(cases, lattice: Oml, n_points: int, *, budget: int | None = None,
 def check_law(law: Law, lattice: Oml, n_points: int, ops: dict[str, TenseOperator], *,
               budget: int | None = None, pair_budget: int = DEFAULT_PAIR_BUDGET,
               seed: int = DEFAULT_SEED, jobs: int = 1,
-              chunk: int = DEFAULT_CHUNK) -> LawOutcome:
+              chunk: int = ID_CHUNK) -> LawOutcome:
     """check_laws on the one case (law, ops)."""
     return check_laws([(law, ops)], lattice, n_points, budget=budget, pair_budget=pair_budget,
                       seed=seed, jobs=jobs, chunk=chunk)[0]

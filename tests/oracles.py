@@ -3,10 +3,14 @@
 Everything here favours the most literal reading of a definition over
 speed: plain Python loops, no numpy, no code shared with omtense. When a
 test compares a computed table against one of these, the two sides reach
-the value by different routes.
+the value by different routes. The exception are the seeded draws at the
+end, which numpy's generator defines: they are the one-shot formulas, each
+drawing all its values in one call.
 """
 
 from itertools import product
+
+import numpy as np
 
 
 def closure_from_covers(n, covers):
@@ -170,3 +174,28 @@ def boolean_cube_covers(k):
 
 def subset_leq(mask_a, mask_b):
     return (mask_a & mask_b) == mask_a
+
+
+def decode_id(index, n_elements, n_points):
+    """The odometer digits of one id, most significant (point 0) first."""
+    digits = []
+    for _ in range(n_points):
+        index, digit = divmod(index, n_elements)
+        digits.append(digit)
+    return tuple(digits[::-1])
+
+
+def stratified_pairs(count, cap, seed):
+    """One uniform draw from each of cap near-equal strata of the count^2
+    pair indices, p-major, all drawn at once; as (p ids, q ids) in int64."""
+    q, r = divmod(count * count, cap)
+    i = np.arange(cap, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    ks = i * q + np.minimum(i, r) + rng.integers(0, q + (i < r))
+    return ks // count, ks % count
+
+
+def uniform_digits(n_elements, n_points, count, seed):
+    """count uniformly drawn digit rows over n_points, all drawn at once."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, n_elements, size=(count, n_points))
