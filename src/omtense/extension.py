@@ -13,8 +13,9 @@ Each side is the law Abar|T(q) = A(q) over the original points, where
 Abar|T is the extended frame's operator read on the original points after
 extending q (RestrictedBar). Both sides are cases of one laws.check_laws
 scan, so each reports its own first failure. The id map of Abar|T takes
-A(q) and B(q) from the given operators' id maps and applies only the bar
-operator, on 3|T| points, to all propositions.
+the copies it reads, A(q) or B(q), from the given operator's id map and
+applies only the bar operator, at the |T| base points, to all
+propositions.
 """
 
 from __future__ import annotations
@@ -111,7 +112,13 @@ def extend_prop_HG(lattice: Oml, q: Prop, H: TenseOperator, G: TenseOperator) ->
 @dataclass(frozen=True, eq=False)
 class RestrictedBar(TenseOperator):
     """q -> bar(ext(q)) on the base points, where ext(q) = A(q) + q + B(q)
-    places A(q) on the past copies and B(q) on the future ones."""
+    places A(q) on the past copies and B(q) on the future ones.
+
+    In batch the bar operator is computed at the base points only, which
+    read the base points and one zone of copies: the past copies for P and
+    H, the future ones for F and G. So only that zone of ext(q) is filled,
+    from A(q) or B(q), and the other operator is not applied.
+    """
 
     bar: FrameInduced
     a: TenseOperator
@@ -131,27 +138,30 @@ class RestrictedBar(TenseOperator):
     def __call__(self, q: Prop) -> Prop:
         return tuple(self.bar(self.extend(q))[self.n_points:2 * self.n_points])
 
+    def _restricted(self, batch: np.ndarray, values) -> np.ndarray:
+        """bar(ext(q)) at the base points for each row q of batch, where
+        values(op) gives op on the batch. Of ext(q), built Fortran-ordered in
+        batch's dtype, only the zones the base points read are filled."""
+        n = self.n_points
+        reads = {t // n for s in range(n, 2 * n) for t in self.bar.sources(s)}
+        qbar = np.zeros((len(batch), 3 * n), dtype=batch.dtype, order="F")
+        for zone in sorted(reads):  # 0 past, 1 base, 2 future
+            qbar[:, zone * n:(zone + 1) * n] = (
+                batch if zone == 1 else values(self.a if zone == 0 else self.b))
+        return self.bar.apply_batch(qbar, range(n, 2 * n))
+
     def apply_batch(self, batch: np.ndarray) -> np.ndarray:
-        qbar = np.concatenate([self.a.apply_batch(batch), batch, self.b.apply_batch(batch)],
-                              axis=-1)
-        return self.bar.apply_batch(qbar)[:, self.n_points:2 * self.n_points]
+        return self._restricted(batch, lambda op: op.apply_batch(batch))
 
     def _build_id_map(self) -> np.ndarray:
-        # A(q) and B(q) come off the given operators' id maps; only the bar
-        # operator is applied to all propositions, ID_CHUNK at a time, to
-        # extended rows built as Fortran-ordered intp, whose transposed
-        # columns FrameInduced.apply_batch reads without a copy
-        n = self.n_points
-        maps = (self.a.id_map(), self.b.id_map())
-        out = new_id_map(len(maps[0]))
-        props = all_props(self.lattice, n)
+        # A(q) or B(q) comes off the given operator's id map; only the bar
+        # operator is applied to all propositions, ID_CHUNK at a time
+        props = all_props(self.lattice, self.n_points)
+        out = new_id_map(len(props))
         for lo in range(0, len(props), ID_CHUNK):
             hi = min(lo + ID_CHUNK, len(props))
-            qbar = np.empty((hi - lo, 3 * n), dtype=np.intp, order="F")
-            qbar[:, :n] = props.take(maps[0][lo:hi], axis=0)
-            qbar[:, n:2 * n] = props[lo:hi]
-            qbar[:, 2 * n:] = props.take(maps[1][lo:hi], axis=0)
-            out[lo:hi] = encode_props(self.lattice, self.bar.apply_batch(qbar)[:, n:2 * n])
+            out[lo:hi] = encode_props(self.lattice, self._restricted(
+                props[lo:hi], lambda op: props.take(op.id_map()[lo:hi], axis=0)))
         return out
 
 

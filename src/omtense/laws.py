@@ -76,6 +76,7 @@ from .tense import (
     resolve_budget,
     rows_id_map,
     sampled_block,
+    sampled_ids,
 )
 
 
@@ -336,6 +337,10 @@ class IdAlgebra:
         """The element rows of these values."""
         return decode_props(self.lattice, self.n_points, values)
 
+    def sampled(self, count: int, seed: int):
+        """The values of count uniformly drawn propositions."""
+        return sampled_ids(self.lattice, self.n_points, count, seed)
+
     def constant(self, which: str):
         value = self.lattice.bottom if which == "bottom" else self.lattice.top
         return self.from_rows(np.full(self.n_points, value, dtype=INDEX_DTYPE))
@@ -465,6 +470,9 @@ class RowAlgebra(IdAlgebra):
 
     def rows(self, values):
         return values
+
+    def sampled(self, count: int, seed: int):
+        return sampled_block(self.lattice, self.n_points, count, seed)
 
     def complementer(self):
         return _comp_table(self.lattice).take
@@ -821,23 +829,27 @@ def _exhaustive_batches(core: IdAlgebra, arity: int, count: int, step: int,
         yield lo * count, (core.column(lo, hi)[:, None], right), (hi - lo, count)
 
 
-def _draws(core: IdAlgebra, arity: int, count: int, cap: int, seed: int) -> tuple:
-    """cap sampled bindings as columns of the core's values: uniform draws of
-    propositions (seed), pairs stratified over the pair-index space while
-    their ids fit ID_DTYPE (N <= 2^31), and past that independent uniform
-    draws per side (seed, seed + 1)."""
+def _draws(core: IdAlgebra, arity: int, count: int, cap: int, seed: int):
+    """cap sampled bindings, as a function of (lo, hi) that gives bindings
+    lo..hi-1 as one column of the core's values per variable: uniform draws
+    of propositions (seed), pairs stratified over the pair-index space while
+    their ids fit ID_DTYPE (N <= 2^31), derived per call from the draw's
+    offsets (_pair_offsets), and past that independent uniform draws per
+    side (seed, seed + 1). Uniform draws are held whole."""
     if arity == 2 and count <= 2 ** 31:
-        return tuple(core.from_ids(side) for side in _pair_draw_ids(count, cap, seed))
-    return tuple(core.from_rows(sampled_block(core.lattice, core.n_points, cap, seed + k))
-                 for k in range(arity))
+        offsets = _pair_offsets(count, cap, seed)
+        return lambda lo, hi: tuple(core.from_ids(side)
+                                    for side in _pairs_at(count, offsets, lo, hi))
+    columns = tuple(core.sampled(cap, seed + k) for k in range(arity))
+    return lambda lo, hi: tuple(column[lo:hi] for column in columns)
 
 
-def _draw_batches(columns, step: int, part: slice = slice(None)):
-    """Sampled bindings in draw order; part picks a contiguous range of the batches."""
-    total = len(columns[0])
+def _draw_batches(draw, total: int, step: int, part: slice = slice(None)):
+    """The total sampled bindings of draw in draw order; part picks a
+    contiguous range of the batches."""
     for lo in range(0, total, step)[part]:
         hi = min(lo + step, total)
-        yield lo, tuple(col[lo:hi] for col in columns), (hi - lo,)
+        yield lo, draw(lo, hi), (hi - lo,)
 
 
 # what the last split scan in this process cost beyond its calling process's
@@ -932,8 +944,10 @@ def _fork_scan(subterms: _Subterms, batches, bad: list[int], cpu: int | None,
     """(pid, read end of its pipe) of a child that scans batches from bad,
     writes the first failing indices as int64 and exits.
 
-    The child binds itself to the k-th allowed CPU other than cpu, the one
-    the calling process runs on: a scheduler that does not balance load
+    The child points its fds 0-2 at os.devnull first: it reports only
+    through its pipe, so it never holds its parent's stdin, stdout or stderr
+    open. It then binds itself to the k-th allowed CPU other than cpu, the
+    one the calling process runs on: a scheduler that does not balance load
     across CPUs would otherwise keep it on its parent's CPU.
     """
     read, write = os.pipe()
@@ -941,6 +955,11 @@ def _fork_scan(subterms: _Subterms, batches, bad: list[int], cpu: int | None,
     if pid == 0:
         status = 1
         try:
+            null = os.open(os.devnull, os.O_RDWR)
+            for fd in (0, 1, 2):
+                os.dup2(null, fd)
+            if null > 2:
+                os.close(null)
             os.close(read)
             if cpu is not None and hasattr(os, "sched_setaffinity"):
                 others = sorted(os.sched_getaffinity(0) - {cpu})
@@ -973,33 +992,45 @@ def _collect(pid: int, fd: int, size: int) -> list[int] | None:
     return np.frombuffer(data, dtype=np.int64).tolist()
 
 
-def _stratified_pairs(count: int, cap: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """One uniform draw from each of cap near-equal strata of the p-major
-    pair space, as (p ids, q ids): ID_DTYPE columns while count <= 2^31 and
-    int64 past that. Drawn ID_CHUNK strata at a time from one generator,
-    which yields the same pairs as drawing all cap at once."""
-    q, r = divmod(count * count, cap)
-    dtype = id_dtype(count)
-    require_memory((2, cap), dtype, f"a draw of {cap} pairs")
-    columns = np.empty((2, cap), dtype=dtype)
+@functools.lru_cache(maxsize=1)
+def _pair_offsets(count: int, cap: int, seed: int) -> np.ndarray:
+    """The stratified pair draw: one uniform draw from each of cap near-equal
+    strata of the p-major pair space, kept as each pair's offset into its
+    stratum (_pairs_at derives the pairs). Read-only, in the narrowest
+    unsigned dtype that holds the stratum width, and drawn once for all the
+    pair laws of a run (the draw depends on nothing else). Drawn ID_CHUNK
+    strata at a time from one generator, which yields the same offsets as
+    drawing all cap at once."""
+    width, r = divmod(count * count, cap)
+    dtype = np.min_scalar_type(width)
+    require_memory(cap, dtype, f"a draw of {cap} pairs")
+    offsets = np.empty(cap, dtype=dtype)
     rng = np.random.default_rng(seed)
     for lo in range(0, cap, ID_CHUNK):
         hi = min(lo + ID_CHUNK, cap)
-        i = np.arange(lo, hi, dtype=np.int64)
-        ks = i * q + np.minimum(i, r) + rng.integers(0, q + (i < r))
-        np.divmod(ks, count, out=(columns[0, lo:hi], columns[1, lo:hi]))
-    return columns[0], columns[1]
+        offsets[lo:hi] = rng.integers(0, width + (np.arange(lo, hi, dtype=np.int64) < r))
+    offsets.flags.writeable = False
+    return offsets
 
 
-@functools.lru_cache(maxsize=1)
-def _pair_draw_ids(count: int, cap: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """_stratified_pairs as read-only ID_DTYPE columns, drawn once for all the
-    pair laws of a run (the draw depends on nothing else). count must be at
-    most 2^31 so that ids fit ID_DTYPE."""
-    columns = _stratified_pairs(count, cap, seed)
-    for col in columns:
-        col.flags.writeable = False
-    return columns
+def _pairs_at(count: int, offsets: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(p ids, q ids) of the pairs lo..hi-1 of the draw with these offsets:
+    pair i is divmod(k_i, count) at k_i = i * width + min(i, r) + offsets[i],
+    where width, r = divmod(count^2, cap). ID_DTYPE columns while
+    count <= 2^31 and int64 past that."""
+    width, r = divmod(count * count, len(offsets))
+    ks = np.arange(lo * width, hi * width, width, dtype=np.int64)
+    if r:
+        ks += np.minimum(np.arange(lo, hi, dtype=np.int64), r)
+    np.add(ks, offsets[lo:hi], out=ks, dtype=np.int64)
+    # a floor division by a scalar and a subtraction run in about half the
+    # time of np.divmod
+    p, q = np.empty((2, hi - lo), dtype=id_dtype(count))
+    whole = ks // count
+    p[:] = whole
+    whole *= count
+    np.subtract(ks, whole, out=q, casting="same_kind")
+    return p, q
 
 
 def _failing_point(law: Law, lattice: Oml, env: dict[str, Prop], n_points: int,
@@ -1047,19 +1078,19 @@ def check_laws(cases, lattice: Oml, n_points: int, *, budget: int | None = None,
     for i, (law, _) in enumerate(cases):
         by_arity.setdefault(len(law.vars), []).append(i)
     outcomes: list[LawOutcome | None] = [None] * len(cases)
-    # pairs first: a pair draw, the largest transient, then comes before any
-    # id map a unary or closed law would build
+    # pairs first: the pair draw's offsets are drawn before any id map a
+    # unary or closed law would build
     for arity, members in sorted(by_arity.items(), reverse=True):
         space, cap = _space(arity, count, budget, pair_budget)
         exhaustive = space <= cap
         if exhaustive:
-            columns = None
+            draw = None
             batches = functools.partial(_exhaustive_batches, core, arity, count, step)
             n_batches = len(_exhaustive_starts(arity, count, step))
         else:
-            columns = _draws(core, arity, count, cap, seed)
-            batches = functools.partial(_draw_batches, columns, step)
-            n_batches = len(range(0, len(columns[0]), step))
+            draw = _draws(core, arity, count, cap, seed)
+            batches = functools.partial(_draw_batches, draw, cap, step)
+            n_batches = len(range(0, cap, step))
         subterms = _Subterms(core, [cases[i] for i in members])
         bads = _split_scan(subterms, batches, n_batches, jobs)
         for i, bad in zip(members, bads):
@@ -1068,7 +1099,7 @@ def check_laws(cases, lattice: Oml, n_points: int, *, budget: int | None = None,
             if bad >= 0 and exhaustive:
                 rows = [decode_props(lattice, n_points, x) for x in _bound_ids(bad, count, arity)]
             elif bad >= 0:
-                rows = [core.rows(column[bad]) for column in columns]
+                rows = [core.rows(column[0]) for column in draw(bad, bad + 1)]
             outcomes[i] = _outcome(law, lattice, n_points, ops, exhaustive,
                                    space if exhaustive else cap, bad, rows)
     return outcomes

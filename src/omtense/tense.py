@@ -30,8 +30,9 @@ weakly by the lattice and live outside it, so a pickled lattice carries
 neither.
 
 Every array that grows with the proposition count or the sample size (an id
-map, a sampled draw, laws' pair draw) is filled in place, ID_CHUNK rows at a
-time, so that no temporary grows with it. Before it is allocated,
+map, a sampled draw, the offsets of laws' pair draw) is filled in place,
+ID_CHUNK rows at a time, so that no temporary grows with it; laws derive the
+pairs themselves from the offsets one batch at a time. Before it is allocated,
 require_memory compares its bytes with the machine's physical memory and
 raises TooBigForMemory when it could not fit.
 """
@@ -198,25 +199,39 @@ class FrameInduced(TenseOperator):
     def __call__(self, q: Prop) -> Prop:
         return _FRAME_EVAL[self.which](self.lattice, self.frame, q)
 
-    def apply_batch(self, batch: np.ndarray) -> np.ndarray:
-        lattice = self.lattice
+    def sources(self, s: int) -> tuple[int, ...]:
+        """The points whose values this operator folds into its value at s."""
+        return (self.frame.preds if self.which in ("P", "H") else self.frame.succs)[s]
+
+    def apply_batch(self, batch: np.ndarray, points=None) -> np.ndarray:
+        """The operator on each row of batch: at every point, or at just the
+        given points, one result column each in that order. Only the columns
+        that those points read are read, each cast to intp as it is used,
+        from batch in Fortran order (a copy in batch's dtype unless it
+        already is), so that every column read is contiguous."""
+        n = self.lattice.n
         joinlike = self.which in ("P", "F")
         # table[x, y] is flat[x * n + y]: one gather on intp indices runs
         # several times faster than fancy indexing the 2-D int16 table
-        table = lattice.join_table if joinlike else lattice.meet_table
+        table = self.lattice.join_table if joinlike else self.lattice.meet_table
         flat = table.ravel().astype(np.intp)
-        unit = lattice.bottom if joinlike else lattice.top
-        sources = self.frame.preds if self.which in ("P", "H") else self.frame.succs
-        columns = np.ascontiguousarray(batch.T, dtype=np.intp)
-        out = np.empty_like(batch)
-        for s, points in enumerate(sources):
-            if not points:  # the empty join is the bottom, the empty meet the top
-                out[:, s] = unit
+        unit = self.lattice.bottom if joinlike else self.lattice.top
+        points = range(self.frame.n) if points is None else points
+        out = np.empty((len(batch), len(points)), dtype=batch.dtype)
+        batch = np.asfortranarray(batch)
+        for k, s in enumerate(points):
+            reads = self.sources(s)
+            if not reads:  # the empty join is the bottom, the empty meet the top
+                out[:, k] = unit
                 continue
-            acc = columns[points[0]]
-            for t in points[1:]:
-                acc = flat.take(acc * lattice.n + columns[t])
-            out[:, s] = acc
+            # widened before the first multiply: past 181 elements x * n
+            # overflows the int16 columns
+            acc = batch[:, reads[0]].astype(np.intp)
+            for t in reads[1:]:
+                acc *= n
+                acc += batch[:, t]
+                acc = flat.take(acc)
+            out[:, k] = acc
         return out
 
     def _build_id_map(self) -> np.ndarray:
@@ -457,20 +472,40 @@ def partition_ranges(total: int, k: int) -> list[tuple[int, int]]:
     return [(bounds[i], bounds[i + 1]) for i in range(k) if bounds[i] < bounds[i + 1]]
 
 
-def sampled_block(lattice: Oml, n_points: int, count: int, seed: int) -> np.ndarray:
-    """Uniformly drawn propositions (with repetition) for one-sided checks.
-
-    Drawn ID_CHUNK rows at a time from one generator, which yields the same
-    rows as drawing all count at once.
-    """
-    require_memory((count, n_points), INDEX_DTYPE, f"a draw of {count} propositions")
+def _draw_into(out: np.ndarray, n_elements: int, n_points: int, seed: int, fill) -> np.ndarray:
+    """out filled with len(out) uniformly drawn propositions: fill(out
+    slice, digit rows) per slice of ID_CHUNK rows, drawn from one generator,
+    which yields the same rows as drawing all at once."""
     rng = np.random.default_rng(seed)
-    order = enumeration_order(lattice)
-    out = np.empty((count, n_points), dtype=INDEX_DTYPE)
-    for lo in range(0, count, ID_CHUNK):
-        hi = min(lo + ID_CHUNK, count)
-        out[lo:hi] = order[rng.integers(0, lattice.n, size=(hi - lo, n_points))]
+    for lo in range(0, len(out), ID_CHUNK):
+        hi = min(lo + ID_CHUNK, len(out))
+        fill(out[lo:hi], rng.integers(0, n_elements, size=(hi - lo, n_points)))
     return out
+
+
+def sampled_block(lattice: Oml, n_points: int, count: int, seed: int) -> np.ndarray:
+    """Uniformly drawn propositions (with repetition) for one-sided checks."""
+    require_memory((count, n_points), INDEX_DTYPE, f"a draw of {count} propositions")
+    order = enumeration_order(lattice)
+
+    def fill(rows, digits):
+        rows[:] = order[digits]
+    return _draw_into(np.empty((count, n_points), dtype=INDEX_DTYPE), lattice.n, n_points,
+                      seed, fill)
+
+
+def sampled_ids(lattice: Oml, n_points: int, count: int, seed: int) -> np.ndarray:
+    """The ids of sampled_block's propositions, each slice of digits encoded
+    as it is drawn."""
+    dtype = id_dtype(lattice.n ** n_points)
+    require_memory(count, dtype, f"a draw of {count} propositions")
+
+    def fill(ids, digits):
+        ids[:] = digits[:, 0]
+        for j in range(1, n_points):
+            ids *= lattice.n
+            ids += digits[:, j]
+    return _draw_into(np.empty(count, dtype=dtype), lattice.n, n_points, seed, fill)
 
 
 # -- ordering between operators -------------------------------------------

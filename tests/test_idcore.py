@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import oracles
 from omtense import cli, laws, tense
 from omtense.errors import BudgetExceeded, TabulatedMiss
+from omtense.extension import RestrictedBar, extend_frame
 from omtense.fixtures import FRAME_TEXTS, LATTICE_TEXTS, builtin_frame, builtin_lattice
 from omtense.frames import parse_frame
 from omtense.lattice import build_lattice, parse_lattice
@@ -267,8 +268,8 @@ def test_block_split_covers_wide_frames(chain2, cube2):
     for lattice in (chain2, cube2):
         count = proposition_count(lattice, 9)
         got = check_laws([(law, {}) for law in cases], lattice, 9, pair_budget=cap)
-        a, b = (decode_props(lattice, 9, side)
-                for side in laws._pair_draw_ids(count, cap, DEFAULT_SEED))
+        offsets = laws._pair_offsets(count, cap, DEFAULT_SEED)
+        a, b = (decode_props(lattice, 9, side) for side in laws._pairs_at(count, offsets, 0, cap))
         meet, join = lattice.meet_table[a, b], lattice.join_table[a, b]
         holds = [lattice.leq[meet, a], lattice.leq[a, meet], meet == lattice.meet_table[b, a],
                  join == lattice.meet_table[b, a], lattice.leq[b, lattice.join_table[meet, b]]]
@@ -353,6 +354,32 @@ def _mo_lattice(n):
 
 MO90 = _mo_lattice(90)  # 182 elements: radix 182 > 181, so the core keeps int32
 POINT = parse_frame("frame one\npoints 1\nrel 1>1\n")
+
+
+def test_frame_maps_widen_before_they_index_a_182_element_table():
+    # on MO_90, x * 182 + y passes the int16 range of the proposition rows:
+    # every batch, restricted batch and id map must still agree with the
+    # point-by-point operators, at points that fold two or more sources
+    le2, le3 = builtin_frame("le2"), builtin_frame("le3")
+    assert max(len(p) for p in le3.preds) >= 2 and max(len(s) for s in le3.succs) >= 2
+    block = tense.sampled_block(MO90, le3.n, 300, seed=5)
+    rows = [tuple(int(x) for x in row) for row in block]
+    for which in "PFHG":
+        op = FrameInduced(MO90, le3, which)
+        out = op.apply_batch(block)
+        assert [tuple(int(x) for x in row) for row in out] == [op(q) for q in rows], which
+        assert np.array_equal(op.apply_batch(block, [2, 0]), out[:, [2, 0]]), which
+    ext = extend_frame(le2)
+    props = tense.all_props(MO90, le2.n)
+    sample = props[::97]
+    for which, other in (("P", "F"), ("H", "G")):
+        a, b = FrameInduced(MO90, le2, which), FrameInduced(MO90, le2, other)
+        restricted = RestrictedBar(FrameInduced(MO90, ext.bar, which), a, b)
+        want = [restricted(tuple(int(x) for x in q)) for q in sample]
+        assert [tuple(int(x) for x in row) for row in restricted.apply_batch(sample)] == want
+        assert np.array_equal(restricted.id_map()[::97], encode_props(MO90, np.array(want)))
+        assert np.array_equal(a.id_map()[::97],
+                              encode_props(MO90, np.array([a(tuple(q)) for q in sample])))
 
 
 @settings(max_examples=30, deadline=None)
@@ -697,14 +724,16 @@ def test_instance_keeps_one_frame_quadruple(oml10, le2, le3):
 
 def test_pair_draw_is_memoized_and_read_only():
     count, cap = 1000, 5000
-    columns = laws._pair_draw_ids(count, cap, 3)
-    assert laws._pair_draw_ids(count, cap, 3) is columns
-    for got, want in zip(columns, laws._stratified_pairs(count, cap, 3)):
+    offsets = laws._pair_offsets(count, cap, 3)
+    assert laws._pair_offsets(count, cap, 3) is offsets
+    assert offsets.dtype == np.uint8  # strata of 200 pairs
+    with pytest.raises(ValueError):
+        offsets[0] = 1
+    columns = laws._pairs_at(count, offsets, 0, cap)
+    for got, want in zip(columns, oracles.stratified_pairs(count, cap, 3)):
         assert got.dtype == ID_DTYPE
-        assert np.array_equal(got, want.astype(ID_DTYPE))
-        with pytest.raises(ValueError):
-            got[0] = 1
-    other = laws._pair_draw_ids(count, cap, 4)
+        assert np.array_equal(got, want)
+    other = laws._pairs_at(count, laws._pair_offsets(count, cap, 4), 0, cap)
     assert not np.array_equal(other[0] * count + other[1], columns[0] * count + columns[1])
 
 

@@ -354,10 +354,10 @@ def test_run_all_applies_each_frame_map_once(monkeypatch, le3):
     applied = Counter()
     real = FrameInduced.apply_batch
 
-    def counting(self, batch):
+    def counting(self, batch, *points):
         if len(batch) == count:
             applied[(self.frame.n, self.frame.rel, self.which)] += 1
-        return real(self, batch)
+        return real(self, batch, *points)
 
     monkeypatch.setattr(FrameInduced, "apply_batch", counting)
     run_all(Instance(lattice, frame=le3))

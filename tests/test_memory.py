@@ -61,15 +61,29 @@ def chain_frame(n_points):
 # -- transient peaks ------------------------------------------------------
 
 def test_pair_draw_needs_little_beyond_its_columns():
-    laws._pair_draw_ids.cache_clear()
+    # the draw is held as its offsets, strata of 10^4 pairs in uint16; a scan
+    # derives each batch's pairs from them
+    laws._pair_offsets.__wrapped__(1000, 5000, 1)  # numpy's first draw allocates once
+    laws._pair_offsets.cache_clear()
     try:
-        columns, held, peak = traced(lambda: laws._pair_draw_ids(10 ** 5, 10 ** 6, 1729))
+        offsets, held, peak = traced(lambda: laws._pair_offsets(10 ** 5, 10 ** 6, 1729))
     finally:
-        laws._pair_draw_ids.cache_clear()
-    size = sum(col.nbytes for col in columns)
-    assert size == 8 * 10 ** 6
-    assert held >= size
-    assert peak <= size + 2 * MB
+        laws._pair_offsets.cache_clear()
+    assert offsets.dtype == np.uint16 and offsets.nbytes == 2 * 10 ** 6
+    assert offsets.nbytes <= held <= 2.1 * MB
+    assert peak <= offsets.nbytes + MB
+
+
+def test_unary_id_draw_is_encoded_per_slice(cube2):
+    # cube2 x 10 points: 4^10 propositions, within ID_PATH_MAX, sampled 10^6
+    # times as ids, with no draw of element rows behind them
+    count, cap = 4 ** 10, 10 ** 6
+    tense.sampled_ids(cube2, 10, 10, 1)  # numpy's first draw allocates once
+    draw, held, peak = traced(lambda: laws._draws(laws.IdAlgebra(cube2, 10), 1, count, cap, 1729))
+    (ids,) = draw(0, cap)
+    assert ids.dtype == tense.ID_DTYPE and held >= ids.nbytes
+    assert peak <= 6 * MB
+    assert np.array_equal(ids, encode_props(cube2, sampled_block(cube2, 10, cap, 1729)))
 
 
 def test_uniform_draw_needs_little_beyond_its_rows():
@@ -97,7 +111,7 @@ def test_restricted_bar_id_map_peak():
     quad.P.id_map(), quad.F.id_map()  # held before, as in an extension check
     id_map, _, peak = traced(bar.id_map)
     assert id_map.dtype == tense.ID_DTYPE and len(id_map) == 10 ** 5
-    assert peak <= 8 * MB
+    assert peak <= 2 * MB
 
 
 # -- the same values as one-shot draws ------------------------------------
@@ -113,11 +127,18 @@ def test_restricted_bar_id_map_peak():
     (2 ** 31 + 5, 50000, 3),    # ids past ID_DTYPE: int64 columns
 ])
 def test_stratified_pairs_equal_one_shot_draw(count, cap, seed):
-    got = laws._stratified_pairs(count, cap, seed)
+    # the pairs derived from the offsets, whole and per batch as a scan
+    # derives them, are the one-shot draw's
+    offsets = laws._pair_offsets.__wrapped__(count, cap, seed)
+    assert offsets.dtype == np.min_scalar_type(count * count // cap)
     want = oracles.stratified_pairs(count, cap, seed)
-    assert got[0].dtype == got[1].dtype == (tense.ID_DTYPE if count <= 2 ** 31 else np.int64)
-    for side, reference in zip(got, want):
-        assert np.array_equal(side, reference)
+    for step in (cap, tense.ID_CHUNK, 1000):
+        parts = [laws._pairs_at(count, offsets, lo, min(lo + step, cap))
+                 for lo in range(0, cap, step)]
+        for k, reference in enumerate(want):
+            side = np.concatenate([part[k] for part in parts])
+            assert side.dtype == (tense.ID_DTYPE if count <= 2 ** 31 else np.int64)
+            assert np.array_equal(side, reference)
 
 
 @pytest.mark.parametrize("lattice_text, n_points, count", [
@@ -158,7 +179,7 @@ def small_memory(monkeypatch):
 
 @pytest.mark.parametrize("build", [
     lambda lattice: sampled_block(lattice, 5, 10 ** 6, 1),
-    lambda lattice: laws._stratified_pairs(10 ** 5, 10 ** 6, 1),
+    lambda lattice: laws._pair_offsets.__wrapped__(10 ** 5, 10 ** 6, 1),
     lambda lattice: tense.all_props(lattice, 5),
     lambda lattice: FrameInduced(lattice, fixtures.builtin_frame("le5"), "P").id_map(),
 ], ids=["uniform-draw", "pair-draw", "all-props", "id-map"])

@@ -13,17 +13,18 @@ exhaustive pair space the p row b, and batch b of a draw the draws
 """
 
 import os
+import time
 
 import numpy as np
 import pytest
 
-from omtense import laws, tense
+from omtense import laws, tense, verify
 from omtense.fixtures import FRAME_TEXTS, LATTICE_TEXTS
 from omtense.frames import parse_frame
 from omtense.lattice import build_lattice, parse_lattice
 from omtense.laws import App, ConstProp, IdAlgebra, Join, Law, Meet, Neg, PVar, SAnd, SImp
 from omtense.laws import check_laws
-from omtense.report import FAIL, ONE_SIDED, PASS
+from omtense.report import FAIL, ONE_SIDED, PASS, SAMPLED
 from omtense.tense import (
     DEFAULT_SEED,
     OperatorQuadruple,
@@ -93,7 +94,8 @@ def test_exhaustive_split_takes_the_earliest_range(monkeypatch, forks, oml10, le
 
 def test_sampled_split_takes_the_earliest_range(monkeypatch, forks, oml10, le2):
     count, cap = proposition_count(oml10, le2.n), 9000
-    ps, qs = (col.astype(int) for col in laws._pair_draw_ids(count, cap, DEFAULT_SEED))
+    offsets = laws._pair_offsets(count, cap, DEFAULT_SEED)
+    ps, qs = (col.astype(int) for col in laws._pairs_at(count, offsets, 0, cap))
     # 90 batches of 100 draws; pick draws in the first, a middle and the last range
     picks = {"first": 1005, "middle": 4520, "last": 8950, "early": 150}
     marks = [({ps[d]}, {qs[d]}) for d in picks.values()]
@@ -117,6 +119,43 @@ def test_sampled_split_takes_the_earliest_range(monkeypatch, forks, oml10, le2):
         got = _split(monkeypatch, cases, oml10, le2.n, jobs, pair_budget=cap)
         assert got == want, jobs
         assert forks == ["omtense.laws"] * (jobs - 1)
+
+
+def test_failing_sampled_pair_scan_is_the_same_at_any_jobs(monkeypatch, forks, oml10, le5):
+    # thm6 on oml10 x le5: 10^10 pairs sampled 10^6 times, each batch's pairs
+    # derived from the draw's offsets, in the calling process and in the child
+    quad = OperatorQuadruple.from_frame(oml10, le5)
+    cases = [case for op in quad.as_dict().values() for case in verify._thm6_cases(op)]
+    want = check_laws(cases, oml10, le5.n)
+    assert not forks
+    assert all(o.verdict == FAIL and o.mode == SAMPLED for o in want)
+    assert max(o.index for o in want) > 2 * tense.ID_CHUNK  # past the unsplit batches
+    monkeypatch.setattr(laws, "_split_cost", 0.0)
+    assert check_laws(cases, oml10, le5.n, jobs=2) == want
+    assert forks == ["omtense.laws"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="reads Linux's /proc")
+def test_a_scanning_child_holds_no_standard_stream(oml10, le2):
+    # a child reports through its own pipe only, so fds 0-2 are os.devnull
+    # and it cannot keep its parent's stdout pipe open
+    ready, write = os.pipe()
+
+    def batches():
+        os.write(write, b"x")  # in the child, once it scans
+        time.sleep(60)
+        yield from ()
+
+    subterms = laws._Subterms(IdAlgebra(oml10, le2.n), [(Law("same", "eq", P, P, ("p",)), {})])
+    pid, fd = laws._fork_scan(subterms, batches(), [-1], None, 0)
+    try:
+        os.close(write)  # a child that dies before it scans reads as b""
+        assert os.read(ready, 1) == b"x"
+        links = [os.readlink(f"/proc/{pid}/fd/{k}") for k in (0, 1, 2)]
+    finally:
+        laws._kill(pid, fd)
+        os.close(ready)
+    assert links == [os.devnull] * 3
 
 
 @pytest.mark.parametrize("how", ["exit", "raise"])
