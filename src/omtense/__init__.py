@@ -50,12 +50,7 @@ from .tense import (
     Prop,
     Tabulated,
     TenseOperator,
-    apply,
     compose,
-    eval_F,
-    eval_G,
-    eval_H,
-    eval_P,
     format_prop,
     identity_operator,
     op_leq_counterexample,
@@ -80,7 +75,6 @@ from .induction import (
     InducedRelationReport,
     check_star_inequalities,
     classify_inducibility,
-    indicator_proposition,
     induce_R1,
     induce_R2,
     induce_R3,
@@ -91,8 +85,7 @@ from .extension import (
     check_extension_HG,
     check_extension_PF,
     extend_frame,
-    extend_prop_HG,
-    extend_prop_PF,
+    extend_prop,
 )
 from .report import LawResult, VerifyReport, Witness
 from .verify import (

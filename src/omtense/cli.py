@@ -24,7 +24,7 @@ from .errors import (
     UnknownDemo,
     UnknownTimePoint,
 )
-from .extension import extend_frame, extend_prop_HG, extend_prop_PF
+from .extension import extend_frame, extend_prop
 from .frames import TimeFrame, parse_frame
 from .induction import classify_inducibility, induce_R1, induce_R2, induce_R3, roundtrip_frame
 from .lattice import Oml, build_lattice, check_orthomodular, parse_lattice
@@ -124,6 +124,14 @@ def parse_optable(text: str, lattice: Oml):
     return OperatorQuadruple(**ops), tuple(points)
 
 
+def _sized(frame: TimeFrame, frame_size: int | None) -> TimeFrame:
+    """frame, checked against --frame-size when one is given."""
+    if frame_size is not None and frame_size != frame.n:
+        raise InvalidSpec(f"--frame-size {frame_size} does not match "
+                          f"frame {frame.name!r} with {frame.n} points")
+    return frame
+
+
 def _resolve_ops(spec: str, lattice: Oml, frame_size: int | None):
     """An ops spec is frame:<file>, table:<file> or example2."""
     if spec == "example2":
@@ -134,10 +142,7 @@ def _resolve_ops(spec: str, lattice: Oml, frame_size: int | None):
     if not sep or not arg:
         raise InvalidSpec("ops spec must be frame:<file>, table:<file> or example2")
     if kind == "frame":
-        frame = _load_frame(arg)
-        if frame_size is not None and frame_size != frame.n:
-            raise InvalidSpec(f"--frame-size {frame_size} does not match "
-                              f"frame {frame.name!r} with {frame.n} points")
+        frame = _sized(_load_frame(arg), frame_size)
         return OperatorQuadruple.from_frame(lattice, frame), frame.points
     if kind == "table":
         quad, points = parse_optable(_read(arg), lattice)
@@ -256,35 +261,33 @@ def _cmd_extend(args) -> int:
     lattice = _load_lattice(args.lattice)
     frame = _load_frame(args.frame)
     props = parse_props(_read(args.prop), lattice, frame)
-    ext = extend_frame(frame)
-    inner = OperatorQuadruple.from_frame(lattice, frame)
-    if args.mode == "pf":
-        pair, labels, lift = (inner.P, inner.F), ("P", "F"), extend_prop_PF
-    else:
-        pair, labels, lift = (inner.H, inner.G), ("H", "G"), extend_prop_HG
-    bar_a = FrameInduced(lattice, ext.bar, labels[0])
-    bar_b = FrameInduced(lattice, ext.bar, labels[1])
-    blocks = []
-    for name, values in props.items():
-        qbar = lift(lattice, values, pair[0], pair[1])
-        rows = [
-            (f"{name}bar(t)", qbar),
-            (f"{labels[0]}bar({name}bar)(t)", bar_a(qbar)),
-            (f"{labels[1]}bar({name}bar)(t)", bar_b(qbar)),
-        ]
-        blocks.append(extension_table(lattice, ext, rows))
-    print("\n".join(blocks), end="")
+    labels = ("P", "F") if args.mode == "pf" else ("H", "G")
+    print("\n".join(_extension_block(lattice, frame, name, values, labels)
+                    for name, values in props.items()), end="")
     return 0
+
+
+def _extension_block(lattice: Oml, frame: TimeFrame, name: str, q, labels) -> str:
+    """The extension table of the proposition q, shown as name: q extended by
+    frame's two operators labels, and the extended frame's two on the result."""
+    ext = extend_frame(frame)
+    inner = OperatorQuadruple.from_frame(lattice, frame).as_dict()
+    qbar = extend_prop(q, inner[labels[0]], inner[labels[1]])
+    rows = [(f"{name}bar(t)", qbar)]
+    rows += [(f"{w}bar({name}bar)(t)", FrameInduced(lattice, ext.bar, w)(qbar)) for w in labels]
+    return extension_table(lattice, ext, rows)
 
 
 def _cmd_verify(args) -> int:
     lattice = _load_lattice(args.lattice)
     if args.frame and args.ops:
         raise InvalidSpec("--frame and --ops are mutually exclusive")
-    frame = _load_frame(args.frame) if args.frame else None
+    frame = _sized(_load_frame(args.frame), args.frame_size) if args.frame else None
     ops = points = None
     if args.ops:
         ops, points = _resolve_ops(args.ops, lattice, args.frame_size)
+    elif frame is None and args.frame_size is not None:
+        raise InvalidSpec("--frame-size needs --frame or --ops")
     inst = Instance(lattice=lattice, frame=frame, ops=ops, points=points,
                     budget=args.budget, seed=args.seed, jobs=args.jobs)
     if args.suite == "all":
@@ -339,20 +342,10 @@ def _demo_example_final() -> None:
     lattice = fixtures.builtin_lattice("oml10")
     frame = fixtures.builtin_frame("le5")
     p = fixtures.example_props(lattice, frame)["p"]
-    quad = OperatorQuadruple.from_frame(lattice, frame)
-    ext = extend_frame(frame)
-    pbar = extend_prop_PF(lattice, p, quad.P, quad.F)
-    bar_p = FrameInduced(lattice, ext.bar, "P")
-    bar_f = FrameInduced(lattice, ext.bar, "F")
     print(f"lattice {lattice.name}, frame {frame.name} extended with past and "
           "future copies")
     print()
-    rows = [
-        ("pbar(t)", pbar),
-        ("Pbar(pbar)(t)", bar_p(pbar)),
-        ("Fbar(pbar)(t)", bar_f(pbar)),
-    ]
-    print(extension_table(lattice, ext, rows), end="")
+    print(_extension_block(lattice, frame, "p", p, ("P", "F")), end="")
 
 
 def _cmd_demo(args) -> int:
@@ -436,7 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--lattice", required=True)
     sub.add_argument("--frame")
     sub.add_argument("--ops", help="frame:<file>, table:<file> or example2")
-    sub.add_argument("--frame-size", type=int, default=None)
+    sub.add_argument("--frame-size", type=int, default=None,
+                     help="number of time points (names 1..N); must match --frame")
     sub.add_argument("--suite", required=True,
                      help="one of %s, or all" % ", ".join(SUITE_IDS))
     sub.add_argument("--format", choices=("text", "json-lines"), default="text")

@@ -2,20 +2,21 @@
 
 Every point s gains a past copy s1 (related to s) and a future copy s2
 (reachable from s); the original relation survives unchanged in the middle.
-A proposition q extends to the copies through a chosen operator pair: the
-PF variant places P(q) on the past copies and F(q) on the future ones, the
-HG variant uses H(q) and G(q). Over the relation induced by the chosen
-operators, the extended frame's own P and F (or H and G) restrict back to
-the given ones on the original points; check_extension_* verifies exactly
-that, proposition by proposition.
+A proposition q extends to the copies through a chosen operator pair
+(extend_prop, the one extender): the PF variant places P(q) on the past
+copies and F(q) on the future ones, the HG variant uses H(q) and G(q).
+Over the relation induced by the chosen operators, the extended frame's own
+P and F (or H and G) restrict back to the given ones on the original
+points; check_extension_* verifies exactly that, proposition by
+proposition.
 
 Each side is the law Abar|T(q) = A(q) over the original points, where
 Abar|T is the extended frame's operator read on the original points after
 extending q (RestrictedBar). Both sides are cases of one laws.check_laws
-scan, so each reports its own first failure. The id map of Abar|T takes
-the copies it reads, A(q) or B(q), from the given operator's id map and
-applies only the bar operator, at the |T| base points, to all
-propositions.
+scan, so each reports its own first failure, with the witness values that
+the scan's outcome carries. The id map of Abar|T takes the copies it reads,
+A(q) or B(q), from the given operator's id map and applies only the bar
+operator, at the |T| base points, to all propositions.
 """
 
 from __future__ import annotations
@@ -52,31 +53,18 @@ from .tense import (
 )
 from .tense import proposition_block, sampled_block  # noqa: F401  perfbench/tracing.py hooks them
 
-PAST = "past"
-BASE = "base"
-FUTURE = "future"
-
 
 @dataclass(frozen=True, eq=False)
 class ExtendedFrame:
-    """Base frame plus the three-zone extension; bar points are past+base+future."""
+    """Base frame plus the extension; bar point i is a past copy for i < n,
+    a base point for n <= i < 2n and a future copy for 2n <= i."""
 
     base: TimeFrame
     bar: TimeFrame
-    zones: tuple[str, ...]
 
     @property
     def n(self) -> int:
         return self.base.n
-
-    def zone(self, bar_index: int) -> str:
-        return self.zones[bar_index]
-
-    def base_slice(self) -> slice:
-        return slice(self.n, 2 * self.n)
-
-    def restrict_to_base(self, qbar: Prop) -> Prop:
-        return tuple(qbar[self.base_slice()])
 
 
 def extend_frame(frame: TimeFrame) -> ExtendedFrame:
@@ -94,19 +82,13 @@ def extend_frame(frame: TimeFrame) -> ExtendedFrame:
     pairs = [(s, n + s) for s in range(n)]
     pairs += [(n + s, n + t) for s, t in frame.rel]
     pairs += [(n + s, 2 * n + s) for s in range(n)]
-    bar = TimeFrame(frame.name + "-bar", names, pairs)
-    zones = (PAST,) * n + (BASE,) * n + (FUTURE,) * n
-    return ExtendedFrame(frame, bar, zones)
+    return ExtendedFrame(frame, TimeFrame(frame.name + "-bar", names, pairs))
 
 
-def extend_prop_PF(lattice: Oml, q: Prop, P: TenseOperator, F: TenseOperator) -> Prop:
-    """P(q) on the past copies, q in the middle, F(q) on the future copies."""
-    return tuple(P(q)) + tuple(q) + tuple(F(q))
-
-
-def extend_prop_HG(lattice: Oml, q: Prop, H: TenseOperator, G: TenseOperator) -> Prop:
-    """H(q) on the past copies, q in the middle, G(q) on the future copies."""
-    return tuple(H(q)) + tuple(q) + tuple(G(q))
+def extend_prop(q: Prop, a: TenseOperator, b: TenseOperator) -> Prop:
+    """a(q) on the past copies, q in the middle, b(q) on the future copies:
+    P and F for the PF variant, H and G for the HG one."""
+    return tuple(a(q)) + tuple(q) + tuple(b(q))
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,11 +114,8 @@ class RestrictedBar(TenseOperator):
     def n_points(self) -> int:
         return self.a.n_points
 
-    def extend(self, q: Prop) -> Prop:
-        return tuple(self.a(q)) + tuple(q) + tuple(self.b(q))
-
     def __call__(self, q: Prop) -> Prop:
-        return tuple(self.bar(self.extend(q))[self.n_points:2 * self.n_points])
+        return tuple(self.bar(extend_prop(q, self.a, self.b))[self.n_points:2 * self.n_points])
 
     def _restricted(self, batch: np.ndarray, values) -> np.ndarray:
         """bar(ext(q)) at the base points for each row q of batch, where
@@ -186,20 +165,19 @@ def _check_extension(lattice: Oml, points, op_a: TenseOperator, op_b: TenseOpera
                             note="restricting the extended relation does not recover the base")))
 
     law = Law("restriction", "eq", App("restricted", PVar("q")), App("given", PVar("q")), ("q",))
-    sides = [(op, RestrictedBar(bar, op_a, op_b)) for op, bar in ((op_a, bar_a), (op_b, bar_b))]
-    outcomes = check_laws([(law, {"restricted": restricted, "given": op})
-                           for op, restricted in sides],
+    outcomes = check_laws([(law, {"restricted": RestrictedBar(bar, op_a, op_b), "given": op})
+                           for op, bar in ((op_a, bar_a), (op_b, bar_b))],
                           lattice, n_points, budget=budget, seed=seed, jobs=jobs)
-    for label, (op, restricted), outcome in zip(labels, sides, outcomes):
+    for label, outcome in zip(labels, outcomes):
         law_id = f"{label}bar-restriction"
         witness = None
         if outcome.verdict == FAIL:
-            q, point = outcome.witness_env["q"], outcome.witness_point
+            q = outcome.witness_env["q"]
             witness = Witness(
                 kind="op-mismatch", law=law_id,
                 ops=((label + "bar", label + "bar"), (label, label)),
-                props=(("q", q), ("qbar", restricted.extend(q))), point=point,
-                lhs=int(restricted(q)[point]), rhs=int(op(q)[point]),
+                props=(("q", q), ("qbar", extend_prop(q, op_a, op_b))),
+                point=outcome.witness_point, lhs=outcome.witness_lhs, rhs=outcome.witness_rhs,
                 note=f"restricted {label}bar(qbar) differs from {label}(q)")
         laws.append(LawResult(law_id, outcome.verdict, mode=outcome.mode,
                               samples=outcome.checked, witness=witness))

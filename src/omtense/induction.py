@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from .errors import BudgetExceeded, EmptyRestriction, UnknownTimePoint
 from .frames import TimeFrame
 from .lattice import Oml
-from .laws import App, At, Law, PVar, check_laws, eval_trace
+from .laws import App, At, Law, PVar, check_laws
 from .report import (
     EXHAUSTIVE,
     FAIL,
@@ -113,10 +113,8 @@ def _induce(which: str, lattice: Oml, points, quadruple: OperatorQuadruple, *,
                   if outcome.verdict == FAIL]
         if failed:  # the earlier first failure, side 0 on a tie
             index, side, outcome = min(failed, key=lambda hit: hit[:2])
-            law, env = cases[2 * k + side][0], outcome.witness_env
-            lhs, rhs = (eval_trace(expr, lattice, env, n_points, ops, {}, [])[0]
-                        for expr in (law.lhs, law.rhs))
-            witnesses[pair] = PairWitness(env["q"], ineq_names[side], lhs, rhs, index)
+            witnesses[pair] = PairWitness(outcome.witness_env["q"], ineq_names[side],
+                                          outcome.witness_lhs, outcome.witness_rhs, index)
     kept = frozenset(pair for pair in pairs if pair not in witnesses)
     return InducedRelationReport(which, points, kept, witnesses, outcomes[0].mode,
                                  outcomes[0].checked, lattice)
@@ -169,14 +167,6 @@ def _intersect(r1: InducedRelationReport, r2: InducedRelationReport) -> InducedR
                                  max(r1.samples, r2.samples), r1.lattice)
 
 
-def indicator_proposition(lattice: Oml, points, u: str) -> Prop:
-    """Top at the named point, bottom everywhere else."""
-    points = tuple(points)
-    if u not in points:
-        raise UnknownTimePoint(f"no point {u!r} among {points}")
-    return tuple(lattice.top if p == u else lattice.bottom for p in points)
-
-
 def _op_differences(lattice: Oml, n_points: int, given: OperatorQuadruple,
                     other: OperatorQuadruple, budget: int, seed: int, jobs: int):
     """Per operator, in P, F, H, G order, the outcome of the law given(q) =
@@ -184,6 +174,15 @@ def _op_differences(lattice: Oml, n_points: int, given: OperatorQuadruple,
     law = Law("coincides", "eq", App("given", PVar("q")), App("other", PVar("q")), ("q",))
     cases = [(law, {"given": given.as_dict()[w], "other": other.as_dict()[w]}) for w in "PFHG"]
     return check_laws(cases, lattice, n_points, budget=budget, seed=seed, jobs=jobs)
+
+
+def _op_mismatch(law_id: str, label: str, outcome, note: str) -> Witness:
+    """The witness of a failing given(q) = other(q) outcome of _op_differences
+    for the operator label, the other one shown starred."""
+    return Witness(kind="op-mismatch", law=law_id,
+                   ops=((label, label), (label + "*", label + "*")),
+                   props=(("q", outcome.witness_env["q"]),), point=outcome.witness_point,
+                   lhs=outcome.witness_lhs, rhs=outcome.witness_rhs, note=note)
 
 
 def roundtrip_frame(lattice: Oml, frame: TimeFrame, *, budget: int | None = None,
@@ -225,16 +224,11 @@ def roundtrip_frame(lattice: Oml, frame: TimeFrame, *, budget: int | None = None
                           _allow_empty=True)
     reinduced = OperatorQuadruple.from_frame(lattice, rel_frame)
     outcomes = _op_differences(lattice, frame.n, quadruple, reinduced, budget, seed, jobs)
-    given, again = quadruple.as_dict(), reinduced.as_dict()
     for label, outcome in zip("PFHG", outcomes):
         witness = None
         if outcome.verdict == FAIL:
-            q, point = outcome.witness_env["q"], outcome.witness_point
-            witness = Witness(kind="op-mismatch", law=f"{label}-coincides",
-                              ops=((label, label), (label + "*", label + "*")),
-                              props=(("q", q),), point=point, lhs=int(given[label](q)[point]),
-                              rhs=int(again[label](q)[point]),
-                              note=f"{label}(q) and the reinduced {label}*(q) differ")
+            witness = _op_mismatch(f"{label}-coincides", label, outcome,
+                                   f"{label}(q) and the reinduced {label}*(q) differ")
         laws.append(LawResult(f"{label}-coincides", outcome.verdict, ops=((label, label),),
                               mode=outcome.mode, samples=outcome.checked, witness=witness))
     verdict = aggregate([law.verdict for law in laws])
@@ -273,16 +267,11 @@ def classify_inducibility(lattice: Oml, points, quadruple: OperatorQuadruple, *,
     candidate = OperatorQuadruple.from_frame(lattice, rel_frame)
     outcomes = _op_differences(lattice, len(report.points), quadruple, candidate,
                                budget, seed, jobs)
-    given, induced = quadruple.as_dict(), candidate.as_dict()
     for label, outcome in zip("PFHG", outcomes):
         if outcome.verdict == FAIL:
-            q, point = outcome.witness_env["q"], outcome.witness_point
-            witness = Witness(
-                kind="op-mismatch", law="frame-inducibility",
-                ops=((label, label), (label + "*", label + "*")),
-                props=(("q", q),), point=point, lhs=int(given[label](q)[point]),
-                rhs=int(induced[label](q)[point]),
-                note=f"{label}(q) and {label}*(q) first differ at index {outcome.index}")
+            witness = _op_mismatch(
+                "frame-inducibility", label, outcome,
+                f"{label}(q) and {label}*(q) first differ at index {outcome.index}")
             return Classification("not-frame-inducible", report, witness)
     return Classification("frame-induced", report)
 
@@ -300,7 +289,8 @@ def check_star_inequalities(lattice: Oml, points, quadruple: OperatorQuadruple, 
     operator actually differs) is reported per law. relations, when given,
     are the quadruple's R1 and R2 reports at this budget and seed.
     """
-    from .laws import App, Law, PVar, build_witness, check_law
+    # imported at call time, where the benchmark's trace hooks sit
+    from .laws import build_witness, check_law
 
     budget = resolve_budget(budget)
     points = tuple(points)
@@ -336,8 +326,7 @@ def check_star_inequalities(lattice: Oml, points, quadruple: OperatorQuadruple, 
             names = {"lo": text.split(" <= ")[0], "hi": text.split(" <= ")[1]}
             witness = None
             if outcome.verdict == FAIL:
-                witness = build_witness(law, lattice, outcome.witness_env,
-                                        len(points), ops, names)
+                witness = build_witness(law, outcome, names)
             detail = ""
             if outcome.verdict == PASS:
                 try:

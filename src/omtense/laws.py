@@ -34,6 +34,12 @@ first scanned by the calling process and each other one by a forked child,
 and merged per case by the first range that fails. Every case gets the
 outcome it would get checked alone, and parallel runs report exactly what a
 sequential run reports.
+
+A failing LawOutcome carries its whole witness: the binding at the first
+failing index (witness_env), the first point where that binding breaks the
+law (witness_point) and the two sides' values there (witness_lhs,
+witness_rhs), worked out once by eval_trace. build_witness and every other
+reader of a failure take these values from the outcome.
 """
 
 from __future__ import annotations
@@ -238,6 +244,8 @@ class LawOutcome:
     witness_env: dict[str, Prop] | None = None
     witness_point: int | None = None
     index: int | None = None       # first failing index: an id, pair index or draw position
+    witness_lhs: int | None = None  # the two sides' values at witness_point
+    witness_rhs: int | None = None
 
 
 # -- the id core ----------------------------------------------------------
@@ -1033,34 +1041,28 @@ def _pairs_at(count: int, offsets: np.ndarray, lo: int, hi: int) -> tuple[np.nda
     return p, q
 
 
-def _failing_point(law: Law, lattice: Oml, env: dict[str, Prop], n_points: int,
-                   ops: dict[str, TenseOperator]) -> tuple[int, int, int]:
-    """(point, lhs value, rhs value) at the first point where the law breaks."""
-    trace: list[tuple[str, Prop]] = []
-    lhs = eval_trace(law.lhs, lattice, env, n_points, ops, {}, trace)
-    rhs = eval_trace(law.rhs, lattice, env, n_points, ops, {}, trace)
-    for s, (x, y) in enumerate(zip(lhs, rhs)):
-        bad = (not lattice.le(x, y)) if law.relation == "leq" else (x != y)
-        if bad:
-            return s, x, y
-    raise AssertionError("witness does not fail the law")  # engine bug if reached
-
-
 def _outcome(law: Law, lattice: Oml, n_points: int, ops: dict[str, TenseOperator],
              exhaustive: bool, checked: int, index: int, rows) -> LawOutcome:
     """The outcome of a scan; rows holds the binding at the first failing
-    index, one proposition per variable, or is None when nothing failed."""
+    index, one proposition per variable, or is None when nothing failed. A
+    failure's witness is the first point where the binding breaks the law,
+    with the values of both sides there."""
     mode = EXHAUSTIVE if exhaustive else SAMPLED
     if rows is None:
         return LawOutcome(PASS if exhaustive else ONE_SIDED, mode, checked)
     env = {name: tuple(int(x) for x in row) for name, row in zip(law.vars, rows)}
-    point, _, _ = _failing_point(law, lattice, env, n_points, ops)
-    return LawOutcome(FAIL, mode, checked, witness_env=env, witness_point=point, index=index)
+    lhs, rhs = (eval_trace(side, lattice, env, n_points, ops, {}, [])
+                for side in (law.lhs, law.rhs))
+    for point, (x, y) in enumerate(zip(lhs, rhs)):
+        if (not lattice.le(x, y)) if law.relation == "leq" else x != y:
+            return LawOutcome(FAIL, mode, checked, witness_env=env, witness_point=point,
+                              index=index, witness_lhs=x, witness_rhs=y)
+    raise AssertionError("witness does not fail the law")  # engine bug if reached
 
 
 def check_laws(cases, lattice: Oml, n_points: int, *, budget: int | None = None,
                pair_budget: int = DEFAULT_PAIR_BUDGET, seed: int = DEFAULT_SEED,
-               jobs: int = 1, chunk: int = ID_CHUNK) -> list[LawOutcome]:
+               jobs: int = 1) -> list[LawOutcome]:
     """Quantify each (law, ops) case over all (or sampled) propositions.
 
     Each outcome is what the case gets when checked alone. The cases of one
@@ -1073,7 +1075,6 @@ def check_laws(cases, lattice: Oml, n_points: int, *, budget: int | None = None,
     budget = resolve_budget(budget)
     count = proposition_count(lattice, n_points)
     core = (IdAlgebra if count <= ID_PATH_MAX else RowAlgebra)(lattice, n_points)
-    step = min(chunk, ID_CHUNK)
     by_arity: dict[int, list[int]] = {}
     for i, (law, _) in enumerate(cases):
         by_arity.setdefault(len(law.vars), []).append(i)
@@ -1085,12 +1086,12 @@ def check_laws(cases, lattice: Oml, n_points: int, *, budget: int | None = None,
         exhaustive = space <= cap
         if exhaustive:
             draw = None
-            batches = functools.partial(_exhaustive_batches, core, arity, count, step)
-            n_batches = len(_exhaustive_starts(arity, count, step))
+            batches = functools.partial(_exhaustive_batches, core, arity, count, ID_CHUNK)
+            n_batches = len(_exhaustive_starts(arity, count, ID_CHUNK))
         else:
             draw = _draws(core, arity, count, cap, seed)
-            batches = functools.partial(_draw_batches, draw, cap, step)
-            n_batches = len(range(0, cap, step))
+            batches = functools.partial(_draw_batches, draw, cap, ID_CHUNK)
+            n_batches = len(range(0, cap, ID_CHUNK))
         subterms = _Subterms(core, [cases[i] for i in members])
         bads = _split_scan(subterms, batches, n_batches, jobs)
         for i, bad in zip(members, bads):
@@ -1107,11 +1108,10 @@ def check_laws(cases, lattice: Oml, n_points: int, *, budget: int | None = None,
 
 def check_law(law: Law, lattice: Oml, n_points: int, ops: dict[str, TenseOperator], *,
               budget: int | None = None, pair_budget: int = DEFAULT_PAIR_BUDGET,
-              seed: int = DEFAULT_SEED, jobs: int = 1,
-              chunk: int = ID_CHUNK) -> LawOutcome:
+              seed: int = DEFAULT_SEED, jobs: int = 1) -> LawOutcome:
     """check_laws on the one case (law, ops)."""
     return check_laws([(law, ops)], lattice, n_points, budget=budget, pair_budget=pair_budget,
-                      seed=seed, jobs=jobs, chunk=chunk)[0]
+                      seed=seed, jobs=jobs)[0]
 
 
 def _space(arity: int, count: int, budget: int, pair_budget: int) -> tuple[int, int]:
@@ -1127,16 +1127,16 @@ def _bound_ids(index: int, count: int, arity: int) -> tuple[int, ...]:
     return divmod(index, count) if arity == 2 else (index,) * arity
 
 
-def build_witness(law: Law, lattice: Oml, env: dict[str, Prop], n_points: int,
-                  ops: dict[str, TenseOperator], op_names: dict[str, str]) -> Witness:
-    point, lhs, rhs = _failing_point(law, lattice, env, n_points, ops)
+def build_witness(law: Law, outcome: LawOutcome, op_names: dict[str, str]) -> Witness:
+    """The witness of law's failing outcome, with the operators in its slots
+    shown by the names in op_names."""
     return Witness(
         kind="law",
         law=law.id,
         ops=tuple(sorted(op_names.items())),
-        props=tuple((name, env[name]) for name in law.vars),
-        point=point,
-        lhs=lhs,
-        rhs=rhs,
+        props=tuple((name, outcome.witness_env[name]) for name in law.vars),
+        point=outcome.witness_point,
+        lhs=outcome.witness_lhs,
+        rhs=outcome.witness_rhs,
         note=law.describe(op_names),
     )

@@ -8,6 +8,8 @@ possible-past / possible-future readings:
     F(q)(s) = join of q(t) over s R t        G(q)(s) = meet of q(t) over s R t
 
 with the empty join equal to the bottom and the empty meet equal to the top.
+FrameInduced.sources(s) names the points a reading folds at s; the call on
+one proposition and apply_batch both fold over it.
 
 Every operator also evaluates in batch over an (N, T) array of propositions;
 that path powers the quantifiers and builds the id maps below. Enumeration
@@ -118,31 +120,6 @@ def resolve_budget(budget: int | None = None) -> int:
     return DEFAULT_BUDGET
 
 
-# -- single-proposition evaluation ---------------------------------------
-
-def eval_P(lattice: Oml, frame: TimeFrame, q: Prop) -> Prop:
-    """Sometime in the past: join of q over predecessors."""
-    return tuple(join_set(lattice, (q[t] for t in frame.preds[s])) for s in range(frame.n))
-
-
-def eval_F(lattice: Oml, frame: TimeFrame, q: Prop) -> Prop:
-    """Sometime in the future: join of q over successors."""
-    return tuple(join_set(lattice, (q[t] for t in frame.succs[s])) for s in range(frame.n))
-
-
-def eval_H(lattice: Oml, frame: TimeFrame, q: Prop) -> Prop:
-    """Always in the past: meet of q over predecessors."""
-    return tuple(meet_set(lattice, (q[t] for t in frame.preds[s])) for s in range(frame.n))
-
-
-def eval_G(lattice: Oml, frame: TimeFrame, q: Prop) -> Prop:
-    """Always in the future: meet of q over successors."""
-    return tuple(meet_set(lattice, (q[t] for t in frame.succs[s])) for s in range(frame.n))
-
-
-_FRAME_EVAL = {"P": eval_P, "F": eval_F, "H": eval_H, "G": eval_G}
-
-
 # -- operator kinds -------------------------------------------------------
 
 class TenseOperator:
@@ -185,7 +162,7 @@ class FrameInduced(TenseOperator):
     which: str
 
     def __post_init__(self):
-        if self.which not in _FRAME_EVAL:
+        if self.which not in ("P", "F", "H", "G"):
             raise InvalidSpec(f"unknown frame-induced operator {self.which!r}")
 
     @property
@@ -197,7 +174,9 @@ class FrameInduced(TenseOperator):
         return self.which
 
     def __call__(self, q: Prop) -> Prop:
-        return _FRAME_EVAL[self.which](self.lattice, self.frame, q)
+        fold = join_set if self.which in ("P", "F") else meet_set
+        return tuple(fold(self.lattice, (q[t] for t in self.sources(s)))
+                     for s in range(self.frame.n))
 
     def sources(self, s: int) -> tuple[int, ...]:
         """The points whose values this operator folds into its value at s."""
@@ -334,12 +313,6 @@ class Composed(TenseOperator):
 
     def _build_id_map(self) -> np.ndarray:
         return self.outer.id_map()[self.inner.id_map()]
-
-
-def apply(op: TenseOperator, q: Prop) -> Prop:
-    if len(q) != op.n_points:
-        raise InvalidSpec(f"proposition has {len(q)} points, operator expects {op.n_points}")
-    return op(tuple(q))
 
 
 def compose(outer: TenseOperator, inner: TenseOperator) -> Composed:
@@ -510,8 +483,8 @@ def sampled_ids(lattice: Oml, n_points: int, count: int, seed: int) -> np.ndarra
 
 # -- ordering between operators -------------------------------------------
 
-def op_leq_counterexample(a: TenseOperator, b: TenseOperator, *, budget: int | None = None,
-                          chunk: int = ID_CHUNK) -> tuple[Prop, int] | None:
+def op_leq_counterexample(a: TenseOperator, b: TenseOperator, *,
+                          budget: int | None = None) -> tuple[Prop, int] | None:
     """First (q, point) in odometer order with a(q)(point) not below b(q)(point),
     or None when a(q) <= b(q) pointwise for every proposition q.
 
@@ -526,8 +499,8 @@ def op_leq_counterexample(a: TenseOperator, b: TenseOperator, *, budget: int | N
     if space > budget:
         raise BudgetExceeded(
             f"{space} propositions exceed the budget of {budget}", space, budget)
-    for lo in range(0, space, chunk):
-        block = proposition_block(lattice, n_points, lo, min(lo + chunk, space))
+    for lo in range(0, space, ID_CHUNK):
+        block = proposition_block(lattice, n_points, lo, min(lo + ID_CHUNK, space))
         ok = lattice.leq[a.apply_batch(block), b.apply_batch(block)]
         rows = ok.all(axis=1)
         if not rows.all():
@@ -537,8 +510,7 @@ def op_leq_counterexample(a: TenseOperator, b: TenseOperator, *, budget: int | N
     return None
 
 
-def ops_equal(a: TenseOperator, b: TenseOperator, *, budget: int | None = None,
-              chunk: int = ID_CHUNK) -> bool:
+def ops_equal(a: TenseOperator, b: TenseOperator, *, budget: int | None = None) -> bool:
     """Whether a and b agree on every enumerated proposition.
 
     Up to ID_PATH_MAX propositions this compares the operators' id maps,
@@ -552,8 +524,8 @@ def ops_equal(a: TenseOperator, b: TenseOperator, *, budget: int | None = None,
             f"{space} propositions exceed the budget of {budget}", space, budget)
     if space <= ID_PATH_MAX:
         return np.array_equal(a.id_map(), b.id_map())
-    for lo in range(0, space, chunk):
-        block = proposition_block(lattice, n_points, lo, min(lo + chunk, space))
+    for lo in range(0, space, ID_CHUNK):
+        block = proposition_block(lattice, n_points, lo, min(lo + ID_CHUNK, space))
         if not np.array_equal(a.apply_batch(block), b.apply_batch(block)):
             return False
     return True

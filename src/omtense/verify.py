@@ -1,11 +1,15 @@
 """Named verification suites over concrete lattice/frame/operator instances.
 
 Each suite bundles one result as a table of checkable laws. Preconditions
-gate execution: a suite whose side conditions fail on the given instance is
-reported as skipped with the unmet condition as the reason, never as a
-spurious pass or fail. The quantified laws of a suite are checked together
-by one laws.check_laws call and inherit its exhaustive-or-sampled budget
-semantics; elementwise laws always run exhaustively.
+gate execution: _GATES defines each precondition once, _SUITES lists each
+suite's in order, and run_suite reports a suite whose instance misses one
+as skipped with the first unmet condition as the reason, never as a
+spurious pass or fail. Conditions on single laws (thm2's reflexive laws,
+thm3's transitive ones) are checked by their suites with reasons from
+_GATES, and ext-pf and ext-hg skip on an empty induced relation. The
+quantified laws of a suite are checked together by one laws.check_laws
+call and inherit its exhaustive-or-sampled budget semantics; elementwise
+laws always run exhaustively.
 A failing law carries a witness, and replay_witness turns that witness back
 into a full evaluation trace.
 """
@@ -170,17 +174,17 @@ def _thm1_laws() -> list[Law]:
     return laws
 
 
-_THM2_SERIAL = (
-    lambda: _law("H(q) <= P(q)", "leq", App("H", _Q), App("P", _Q), ("q",)),
-    lambda: _law("G(q) <= F(q)", "leq", App("G", _Q), App("F", _Q), ("q",)),
-)
+_THM2_SERIAL_LAWS = [
+    _law("H(q) <= P(q)", "leq", App("H", _Q), App("P", _Q), ("q",)),
+    _law("G(q) <= F(q)", "leq", App("G", _Q), App("F", _Q), ("q",)),
+]
 
-_THM2_REFLEXIVE = (
-    lambda: _law("H(q) <= q", "leq", App("H", _Q), _Q, ("q",)),
-    lambda: _law("q <= P(q)", "leq", _Q, App("P", _Q), ("q",)),
-    lambda: _law("G(q) <= q", "leq", App("G", _Q), _Q, ("q",)),
-    lambda: _law("q <= F(q)", "leq", _Q, App("F", _Q), ("q",)),
-)
+_THM2_REFLEXIVE_LAWS = [
+    _law("H(q) <= q", "leq", App("H", _Q), _Q, ("q",)),
+    _law("q <= P(q)", "leq", _Q, App("P", _Q), ("q",)),
+    _law("G(q) <= q", "leq", App("G", _Q), _Q, ("q",)),
+    _law("q <= F(q)", "leq", _Q, App("F", _Q), ("q",)),
+]
 
 
 def _thm3_first_laws() -> list[Law]:
@@ -238,8 +242,6 @@ def _thm7_laws() -> list[Law]:
 
 
 _THM1_LAWS = _thm1_laws()
-_THM2_SERIAL_LAWS = [make() for make in _THM2_SERIAL]
-_THM2_REFLEXIVE_LAWS = [make() for make in _THM2_REFLEXIVE]
 _THM3_FIRST_LAWS = _thm3_first_laws()
 _THM3_IDEMPOTENT_LAWS = _thm3_idempotent_laws()
 _DEMORGAN_LAWS = _demorgan_laws()
@@ -267,18 +269,21 @@ def _entry(law: Law, ops: dict[str, TenseOperator],
     return ("law", law, ops, display)
 
 
-def _skip_entry(law_id: str, reason: str,
-                display: tuple[tuple[str, str], ...] = ()):
-    return ("skip", law_id, reason, display)
+def _gated(inst: Instance, gate: str, laws: list[Law], ops: dict[str, TenseOperator]):
+    """Entries for laws that need a precondition beyond their suite's: each
+    checked where inst meets the gate, and skipped with its reason otherwise."""
+    holds, reason = _GATES[gate]
+    if holds(inst):
+        return [_entry(law, ops) for law in laws]
+    return [("skip", law.id, reason, ()) for law in laws]
 
 
 def _law_suite(suite: str, inst: Instance, entries) -> VerifyReport:
     lattice = inst.lattice
     points = inst.point_names()
-    n_points = len(points)
     quad = inst.quadruple()
     checked = [entry for entry in entries if entry[0] == "law"]
-    outcomes = iter(check_laws([(law, ops) for _, law, ops, _ in checked], lattice, n_points,
+    outcomes = iter(check_laws([(law, ops) for _, law, ops, _ in checked], lattice, len(points),
                                budget=inst.budget, pair_budget=inst.pair_budget,
                                seed=inst.seed, jobs=inst.jobs))
     results: list[LawResult] = []
@@ -292,8 +297,7 @@ def _law_suite(suite: str, inst: Instance, entries) -> VerifyReport:
         witness = None
         if outcome.verdict == FAIL:
             names = {slot: op.label for slot, op in ops.items()}
-            witness = build_witness(law, lattice, outcome.witness_env,
-                                    n_points, ops, names)
+            witness = build_witness(law, outcome, names)
         results.append(LawResult(law.id, outcome.verdict, ops=display,
                                  witness=witness, mode=outcome.mode,
                                  samples=outcome.checked))
@@ -305,62 +309,28 @@ def _law_suite(suite: str, inst: Instance, entries) -> VerifyReport:
 
 
 def _suite_thm1(inst: Instance) -> VerifyReport:
-    if inst.frame is None:
-        return _skip("thm1", inst, "needs a time frame")
-    if not inst.frame.is_serial:
-        return _skip("thm1", inst, "requires serial R")
     ops = inst.quadruple().as_dict()
     return _law_suite("thm1", inst, [_entry(law, ops) for law in _THM1_LAWS])
 
 
 def _suite_thm2(inst: Instance) -> VerifyReport:
-    if inst.frame is None:
-        return _skip("thm2", inst, "needs a time frame")
-    if not inst.frame.is_serial:
-        return _skip("thm2", inst, "requires serial R")
     ops = inst.quadruple().as_dict()
-    entries = [_entry(law, ops) for law in _THM2_SERIAL_LAWS]
-    if inst.frame.is_reflexive:
-        entries += [_entry(law, ops) for law in _THM2_REFLEXIVE_LAWS]
-    else:
-        entries += [_skip_entry(law.id, "requires reflexive R")
-                    for law in _THM2_REFLEXIVE_LAWS]
-    return _law_suite("thm2", inst, entries)
+    return _law_suite("thm2", inst, [_entry(law, ops) for law in _THM2_SERIAL_LAWS]
+                      + _gated(inst, "reflexive", _THM2_REFLEXIVE_LAWS, ops))
 
 
 def _suite_thm3(inst: Instance) -> VerifyReport:
-    if inst.frame is None:
-        return _skip("thm3", inst, "needs a time frame")
-    if not inst.frame.is_reflexive:
-        return _skip("thm3", inst, "requires reflexive R")
     ops = inst.quadruple().as_dict()
-    entries = [_entry(law, ops) for law in _THM3_FIRST_LAWS]
-    if inst.frame.is_transitive:
-        entries += [_entry(law, ops) for law in _THM3_IDEMPOTENT_LAWS]
-    else:
-        entries += [_skip_entry(law.id, "requires transitive R")
-                    for law in _THM3_IDEMPOTENT_LAWS]
-    return _law_suite("thm3", inst, entries)
+    return _law_suite("thm3", inst, [_entry(law, ops) for law in _THM3_FIRST_LAWS]
+                      + _gated(inst, "transitive", _THM3_IDEMPOTENT_LAWS, ops))
 
 
 def _suite_demorgan(inst: Instance) -> VerifyReport:
-    if inst.frame is None:
-        return _skip("demorgan", inst, "needs a time frame")
-    if not inst.lattice.has_ortho:
-        return _skip("demorgan", inst, "requires orthocomplementation")
     ops = inst.quadruple().as_dict()
     return _law_suite("demorgan", inst, [_entry(law, ops) for law in _DEMORGAN_LAWS])
 
 
 def _suite_thm7(inst: Instance) -> VerifyReport:
-    if inst.frame is None:
-        return _skip("thm7", inst, "needs a time frame")
-    if not inst.frame.is_reflexive:
-        return _skip("thm7", inst, "requires reflexive R")
-    if not inst.lattice.has_ortho:
-        return _skip("thm7", inst, "requires orthocomplementation")
-    if not inst.lattice.is_orthomodular:
-        return _skip("thm7", inst, "requires an orthomodular lattice")
     quad = inst.quadruple().as_dict()
     entries = []
     for law, (tag, slots, _lhs, _rhs) in zip(_THM7_LAWS, _THM7_SCHEMAS):
@@ -386,10 +356,9 @@ def _thm6_cases(op: TenseOperator) -> list:
     return [(_THM6_LEFT, {"A": op}), (_THM6_RIGHT, {"A": op})]
 
 
-def _thm6_result(lattice: Oml, n_points: int, op: TenseOperator, label: str,
-                 left: LawOutcome, right: LawOutcome) -> LawResult:
-    """The thm6 result for A = op from the outcomes of its two connective laws."""
-    ops = {"A": op}
+def _thm6_result(label: str, left: LawOutcome, right: LawOutcome) -> LawResult:
+    """The thm6 result for the operator shown as label from the outcomes of
+    its two connective laws."""
     tl, tr = _truth(left), _truth(right)
     detail = f"(i) {tl}, (ii) {tr}"
     mode = EXHAUSTIVE if left.mode == right.mode == EXHAUSTIVE else SAMPLED
@@ -402,8 +371,7 @@ def _thm6_result(lattice: Oml, n_points: int, op: TenseOperator, label: str,
         return LawResult(_THM6_ID, PASS, ops=display, mode=mode,
                          samples=samples, detail=detail)
     bad_law, bad = (_THM6_LEFT, left) if tl == "false" else (_THM6_RIGHT, right)
-    witness = build_witness(bad_law, lattice, bad.witness_env, n_points, ops,
-                            {"A": label})
+    witness = build_witness(bad_law, bad, {"A": label})
     return LawResult(_THM6_ID, FAIL, ops=display, witness=witness, mode=mode,
                      samples=samples, detail=detail)
 
@@ -416,17 +384,13 @@ def check_thm6_equivalence(lattice: Oml, points, A: TenseOperator, *,
     points = tuple(points)
     inst_text = f"lattice={lattice.name} op={A.label} points={len(points)} " \
                 f"budget={resolve_budget(budget)}"
-    if not lattice.has_ortho:
-        return VerifyReport(suite="thm6", instance=inst_text, verdict=SKIPPED,
-                            reason="requires orthocomplementation",
-                            budget=resolve_budget(budget), seed=seed)
-    if not lattice.is_orthomodular:
-        return VerifyReport(suite="thm6", instance=inst_text, verdict=SKIPPED,
-                            reason="requires an orthomodular lattice",
+    reason = _unmet(("ortho", "orthomodular"), Instance(lattice))
+    if reason is not None:
+        return VerifyReport(suite="thm6", instance=inst_text, verdict=SKIPPED, reason=reason,
                             budget=resolve_budget(budget), seed=seed)
     outcomes = check_laws(_thm6_cases(A), lattice, len(points), budget=budget,
                           pair_budget=pair_budget, seed=seed, jobs=jobs)
-    result = _thm6_result(lattice, len(points), A, A.label, *outcomes)
+    result = _thm6_result(A.label, *outcomes)
     return VerifyReport(suite="thm6", instance=inst_text, verdict=result.verdict,
                         laws=[result], budget=resolve_budget(budget), seed=seed,
                         context=ReplayContext(lattice=lattice, points=points,
@@ -434,20 +398,14 @@ def check_thm6_equivalence(lattice: Oml, points, A: TenseOperator, *,
 
 
 def _suite_thm6(inst: Instance) -> VerifyReport:
-    if inst.frame is None and inst.ops is None:
-        return _skip("thm6", inst, "needs a time frame or an operator quadruple")
-    if not inst.lattice.has_ortho:
-        return _skip("thm6", inst, "requires orthocomplementation")
-    if not inst.lattice.is_orthomodular:
-        return _skip("thm6", inst, "requires an orthomodular lattice")
     points = inst.point_names()
     quad = inst.quadruple()
     # the four operators' eight cases share one scan and one set of block tables
     outcomes = check_laws([case for op in quad.as_dict().values() for case in _thm6_cases(op)],
                           inst.lattice, len(points), budget=inst.budget,
                           pair_budget=inst.pair_budget, seed=inst.seed, jobs=inst.jobs)
-    results = [_thm6_result(inst.lattice, len(points), op, label, *outcomes[2 * k:2 * k + 2])
-               for k, (label, op) in enumerate(quad.as_dict().items())]
+    results = [_thm6_result(label, *outcomes[2 * k:2 * k + 2])
+               for k, label in enumerate(quad.as_dict())]
     return VerifyReport(
         suite="thm6", instance=inst.descriptor(),
         verdict=aggregate([r.verdict for r in results]), laws=results,
@@ -476,10 +434,6 @@ def _element_result(law_id: str, ok: np.ndarray, varnames: tuple[str, ...],
 
 def _suite_prop1(inst: Instance) -> VerifyReport:
     L = inst.lattice
-    if not L.has_ortho:
-        return _skip("prop1", inst, "requires orthocomplementation")
-    if not L.is_orthomodular:
-        return _skip("prop1", inst, "requires an orthomodular lattice")
     sat, imp = connective_tables(L)
     idx = np.arange(L.n)
     laws = [
@@ -508,10 +462,6 @@ def _suite_prop1(inst: Instance) -> VerifyReport:
 
 def _suite_lemma1(inst: Instance) -> VerifyReport:
     L = inst.lattice
-    if not L.has_ortho:
-        return _skip("lemma1", inst, "requires orthocomplementation")
-    if not L.is_orthomodular:
-        return _skip("lemma1", inst, "requires an orthomodular lattice")
     sat, imp = connective_tables(L)
     idx = np.arange(L.n)
     got = sat[imp, idx[:, None]]           # [a, b] = (a -> b) * a
@@ -535,8 +485,6 @@ def _suite_lemma1(inst: Instance) -> VerifyReport:
 
 def _suite_omllaw(inst: Instance) -> VerifyReport:
     L = inst.lattice
-    if not L.has_ortho:
-        return _skip("oml-law", inst, "requires orthocomplementation")
     join, meet, comp = L.join_table, L.meet_table, L.comp
     laws: list[LawResult] = []
 
@@ -592,16 +540,12 @@ def _suite_omllaw(inst: Instance) -> VerifyReport:
 # -- delegating suites ------------------------------------------------------
 
 def _suite_roundtrip(inst: Instance) -> VerifyReport:
-    if inst.frame is None:
-        return _skip("thm4-roundtrip", inst, "needs a time frame")
     return roundtrip_frame(inst.lattice, inst.frame, budget=inst.budget,
                            seed=inst.seed, jobs=inst.jobs, quadruple=inst.quadruple(),
                            relations=(inst.relation("R1"), inst.relation("R2")))
 
 
 def _suite_cor1(inst: Instance) -> VerifyReport:
-    if inst.frame is None and inst.ops is None:
-        return _skip("cor1", inst, "needs a time frame or an operator quadruple")
     return check_star_inequalities(inst.lattice, inst.point_names(),
                                    inst.quadruple(), budget=inst.budget,
                                    seed=inst.seed, jobs=inst.jobs,
@@ -609,8 +553,6 @@ def _suite_cor1(inst: Instance) -> VerifyReport:
 
 
 def _suite_ext_pf(inst: Instance) -> VerifyReport:
-    if inst.frame is None and inst.ops is None:
-        return _skip("ext-pf", inst, "needs a time frame or an operator quadruple")
     quad = inst.quadruple()
     try:
         return check_extension_PF(inst.lattice, inst.point_names(), quad.P, quad.F,
@@ -621,8 +563,6 @@ def _suite_ext_pf(inst: Instance) -> VerifyReport:
 
 
 def _suite_ext_hg(inst: Instance) -> VerifyReport:
-    if inst.frame is None and inst.ops is None:
-        return _skip("ext-hg", inst, "needs a time frame or an operator quadruple")
     quad = inst.quadruple()
     try:
         return check_extension_HG(inst.lattice, inst.point_names(), quad.H, quad.G,
@@ -632,30 +572,54 @@ def _suite_ext_hg(inst: Instance) -> VerifyReport:
         return _skip("ext-hg", inst, "induced relation R2 is empty")
 
 
+# -- preconditions ----------------------------------------------------------
+
+# precondition -> (whether an instance meets it, the skip reason when it does not)
+_GATES = {
+    "frame": (lambda inst: inst.frame is not None, "needs a time frame"),
+    "frame-or-ops": (lambda inst: inst.frame is not None or inst.ops is not None,
+                     "needs a time frame or an operator quadruple"),
+    "serial": (lambda inst: inst.frame.is_serial, "requires serial R"),
+    "reflexive": (lambda inst: inst.frame.is_reflexive, "requires reflexive R"),
+    "transitive": (lambda inst: inst.frame.is_transitive, "requires transitive R"),
+    "ortho": (lambda inst: inst.lattice.has_ortho, "requires orthocomplementation"),
+    "orthomodular": (lambda inst: inst.lattice.is_orthomodular,
+                     "requires an orthomodular lattice"),
+}
+
+# suite id -> (its preconditions, checked in this order, and its runner); a
+# suite skips on the first precondition its instance does not meet
 _SUITES = {
-    "thm1": _suite_thm1,
-    "thm2": _suite_thm2,
-    "thm3": _suite_thm3,
-    "prop1": _suite_prop1,
-    "lemma1": _suite_lemma1,
-    "thm6": _suite_thm6,
-    "thm7": _suite_thm7,
-    "thm4-roundtrip": _suite_roundtrip,
-    "cor1": _suite_cor1,
-    "ext-pf": _suite_ext_pf,
-    "ext-hg": _suite_ext_hg,
-    "demorgan": _suite_demorgan,
-    "oml-law": _suite_omllaw,
+    "thm1": (("frame", "serial"), _suite_thm1),
+    "thm2": (("frame", "serial"), _suite_thm2),
+    "thm3": (("frame", "reflexive"), _suite_thm3),
+    "prop1": (("ortho", "orthomodular"), _suite_prop1),
+    "lemma1": (("ortho", "orthomodular"), _suite_lemma1),
+    "thm6": (("frame-or-ops", "ortho", "orthomodular"), _suite_thm6),
+    "thm7": (("frame", "reflexive", "ortho", "orthomodular"), _suite_thm7),
+    "thm4-roundtrip": (("frame",), _suite_roundtrip),
+    "cor1": (("frame-or-ops",), _suite_cor1),
+    "ext-pf": (("frame-or-ops",), _suite_ext_pf),
+    "ext-hg": (("frame-or-ops",), _suite_ext_hg),
+    "demorgan": (("frame", "ortho"), _suite_demorgan),
+    "oml-law": (("ortho",), _suite_omllaw),
 }
 
 
 def run_suite(suite_id: str, inst: Instance) -> VerifyReport:
     try:
-        runner = _SUITES[suite_id]
+        gates, runner = _SUITES[suite_id]
     except KeyError:
         known = ", ".join(SUITE_IDS)
         raise InvalidSpec(f"unknown suite {suite_id!r} (known: {known}, all)") from None
-    return runner(inst)
+    reason = _unmet(gates, inst)
+    return runner(inst) if reason is None else _skip(suite_id, inst, reason)
+
+
+def _unmet(gates, inst: Instance) -> str | None:
+    """The skip reason of the first of these preconditions that inst does
+    not meet, or None when it meets them all."""
+    return next((reason for holds, reason in map(_GATES.get, gates) if not holds(inst)), None)
 
 
 def run_all(inst: Instance) -> list[VerifyReport]:

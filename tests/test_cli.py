@@ -137,8 +137,7 @@ def test_extend_reproduces_demo_table(capsys, files):
                            "--frame", str(files["le5"]), "--prop", str(prop_file),
                            "--mode", "hg")
     assert code == 0
-    assert out.splitlines()[2].startswith("pbar(t)")
-    assert out.splitlines()[3].startswith("Hbar(pbar)(t)")
+    assert out == (GOLDEN / "extend-hg-oml10-le5.txt").read_text(encoding="utf-8")
 
 
 # -- exit codes --------------------------------------------------------------
@@ -219,6 +218,17 @@ def test_frame_size_mismatch_exits_2(capsys, files):
                            "--frame-size", "4", "--ops", f"frame:{files['le3']}")
     assert code == 2
     assert "does not match" in err
+
+
+def test_verify_frame_size_must_match_the_frame(capsys, files):
+    # --frame-size applies to --ops and must match a --frame
+    verify = ("verify", "--lattice", str(files["oml10"]), "--suite", "thm1")
+    code, _, err = run_cli(capsys, *verify, "--frame", str(files["le3"]), "--frame-size", "7")
+    assert (code, err) == (2, "error: --frame-size 7 does not match frame 'le3' with 3 points\n")
+    code, _, err = run_cli(capsys, *verify, "--frame-size", "3")
+    assert (code, err) == (2, "error: --frame-size needs --frame or --ops\n")
+    code, out, _ = run_cli(capsys, *verify, "--frame", str(files["le3"]), "--frame-size", "3")
+    assert code == 0 and out.startswith("suite thm1: pass")
 
 
 # -- induce / classify / roundtrip -------------------------------------------

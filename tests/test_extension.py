@@ -14,12 +14,11 @@ from omtense import (
     check_extension_HG,
     check_extension_PF,
     extend_frame,
-    extend_prop_HG,
-    extend_prop_PF,
+    extend_prop,
     restrict,
     replay_witness,
 )
-from omtense.extension import BASE, FUTURE, PAST, _check_extension
+from omtense.extension import _check_extension
 from omtense.induction import induce_R1
 from omtense.fixtures import example2_quadruple, example_props
 from omtense.tense import proposition_block, sampled_block
@@ -38,10 +37,10 @@ def test_extended_frame_shape(le5):
     want |= {(n + s, 2 * n + s) for s in range(n)}
     assert ext.bar.rel == want
     assert ext.n == 5 and ext.bar.n == 15
-    assert [ext.zone(i) for i in range(ext.bar.n)] == \
-        [PAST] * 5 + [BASE] * 5 + [FUTURE] * 5
-    assert ext.base_slice() == slice(5, 10)
-    assert ext.restrict_to_base(tuple(range(15))) == (5, 6, 7, 8, 9)
+    # past copies first, then the base points, then the future copies
+    assert ext.bar.points[:n] == tuple(p + "1" for p in le5.points)
+    assert ext.bar.points[n:2 * n] == le5.points
+    assert ext.bar.points[2 * n:] == tuple(p + "2" for p in le5.points)
 
 
 @pytest.mark.parametrize("frame_name", ["le2", "le3", "le5", "blocks5", "nonserial2"])
@@ -81,22 +80,21 @@ def test_final_extension_table(oml10, le5, pq, names):
     quad = OperatorQuadruple.from_frame(oml10, le5)
     ext = extend_frame(le5)
     barquad = OperatorQuadruple.from_frame(oml10, ext.bar)
-    pbar = extend_prop_PF(oml10, pq["p"], quad.P, quad.F)
+    pbar = extend_prop(pq["p"], quad.P, quad.F)
     assert names(oml10, pbar) == FINAL_TABLE["pbar"]
     assert names(oml10, barquad.P(pbar)) == FINAL_TABLE["Pbar"]
     assert names(oml10, barquad.F(pbar)) == FINAL_TABLE["Fbar"]
     # restriction to the original points returns the evaluations over le5
-    assert ext.restrict_to_base(barquad.P(pbar)) == quad.P(pq["p"])
-    assert ext.restrict_to_base(barquad.F(pbar)) == quad.F(pq["p"])
+    base = slice(ext.n, 2 * ext.n)
+    assert barquad.P(pbar)[base] == quad.P(pq["p"])
+    assert barquad.F(pbar)[base] == quad.F(pq["p"])
 
 
 def test_extend_prop_values(oml10, le5, pq):
     quad = OperatorQuadruple.from_frame(oml10, le5)
     p = pq["p"]
-    assert extend_prop_PF(oml10, p, quad.P, quad.F) == \
-        tuple(quad.P(p)) + tuple(p) + tuple(quad.F(p))
-    assert extend_prop_HG(oml10, p, quad.H, quad.G) == \
-        tuple(quad.H(p)) + tuple(p) + tuple(quad.G(p))
+    assert extend_prop(p, quad.P, quad.F) == tuple(quad.P(p)) + tuple(p) + tuple(quad.F(p))
+    assert extend_prop(p, quad.H, quad.G) == tuple(quad.H(p)) + tuple(p) + tuple(quad.G(p))
 
 
 @pytest.mark.parametrize("checker,labels", [

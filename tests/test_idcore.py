@@ -187,7 +187,7 @@ class Brute:
                     continue
             if bad:
                 return LawOutcome(FAIL, mode, checked, witness_env=env, witness_point=bad[0],
-                                  index=index)
+                                  index=index, witness_lhs=lhs[bad[0]], witness_rhs=rhs[bad[0]])
         return LawOutcome(PASS if mode == EXHAUSTIVE else ONE_SIDED, mode, checked)
 
 
@@ -270,10 +270,11 @@ def test_block_split_covers_wide_frames(chain2, cube2):
         got = check_laws([(law, {}) for law in cases], lattice, 9, pair_budget=cap)
         offsets = laws._pair_offsets(count, cap, DEFAULT_SEED)
         a, b = (decode_props(lattice, 9, side) for side in laws._pairs_at(count, offsets, 0, cap))
-        meet, join = lattice.meet_table[a, b], lattice.join_table[a, b]
-        holds = [lattice.leq[meet, a], lattice.leq[a, meet], meet == lattice.meet_table[b, a],
-                 join == lattice.meet_table[b, a], lattice.leq[b, lattice.join_table[meet, b]]]
-        for law, outcome, ok in zip(cases, got, holds):
+        meet, join, flip = lattice.meet_table[a, b], lattice.join_table[a, b], \
+            lattice.meet_table[b, a]
+        sides = [(meet, a), (a, meet), (meet, flip), (join, flip), (b, lattice.join_table[meet, b])]
+        for law, outcome, (lhs, rhs) in zip(cases, got, sides):
+            ok = lattice.leq[lhs, rhs] if law.relation == "leq" else lhs == rhs
             fails = np.flatnonzero(~ok.all(axis=1))
             if not fails.size:
                 assert outcome == LawOutcome(ONE_SIDED, SAMPLED, cap), law.id
@@ -281,7 +282,8 @@ def test_block_split_covers_wide_frames(chain2, cube2):
             k = fails[0]
             env = {"p": tuple(int(x) for x in a[k]), "q": tuple(int(x) for x in b[k])}
             point = int(np.argmin(ok[k]))
-            assert outcome == LawOutcome(FAIL, SAMPLED, cap, env, point, int(k)), law.id
+            assert outcome == LawOutcome(FAIL, SAMPLED, cap, env, point, int(k),
+                                         int(lhs[k, point]), int(rhs[k, point])), law.id
         assert [o.verdict for o in got] == [ONE_SIDED, FAIL, ONE_SIDED, FAIL, ONE_SIDED]
 
 

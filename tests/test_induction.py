@@ -17,7 +17,6 @@ from omtense import (
     UnknownTimePoint,
     check_star_inequalities,
     classify_inducibility,
-    indicator_proposition,
     induce_R1,
     induce_R2,
     induce_R3,
@@ -114,13 +113,6 @@ def test_frame_induced_ops_recover_the_frame(oml10, le3, blocks5, nonserial2):
                        induce_R3(oml10, frame.points, quad)):
             assert set(report.pairs) == frame.rel
             assert report.frame() == frame
-
-
-def test_indicator_proposition(oml10):
-    q = indicator_proposition(oml10, T5, "3")
-    assert q == (0, 0, oml10.top, 0, 0)
-    with pytest.raises(UnknownTimePoint):
-        indicator_proposition(oml10, T5, "9")
 
 
 def test_point_count_mismatch_rejected(oml10, ex2_quad):

@@ -1,6 +1,6 @@
 import pytest
 
-from omtense import OperatorQuadruple
+from omtense import OperatorQuadruple, laws
 from omtense.laws import (
     App,
     At,
@@ -105,22 +105,26 @@ def test_pair_budget_cap(oml10, le3):
     assert (out.verdict, out.mode, out.checked) == (PASS, EXHAUSTIVE, 10 ** 6)
 
 
-def test_parallel_merge_matches_sequential(oml10, le2):
+def test_parallel_merge_matches_sequential(monkeypatch, oml10, le2):
     ops = OperatorQuadruple.from_frame(oml10, le2).as_dict()
     shrink = Law("shrink", "leq", P_OF_Q, PVar("q"), ("q",))
-    seq = check_law(shrink, oml10, le2.n, ops, jobs=1, chunk=7)
-    par = check_law(shrink, oml10, le2.n, ops, jobs=2, chunk=7)
+    with monkeypatch.context() as patch:
+        patch.setattr(laws, "ID_CHUNK", 7)
+        seq = check_law(shrink, oml10, le2.n, ops, jobs=1)
+        par = check_law(shrink, oml10, le2.n, ops, jobs=2)
     assert seq == par
     grow = Law("grow", "leq", PVar("q"), P_OF_Q, ("q",))
     assert check_law(grow, oml10, le2.n, ops, jobs=2) == \
         check_law(grow, oml10, le2.n, ops, jobs=1)
 
 
-def test_chunk_size_does_not_change_the_witness(cube3, le3):
+def test_chunk_size_does_not_change_the_witness(monkeypatch, cube3, le3):
     ops = OperatorQuadruple.from_frame(cube3, le3).as_dict()
     shrink = Law("shrink", "leq", P_OF_Q, PVar("q"), ("q",))
-    outcomes = {check_law(shrink, cube3, le3.n, ops, chunk=c).witness_env["q"]
-                for c in (1, 3, 64, 10 ** 6)}
+    outcomes = set()
+    for chunk in (1, 3, 64, 10 ** 6):
+        monkeypatch.setattr(laws, "ID_CHUNK", chunk)
+        outcomes.add(check_law(shrink, cube3, le3.n, ops).witness_env["q"])
     assert len(outcomes) == 1
 
 
@@ -128,12 +132,12 @@ def test_build_witness_and_trace(cube2, le2):
     ops = OperatorQuadruple.from_frame(cube2, le2).as_dict()
     shrink = Law("shrink", "leq", P_OF_Q, PVar("q"), ("q",))
     out = check_law(shrink, cube2, le2.n, ops)
-    w = build_witness(shrink, cube2, out.witness_env, le2.n, ops,
-                      {k: k for k in "PFHG"})
+    w = build_witness(shrink, out, {k: k for k in "PFHG"})
     assert w.kind == "law" and w.law == "shrink"
     assert w.props == (("q", (1, 0)),)
     assert w.point == 1
-    assert cube2.leq[w.rhs, w.lhs] and w.lhs != w.rhs
+    # P(q) = (1, 1) breaks P(q) <= q at point 1, where q is 0
+    assert (w.lhs, w.rhs) == (out.witness_lhs, out.witness_rhs) == (1, 0)
     trace: list = []
     got = eval_trace(P_OF_Q, cube2, {"q": (1, 0)}, le2.n, ops, {}, trace)
     assert got == (1, 1)

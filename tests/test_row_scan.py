@@ -36,8 +36,10 @@ def _chain(n):
 
 
 def _holds(lattice, law, env, n_points, ops, sides):
+    """Per point, (whether the sides are ordered, or equal for an eq check,
+    lhs value, rhs value)."""
     lhs, rhs = (eval_trace(side, lattice, env, n_points, ops, {}, []) for side in sides)
-    return [lattice.le(x, y) if law.relation == "leq" or sides is law.guard else x == y
+    return [(lattice.le(x, y) if law.relation == "leq" or sides is law.guard else x == y, x, y)
             for x, y in zip(lhs, rhs)]
 
 
@@ -47,12 +49,15 @@ def _reference(law, lattice, n_points, ops, cap, seed=DEFAULT_SEED):
     columns = [sampled_block(lattice, n_points, cap, seed + i) for i in range(len(law.vars))]
     for k in range(cap):
         env = {v: tuple(int(x) for x in col[k]) for v, col in zip(law.vars, columns)}
-        if law.guard is not None and not all(_holds(lattice, law, env, n_points, ops, law.guard)):
+        if law.guard is not None and not all(
+                ok for ok, _, _ in _holds(lattice, law, env, n_points, ops, law.guard)):
             continue
-        ok = _holds(lattice, law, env, n_points, ops, (law.lhs, law.rhs))
-        if not all(ok):
-            return LawOutcome(FAIL, SAMPLED, cap, witness_env=env, witness_point=ok.index(False),
-                              index=k)
+        points = _holds(lattice, law, env, n_points, ops, (law.lhs, law.rhs))
+        bad = [(s, x, y) for s, (ok, x, y) in enumerate(points) if not ok]
+        if bad:
+            s, x, y = bad[0]
+            return LawOutcome(FAIL, SAMPLED, cap, witness_env=env, witness_point=s, index=k,
+                              witness_lhs=x, witness_rhs=y)
     return LawOutcome(ONE_SIDED, SAMPLED, cap)
 
 
@@ -94,10 +99,13 @@ def test_split_past_the_cap_forks_laws_only(monkeypatch, forks, chain2, oml10):
 
     def run(jobs):
         monkeypatch.setattr(laws, "_split_cost", 0.0)
-        out = check_laws(sampled, chain2, 64, budget=300, pair_budget=1000, jobs=jobs, chunk=50)
+        with monkeypatch.context() as patch:
+            patch.setattr(laws, "ID_CHUNK", 50)
+            out = check_laws(sampled, chain2, 64, budget=300, pair_budget=1000, jobs=jobs)
         with monkeypatch.context() as capped:
             capped.setattr(laws, "ID_PATH_MAX", 10)
-            out += check_laws(exhaustive, oml10, 2, jobs=jobs, chunk=20)
+            capped.setattr(laws, "ID_CHUNK", 20)
+            out += check_laws(exhaustive, oml10, 2, jobs=jobs)
         return out
 
     alone = run(1)

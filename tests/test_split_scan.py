@@ -6,7 +6,8 @@ by a forked child. These tests zero the measured split cost, so the next
 scan splits right after its first two batches, and build laws that fail in
 chosen ranges. Every LawOutcome must equal the one at jobs=1.
 
-On oml10 x le2 (100 propositions) a chunk of 100 makes batch b of the
+On oml10 x le2 (100 propositions) batches of 100 bindings (laws.ID_CHUNK
+set to CHUNK by the chunked fixture) make batch b of the
 exhaustive pair space the p row b, and batch b of a draw the draws
 100b..100b+99. After batches 0 and 1, jobs 2 cuts batches 2..99 into
 [2, 51) and [51, 100), and jobs 3 into [2, 34), [34, 67) and [67, 100).
@@ -40,10 +41,16 @@ P, Q = PVar("p"), PVar("q")
 MARKED = Law("marked", "leq", Meet(App("A", P), App("B", Q)), ConstProp("bottom"), ("p", "q"))
 
 
+@pytest.fixture()
+def chunked(monkeypatch):
+    """Law scans in batches of CHUNK bindings."""
+    monkeypatch.setattr(laws, "ID_CHUNK", CHUNK)
+
+
 def _split(monkeypatch, cases, lattice, n_points, jobs, **kwargs):
     """check_laws with the next split scan splitting after its first two batches."""
     monkeypatch.setattr(laws, "_split_cost", 0.0)
-    return check_laws(cases, lattice, n_points, jobs=jobs, chunk=CHUNK, **kwargs)
+    return check_laws(cases, lattice, n_points, jobs=jobs, **kwargs)
 
 
 def _marker(lattice, n_points, marked, label):
@@ -69,7 +76,7 @@ def _failing_ids(lattice, outcome):
     return tuple(int(encode_props(lattice, np.array(outcome.witness_env[v]))) for v in "pq")
 
 
-def test_exhaustive_split_takes_the_earliest_range(monkeypatch, forks, oml10, le2):
+def test_exhaustive_split_takes_the_earliest_range(monkeypatch, chunked, forks, oml10, le2):
     marks = [
         ({1}, {0}),        # in the first batches, before any split
         ({20}, {5}),       # the first range
@@ -81,7 +88,7 @@ def test_exhaustive_split_takes_the_earliest_range(monkeypatch, forks, oml10, le
         (set(), {1}),      # never fails
     ]
     cases = _marked_cases(oml10, le2.n, marks)
-    want = check_laws(cases, oml10, le2.n, chunk=CHUNK)
+    want = check_laws(cases, oml10, le2.n)
     assert not forks
     assert [_failing_ids(oml10, o) for o in want] == [
         (1, 0), (20, 5), (60, 7), (50, 9), (99, 99), (40, 3), (60, 2), None]
@@ -92,7 +99,7 @@ def test_exhaustive_split_takes_the_earliest_range(monkeypatch, forks, oml10, le
         assert forks == ["omtense.laws"] * (jobs - 1)
 
 
-def test_sampled_split_takes_the_earliest_range(monkeypatch, forks, oml10, le2):
+def test_sampled_split_takes_the_earliest_range(monkeypatch, chunked, forks, oml10, le2):
     count, cap = proposition_count(oml10, le2.n), 9000
     offsets = laws._pair_offsets(count, cap, DEFAULT_SEED)
     ps, qs = (col.astype(int) for col in laws._pairs_at(count, offsets, 0, cap))
@@ -103,7 +110,7 @@ def test_sampled_split_takes_the_earliest_range(monkeypatch, forks, oml10, le2):
                   {qs[picks["middle"]], qs[picks["last"]]}))
     marks.append((set(), {0}))
     cases = _marked_cases(oml10, le2.n, marks)
-    want = check_laws(cases, oml10, le2.n, pair_budget=cap, chunk=CHUNK)
+    want = check_laws(cases, oml10, le2.n, pair_budget=cap)
     assert not forks
     first = []
     for (mp, mq), outcome in zip(marks, want):
@@ -159,9 +166,9 @@ def test_a_scanning_child_holds_no_standard_stream(oml10, le2):
 
 
 @pytest.mark.parametrize("how", ["exit", "raise"])
-def test_a_child_that_does_not_report_is_rescanned(monkeypatch, forks, oml10, le2, how):
+def test_a_child_that_does_not_report_is_rescanned(monkeypatch, chunked, forks, oml10, le2, how):
     cases = _marked_cases(oml10, le2.n, [({20}, {5}), ({60}, {7}), ({99}, {1}), (set(), {1})])
-    want = check_laws(cases, oml10, le2.n, chunk=CHUNK)
+    want = check_laws(cases, oml10, le2.n)
     parent, real = os.getpid(), laws._Subterms.scan
 
     def scan(self, batches, bad=None):
@@ -178,20 +185,21 @@ def test_a_child_that_does_not_report_is_rescanned(monkeypatch, forks, oml10, le
         assert len(forks) == jobs - 1
 
 
-def test_children_are_killed_once_every_case_failed(monkeypatch, forks, oml10, le2):
+def test_children_are_killed_once_every_case_failed(monkeypatch, chunked, forks, oml10, le2):
     cases = _marked_cases(oml10, le2.n, [({20}, {5}), ({3, 70}, {7})])
-    want = check_laws(cases, oml10, le2.n, chunk=CHUNK)
+    want = check_laws(cases, oml10, le2.n)
     assert _split(monkeypatch, cases, oml10, le2.n, 3) == want
     assert len(forks) == 2
     with pytest.raises(ChildProcessError):  # every child was reaped
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_in_process_without_fork_or_when_a_split_costs_too_much(monkeypatch, forks, oml10, le2):
+def test_in_process_without_fork_or_when_a_split_costs_too_much(monkeypatch, chunked, forks,
+                                                                  oml10, le2):
     cases = _marked_cases(oml10, le2.n, [({60}, {7}), (set(), {1})])
-    want = check_laws(cases, oml10, le2.n, chunk=CHUNK)
+    want = check_laws(cases, oml10, le2.n)
     monkeypatch.setattr(laws, "_split_cost", 1e9)
-    assert check_laws(cases, oml10, le2.n, jobs=2, chunk=CHUNK) == want
+    assert check_laws(cases, oml10, le2.n, jobs=2) == want
     monkeypatch.delattr(os, "fork")
     assert _split(monkeypatch, cases, oml10, le2.n, 2) == want
     assert not forks

@@ -17,10 +17,6 @@ from omtense import (
     Tabulated,
     TabulatedMiss,
     compose,
-    eval_F,
-    eval_G,
-    eval_H,
-    eval_P,
     format_prop,
     identity_operator,
     op_leq_counterexample,
@@ -58,13 +54,10 @@ TABLES = {
     },
 }
 
-EVAL = {"P": eval_P, "F": eval_F, "H": eval_H, "G": eval_G}
-
-
 @pytest.mark.parametrize("prop_name", ["p", "q"])
 @pytest.mark.parametrize("op_name", ["P", "F", "H", "G"])
 def test_worked_tables(oml10, le5, pq, names, prop_name, op_name):
-    got = EVAL[op_name](oml10, le5, pq[prop_name])
+    got = FrameInduced(oml10, le5, op_name)(pq[prop_name])
     assert names(oml10, got) == TABLES[prop_name][op_name]
 
 
@@ -102,24 +95,20 @@ def test_operators_match_literal_definition(oml10, frame_name, request):
     rng = np.random.default_rng(7)
     props = [tuple(int(x) for x in rng.integers(0, oml10.n, size=frame.n))
              for _ in range(50)]
+    quad = OperatorQuadruple.from_frame(oml10, frame)
     for q in props:
-        assert eval_P(oml10, frame, q) == oracles.tense_P(
-            _join2(oml10), oml10.bottom, frame.rel, q)
-        assert eval_F(oml10, frame, q) == oracles.tense_F(
-            _join2(oml10), oml10.bottom, frame.rel, q)
-        assert eval_H(oml10, frame, q) == oracles.tense_H(
-            _meet2(oml10), oml10.top, frame.rel, q)
-        assert eval_G(oml10, frame, q) == oracles.tense_G(
-            _meet2(oml10), oml10.top, frame.rel, q)
+        assert quad.P(q) == oracles.tense_P(_join2(oml10), oml10.bottom, frame.rel, q)
+        assert quad.F(q) == oracles.tense_F(_join2(oml10), oml10.bottom, frame.rel, q)
+        assert quad.H(q) == oracles.tense_H(_meet2(oml10), oml10.top, frame.rel, q)
+        assert quad.G(q) == oracles.tense_G(_meet2(oml10), oml10.top, frame.rel, q)
 
 
 def test_operators_match_literal_definition_exhaustively(cube2, le2):
     # small enough to sweep the full proposition space
+    quad = OperatorQuadruple.from_frame(cube2, le2)
     for q in oracles.all_props(cube2.n, le2.n):
-        assert eval_P(cube2, le2, q) == oracles.tense_P(
-            _join2(cube2), cube2.bottom, le2.rel, q)
-        assert eval_G(cube2, le2, q) == oracles.tense_G(
-            _meet2(cube2), cube2.top, le2.rel, q)
+        assert quad.P(q) == oracles.tense_P(_join2(cube2), cube2.bottom, le2.rel, q)
+        assert quad.G(q) == oracles.tense_G(_meet2(cube2), cube2.top, le2.rel, q)
 
 
 def test_batch_agrees_with_scalar(oml10, le5):
@@ -154,12 +143,13 @@ def test_frame_batch_matches_oracle(lattice_name, frame_name):
         "G": lambda q: oracles.tense_G(meet2, lattice.top, frame.rel, q),
     }
     rows = [tuple(int(x) for x in row) for row in block]
-    for which, eval_op in EVAL.items():
-        out = FrameInduced(lattice, frame, which).apply_batch(block)
+    for which in "PFHG":
+        op = FrameInduced(lattice, frame, which)
+        out = op.apply_batch(block)
         assert out.dtype == block.dtype and out.shape == block.shape
         got = [tuple(int(x) for x in row) for row in out]
         assert got == [literal[which](q) for q in rows], which
-        assert got == [eval_op(lattice, frame, q) for q in rows], which
+        assert got == [op(q) for q in rows], which
 
 
 def _memo_keys(lattice):
@@ -235,10 +225,11 @@ def test_duality_through_complement(oml10, le5):
 def test_empty_join_and_meet_convention(oml10, nonserial2):
     # the point with no predecessor gets bottom from P and top from H
     top_prop = (oml10.top, oml10.top)
-    assert eval_P(oml10, nonserial2, top_prop) == (oml10.bottom, oml10.top)
-    assert eval_H(oml10, nonserial2, top_prop) == (oml10.top, oml10.top)
-    assert eval_F(oml10, nonserial2, top_prop) == (oml10.top, oml10.bottom)
-    assert eval_G(oml10, nonserial2, top_prop) == (oml10.top, oml10.top)
+    quad = OperatorQuadruple.from_frame(oml10, nonserial2)
+    assert quad.P(top_prop) == (oml10.bottom, oml10.top)
+    assert quad.H(top_prop) == (oml10.top, oml10.top)
+    assert quad.F(top_prop) == (oml10.top, oml10.bottom)
+    assert quad.G(top_prop) == (oml10.top, oml10.top)
 
 
 # -- enumeration ------------------------------------------------------------
@@ -360,6 +351,8 @@ def test_compose_order_and_label(oml10, le3, le5, pq):
 
 
 def test_quadruple_validation(oml10, le3, le5):
+    with pytest.raises(InvalidSpec):
+        FrameInduced(oml10, le3, "X")  # only P, F, H and G read off a frame
     with pytest.raises(InvalidSpec):
         OperatorQuadruple(
             FrameInduced(oml10, le5, "P"), FrameInduced(oml10, le5, "F"),

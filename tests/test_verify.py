@@ -46,6 +46,40 @@ def rnt3():
         [("1", "1"), ("2", "2"), ("3", "3"), ("1", "2"), ("2", "3")])
 
 
+_PASS, _FAIL = ("pass", ""), ("fail", "")
+_FRAME = ("skipped", "needs a time frame")
+_FRAME_OR_OPS = ("skipped", "needs a time frame or an operator quadruple")
+_SERIAL = ("skipped", "requires serial R")
+_REFLEXIVE = ("skipped", "requires reflexive R")
+_ORTHO = ("skipped", "requires orthocomplementation")
+_OM = ("skipped", "requires an orthomodular lattice")
+
+# (verdict, reason) of every suite, in SUITE_IDS order, per (lattice, frame).
+# chain3 x cyc2 misses two of thm7's gates (reflexive R, orthocomplementation)
+# and two of thm6's, so the reason shows which gate is checked first.
+SUITE_GATES = {
+    ("oml10", None): [_FRAME, _FRAME, _FRAME, _PASS, _PASS, _FRAME_OR_OPS, _FRAME, _FRAME,
+                      _FRAME_OR_OPS, _FRAME_OR_OPS, _FRAME_OR_OPS, _FRAME, _PASS],
+    ("chain3", "le3"): [_PASS, _PASS, _PASS, _ORTHO, _ORTHO, _ORTHO, _ORTHO, _PASS, _PASS,
+                        _PASS, _PASS, _ORTHO, _ORTHO],
+    ("o6", "le3"): [_PASS, _PASS, _PASS, _OM, _OM, _OM, _OM, _PASS, _PASS, _PASS, _PASS,
+                    _PASS, _FAIL],
+    ("oml10", "nonserial2"): [_SERIAL, _SERIAL, _REFLEXIVE, _PASS, _PASS, _PASS, _REFLEXIVE,
+                              _PASS, _PASS, _PASS, _PASS, _PASS, _PASS],
+    ("chain3", "cyc2"): [_PASS, _PASS, _REFLEXIVE, _ORTHO, _ORTHO, _ORTHO, _REFLEXIVE, _PASS,
+                         _PASS, _PASS, _PASS, _ORTHO, _ORTHO],
+}
+
+
+@pytest.mark.parametrize("lattice_name, frame_name", SUITE_GATES,
+                         ids=[f"{lattice}-{frame}" for lattice, frame in SUITE_GATES])
+def test_every_suite_gate_in_order(request, lattice_name, frame_name):
+    frame = request.getfixturevalue(frame_name) if frame_name else None
+    inst = Instance(lattice=request.getfixturevalue(lattice_name), frame=frame)
+    got = [(report.verdict, report.reason) for report in run_all(inst)]
+    assert got == SUITE_GATES[lattice_name, frame_name]
+
+
 def test_suite_ids_are_complete():
     assert SUITE_IDS == (
         "thm1", "thm2", "thm3", "prop1", "lemma1", "thm6", "thm7",
