@@ -18,7 +18,6 @@ from .errors import (
     NotAFailure,
     NotALattice,
     NotBounded,
-    NotOrthomodular,
     OmtError,
     OrthoViolation,
     ParseError,
@@ -33,7 +32,6 @@ from .lattice import (
     Oml,
     build_lattice,
     check_orthomodular,
-    complement,
     de_morgan_witness,
     format_lattice,
     join_set,
@@ -64,8 +62,6 @@ from .tense import (
 )
 from .sasaki import (
     connective_tables,
-    prop_sasaki_and,
-    prop_sasaki_imp,
     sasaki_and,
     sasaki_imp,
 )

@@ -32,7 +32,9 @@ from .render import (
     connective_tables_text,
     extension_table,
     induced_relation_text,
+    point_text,
     prop_table,
+    prop_text,
 )
 from .report import FAIL, VerifyReport
 from .tense import (
@@ -231,12 +233,9 @@ def _cmd_classify(args) -> int:
         print()
         print(f"witness: {w.note}")
         for name, values in w.props:
-            fmt = ", ".join(lattice.name_of(v) for v in values)
-            print(f"  {name} = ({fmt})")
-        where = f"point {w.point}"
-        if w.point is not None and w.point < len(points):
-            where += f" (t={points[w.point]})"
-        print(f"  at {where}: {lattice.name_of(w.lhs)} vs {lattice.name_of(w.rhs)}")
+            print(f"  {name} = {prop_text(lattice, values)}")
+        print(f"  at {point_text(w.point, points)}: "
+              f"{lattice.name_of(w.lhs)} vs {lattice.name_of(w.rhs)}")
     return 0
 
 

@@ -49,14 +49,6 @@ class OrthoViolation(OmtError):
     """The declared pairing is not an antitone involutive complementation."""
 
 
-class NotOrthomodular(OmtError):
-    """Raised by a flagged build when the orthomodular law fails; carries the witness pair."""
-
-    def __init__(self, message: str, witness: tuple[str, str]):
-        self.witness = witness
-        super().__init__(message)
-
-
 class NoOrtho(OmtError):
     """An orthocomplementation is required but the lattice carries none."""
 

@@ -24,7 +24,6 @@ from .errors import (
     NoOrtho,
     NotALattice,
     NotBounded,
-    NotOrthomodular,
     OrthoViolation,
     ParseError,
 )
@@ -81,7 +80,8 @@ class Oml:
     """A finite bounded lattice, possibly orthocomplemented.
 
     Fields: n, names, leq (n x n bool), join_table / meet_table (n x n index
-    tables), comp (index permutation or None), bottom, top.
+    tables), comp (index permutation or None, read through ortho), bottom,
+    top.
     """
 
     def __init__(self, name: str, names: tuple[str, ...], leq: np.ndarray,
@@ -112,10 +112,16 @@ class Oml:
     def meet(self, x: int, y: int) -> int:
         return int(self.meet_table[x, y])
 
-    def orthocomplement(self, x: int) -> int:
+    @property
+    def ortho(self) -> np.ndarray:
+        """The orthocomplement as an element -> element table; NoOrtho on a
+        lattice without one."""
         if self.comp is None:
             raise NoOrtho(f"lattice {self.name!r} has no orthocomplementation")
-        return int(self.comp[x])
+        return self.comp
+
+    def orthocomplement(self, x: int) -> int:
+        return int(self.ortho[x])
 
     @property
     def has_ortho(self) -> bool:
@@ -147,12 +153,11 @@ def _transitive_closure(adj: np.ndarray) -> np.ndarray:
     return leq
 
 
-def build_lattice(spec: LatticeSpec, *, require_orthomodular: bool = False) -> Oml:
+def build_lattice(spec: LatticeSpec) -> Oml:
     """Close the covers, locate bounds, tabulate joins/meets, validate ortho.
 
     Raises CycleInCovers, NotBounded, NotALattice, OrthoViolation as soon as
-    the corresponding defect is found; with require_orthomodular, a valid
-    ortholattice that breaks the orthomodular law raises NotOrthomodular.
+    the corresponding defect is found.
     """
     spec.validate()
     names = spec.elements
@@ -221,17 +226,7 @@ def build_lattice(spec: LatticeSpec, *, require_orthomodular: bool = False) -> O
                     f"(join {names[int(join_table[i, comp[i]])]!r}, "
                     f"meet {names[int(meet_table[i, comp[i]])]!r})")
 
-    lattice = Oml(spec.name, names, leq, join_table, meet_table, comp, bottom, top)
-    if require_orthomodular:
-        if comp is None:
-            raise NoOrtho(f"lattice {spec.name!r} has no orthocomplementation to check")
-        witness = orthomodular_witness(lattice)
-        if witness is not None:
-            x, y = witness
-            raise NotOrthomodular(
-                f"orthomodular law fails at ({names[x]!r}, {names[y]!r})",
-                witness=(names[x], names[y]))
-    return lattice
+    return Oml(spec.name, names, leq, join_table, meet_table, comp, bottom, top)
 
 
 # -- set operations -----------------------------------------------------
@@ -252,17 +247,11 @@ def meet_set(lattice: Oml, xs) -> int:
     return acc
 
 
-def complement(lattice: Oml, x: int) -> int:
-    return lattice.orthocomplement(x)
-
-
 # -- orthomodularity ----------------------------------------------------
 
 def orthomodular_witness(lattice: Oml) -> tuple[int, int] | None:
     """First (x, y) in index order with x <= y but y != x v (y ^ x')."""
-    if lattice.comp is None:
-        raise NoOrtho(f"lattice {lattice.name!r} has no orthocomplementation")
-    leq, join, meet, comp = lattice.leq, lattice.join_table, lattice.meet_table, lattice.comp
+    leq, join, meet, comp = lattice.leq, lattice.join_table, lattice.meet_table, lattice.ortho
     for x in range(lattice.n):
         for y in range(lattice.n):
             if leq[x, y] and int(join[x, meet[y, comp[x]]]) != y:
@@ -272,9 +261,7 @@ def orthomodular_witness(lattice: Oml) -> tuple[int, int] | None:
 
 def orthomodular_witness_dual(lattice: Oml) -> tuple[int, int] | None:
     """First (x, y) in index order with x <= y but x != y ^ (x v y')."""
-    if lattice.comp is None:
-        raise NoOrtho(f"lattice {lattice.name!r} has no orthocomplementation")
-    leq, join, meet, comp = lattice.leq, lattice.join_table, lattice.meet_table, lattice.comp
+    leq, join, meet, comp = lattice.leq, lattice.join_table, lattice.meet_table, lattice.ortho
     for x in range(lattice.n):
         for y in range(lattice.n):
             if leq[x, y] and int(meet[y, join[x, comp[y]]]) != x:
@@ -284,9 +271,7 @@ def orthomodular_witness_dual(lattice: Oml) -> tuple[int, int] | None:
 
 def de_morgan_witness(lattice: Oml) -> tuple[int, int, str] | None:
     """First (x, y) where (x v y)' != x' ^ y' or (x ^ y)' != x' v y'."""
-    if lattice.comp is None:
-        raise NoOrtho(f"lattice {lattice.name!r} has no orthocomplementation")
-    join, meet, comp = lattice.join_table, lattice.meet_table, lattice.comp
+    join, meet, comp = lattice.join_table, lattice.meet_table, lattice.ortho
     for x in range(lattice.n):
         for y in range(lattice.n):
             if int(comp[join[x, y]]) != int(meet[comp[x], comp[y]]):
@@ -306,7 +291,7 @@ def orthomodular_join_result(lattice: Oml, pair: tuple[int, int] | None,
     witness = Witness(
         kind="elements", law="orthomodular-join-form",
         elements=(("x", x), ("y", y)),
-        lhs=int(lattice.join_table[x, lattice.meet_table[y, lattice.comp[x]]]),
+        lhs=int(lattice.join_table[x, lattice.meet_table[y, lattice.ortho[x]]]),
         rhs=y,
         note="x <= y but x v (y ^ x') != y")
     return LawResult("orthomodular-join-form", FAIL, witness=witness, samples=samples)

@@ -15,6 +15,10 @@ whose claim only applies to ordered pairs). Expressions evaluate two ways:
   eval_trace   one proposition at a time, recording every intermediate value,
                for witnesses and their replays
 
+A binary connective is one subclass of Binary, given by its symbol and its
+lift(lattice, a, b), the elementwise rule on element index arrays; every
+reader handles all of them in one branch.
+
 A point projection At(expr, s), expr's value at the point s, may only be a
 whole side of a leq check whose other side is one too. A scan evaluates it
 to a digit (one 1-point block code) and checks the pair with one gather from
@@ -23,13 +27,13 @@ the 1-point order table; eval_trace makes it the constant proposition.
 check_laws quantifies a list of (law, operators) cases. Quantification is
 exhaustive in odometer order below the budget and falls back to
 deterministic seeded sampling above it (one-sided verdict). Pair laws
-quantify over the pair-index space p-major, capped by the pair budget with
-stratified sampling beyond; a closed law is a scan of its one empty binding.
-The cases of one arity share one scan: the same batches in that order
-(sampled draws in draw order), each distinct subterm evaluated once per
-batch, a guarded case checked only on the bindings where its guard holds,
-and each case leaving the scan at its first failing index. With
-jobs > 1 that scan is split into contiguous ranges of its batches, the
+quantify over the pair-index space p-major, capped at min(PAIR_BUDGET,
+budget^2) with stratified sampling beyond; a closed law is a scan of its
+one empty binding. The cases of one arity share one scan: the same
+batches in that order (sampled draws in draw order), each distinct subterm
+evaluated once per batch, a guarded case checked only on the bindings where
+its guard holds, and each case leaving the scan at its first failing index.
+With jobs > 1 that scan is split into contiguous ranges of its batches, the
 first scanned by the calling process and each other one by a forked child,
 and merged per case by the first range that fails. Every case gets the
 outcome it would get checked alone, and parallel runs report exactly what a
@@ -54,17 +58,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoOrtho
 from .lattice import INDEX_DTYPE, Oml
 from .report import EXHAUSTIVE, FAIL, ONE_SIDED, PASS, SAMPLED, Witness
-from .sasaki import (
-    prop_sasaki_and,
-    prop_sasaki_imp,
-    sasaki_and_batch,
-    sasaki_imp_batch,
-)
+from .sasaki import sasaki_and_batch, sasaki_imp_batch
 from .tense import (
-    DEFAULT_PAIR_BUDGET,
     DEFAULT_SEED,
     ID_CHUNK,
     ID_DTYPE,
@@ -85,6 +82,9 @@ from .tense import (
     sampled_ids,
 )
 
+# most bindings a pair law checks, whatever the budget
+PAIR_BUDGET = 10 ** 6
+
 
 # -- expressions ----------------------------------------------------------
 
@@ -104,27 +104,48 @@ class Neg:
 
 
 @dataclass(frozen=True)
-class Join:
+class Binary:
+    """A binary connective. Each subclass sets its symbol and its lift, the
+    elementwise rule applied to element index arrays of one shape."""
+
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Meet:
-    left: "Expr"
-    right: "Expr"
+class Join(Binary):
+    symbol = "v"
+
+    @staticmethod
+    def lift(lattice: Oml, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return lattice.join_table[a, b]
 
 
-@dataclass(frozen=True)
-class SAnd:
-    left: "Expr"
-    right: "Expr"
+class Meet(Binary):
+    symbol = "^"
+
+    @staticmethod
+    def lift(lattice: Oml, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return lattice.meet_table[a, b]
 
 
-@dataclass(frozen=True)
-class SImp:
-    left: "Expr"
-    right: "Expr"
+# SAnd.lift and SImp.lift look sasaki_*_batch up in this module on every
+# call, where the benchmark's trace hooks sit; a reference taken at import
+# would bypass them
+
+class SAnd(Binary):
+    symbol = "*"
+
+    @staticmethod
+    def lift(lattice: Oml, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return sasaki_and_batch(lattice, a, b)
+
+
+class SImp(Binary):
+    symbol = "->"
+
+    @staticmethod
+    def lift(lattice: Oml, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return sasaki_imp_batch(lattice, a, b)
 
 
 @dataclass(frozen=True)
@@ -142,7 +163,7 @@ class At:
     point: int
 
 
-Expr = PVar | ConstProp | Neg | Join | Meet | SAnd | SImp | App | At
+Expr = PVar | ConstProp | Neg | Binary | App | At
 
 
 def render(expr: Expr, names: dict[str, str] | None = None) -> str:
@@ -156,14 +177,8 @@ def render(expr: Expr, names: dict[str, str] | None = None) -> str:
         case Neg(arg):
             # binary forms already parenthesize themselves
             return render(arg, names) + "'"
-        case Join(a, b):
-            return f"({render(a, names)} v {render(b, names)})"
-        case Meet(a, b):
-            return f"({render(a, names)} ^ {render(b, names)})"
-        case SAnd(a, b):
-            return f"({render(a, names)} * {render(b, names)})"
-        case SImp(a, b):
-            return f"({render(a, names)} -> {render(b, names)})"
+        case Binary(a, b):
+            return f"({render(a, names)} {expr.symbol} {render(b, names)})"
         case App(slot, arg):
             return f"{names.get(slot, slot)}({render(arg, names)})"
         case At(arg, point):
@@ -186,24 +201,12 @@ def eval_trace(expr: Expr, lattice: Oml, env: dict[str, Prop], n_points: int,
             value = lattice.bottom if which == "bottom" else lattice.top
             return tuple([value] * n_points)
         case Neg(arg):
-            out = tuple(int(lattice.comp[x]) for x in
+            out = tuple(int(lattice.ortho[x]) for x in
                         eval_trace(arg, lattice, env, n_points, ops, names, trace))
-        case Join(a, b):
-            out = tuple(lattice.join(x, y) for x, y in
-                        zip(eval_trace(a, lattice, env, n_points, ops, names, trace),
-                            eval_trace(b, lattice, env, n_points, ops, names, trace)))
-        case Meet(a, b):
-            out = tuple(lattice.meet(x, y) for x, y in
-                        zip(eval_trace(a, lattice, env, n_points, ops, names, trace),
-                            eval_trace(b, lattice, env, n_points, ops, names, trace)))
-        case SAnd(a, b):
-            out = prop_sasaki_and(lattice,
-                                  eval_trace(a, lattice, env, n_points, ops, names, trace),
-                                  eval_trace(b, lattice, env, n_points, ops, names, trace))
-        case SImp(a, b):
-            out = prop_sasaki_imp(lattice,
-                                  eval_trace(a, lattice, env, n_points, ops, names, trace),
-                                  eval_trace(b, lattice, env, n_points, ops, names, trace))
+        case Binary(a, b):
+            left, right = (np.array(eval_trace(side, lattice, env, n_points, ops, names, trace),
+                                    dtype=INDEX_DTYPE) for side in (a, b))
+            out = tuple(expr.lift(lattice, left, right).tolist())
         case App(slot, arg):
             out = ops[slot](eval_trace(arg, lattice, env, n_points, ops, names, trace))
         case At(arg, point):
@@ -278,14 +281,6 @@ def block_table(lattice: Oml, width: int, connective) -> np.ndarray:
     return encode_props(lattice, out).astype(ID_DTYPE).ravel()
 
 
-def _join_batch(lattice: Oml, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return lattice.join_table[a, b]
-
-
-def _meet_batch(lattice: Oml, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return lattice.meet_table[a, b]
-
-
 def _leq_batch(lattice: Oml, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return lattice.leq[a, b]
 
@@ -355,7 +350,7 @@ class IdAlgebra:
 
     def complement_map(self) -> np.ndarray:
         if self._comp is None:
-            comp = _comp_table(self.lattice)
+            comp = self.lattice.ortho
             self._comp = rows_id_map(self.lattice, self.n_points, lambda rows: comp[rows])
         return self._comp
 
@@ -385,11 +380,11 @@ class IdAlgebra:
         """Plain codes at this block as scaled codes."""
         return np.multiply(codes, self.radices[block], dtype=self.index_dtype)
 
-    def tables(self, name: str, fn, block: int):
+    def tables(self, fn, block: int):
         """block_table of fn at this block's width, built once: per index, for
         the order check whether x <= y at every point of the block, for a
         connective the plain and the scaled codes of fn(x, y)."""
-        key = (name, self.widths[block])
+        key = (fn, self.widths[block])
         if key not in self._tables:
             table = block_table(self.lattice, self.widths[block], fn)
             if table.dtype != bool:
@@ -398,11 +393,11 @@ class IdAlgebra:
             self._tables[key] = table
         return self._tables[key]
 
-    def value_table(self, name: str, fn, block: int) -> np.ndarray:
+    def value_table(self, fn, block: int) -> np.ndarray:
         """Per index, this block's part of the value of fn(x, y), built once."""
-        key = (name, "value", block)
+        key = (fn, "value", block)
         if key not in self._tables:
-            self._tables[key] = self._block_values(block, self.tables(name, fn, block)[0])
+            self._tables[key] = self._block_values(block, self.tables(fn, block)[0])
         return self._tables[key]
 
     def _block_values(self, block: int, codes):
@@ -436,7 +431,7 @@ class IdAlgebra:
 
     def point_table(self) -> np.ndarray:
         """Per index left * |L| + right of two 1-point codes, whether left <= right."""
-        key = ("leq", 1)
+        key = (_leq_batch, 1)
         if key not in self._tables:
             self._tables[key] = block_table(self.lattice, 1, _leq_batch)
         return self._tables[key]
@@ -483,7 +478,7 @@ class RowAlgebra(IdAlgebra):
         return sampled_block(self.lattice, self.n_points, count, seed)
 
     def complementer(self):
-        return _comp_table(self.lattice).take
+        return self.lattice.ortho.take
 
     def applier(self, op: TenseOperator):
         def apply(rows):
@@ -515,13 +510,6 @@ class RowAlgebra(IdAlgebra):
                                for table, index in zip(tables, indices)], axis=-1)
 
 
-def _comp_table(lattice: Oml) -> np.ndarray:
-    """The lattice's orthocomplement as an element -> element table."""
-    if lattice.comp is None:
-        raise NoOrtho(f"lattice {lattice.name!r} has no orthocomplementation")
-    return lattice.comp
-
-
 def _below(tables, *codes):
     """Whether x <= y at every point, from the order tables and, per block,
     the scaled codes of x and the plain codes of y."""
@@ -531,7 +519,6 @@ def _below(tables, *codes):
     return ok
 
 
-_CONNECTIVES = ("join", "meet", "sand", "simp")
 _VALUE, _LEFT, _RIGHT = "value", "left", "right"
 
 
@@ -582,16 +569,8 @@ class _Subterms:
                 key = ("neg", None, (self._add(arg, names, ops),))
             case App(slot, arg):
                 key = ("app", ops[slot], (self._add(arg, names, ops),))
-            case Join(a, b):
-                key = ("join", _join_batch, (self._add(a, names, ops), self._add(b, names, ops)))
-            case Meet(a, b):
-                key = ("meet", _meet_batch, (self._add(a, names, ops), self._add(b, names, ops)))
-            case SAnd(a, b):
-                key = ("sand", sasaki_and_batch,
-                       (self._add(a, names, ops), self._add(b, names, ops)))
-            case SImp(a, b):
-                key = ("simp", sasaki_imp_batch,
-                       (self._add(a, names, ops), self._add(b, names, ops)))
+            case Binary(a, b):
+                key = ("binary", expr.lift, (self._add(a, names, ops), self._add(b, names, ops)))
             case At():
                 raise TypeError(f"At is a whole side of a leq check only: {expr!r}")
             case _:
@@ -675,7 +654,7 @@ class _Program:
         need: dict[int, set[str]] = {node: set() for node in order}
         for node in reversed(order):
             kind, _, children = nodes[node]
-            if kind in _CONNECTIVES or kind == "leq":
+            if kind in ("binary", "leq"):
                 need[children[0]].add(_LEFT)
                 need[children[1]].add(_RIGHT)
             else:
@@ -700,18 +679,18 @@ class _Program:
                 if _LEFT in forms:
                     reg[node, _LEFT] = self._step(core.point_scale, plain)
                 continue
-            elif kind in _CONNECTIVES:
+            elif kind == "binary":
                 left, right = children
                 indices = [self._step(np.add, reg[left, _LEFT, b], reg[right, _RIGHT, b])
                            for b in blocks]
                 for b, index in zip(blocks, indices):
-                    plain, scaled = core.tables(kind, operand, b)
+                    plain, scaled = core.tables(operand, b)
                     if _RIGHT in forms:
                         reg[node, _RIGHT, b] = self._step(plain.take, index)
                     if _LEFT in forms:
                         reg[node, _LEFT, b] = self._step(scaled.take, index)
                 if _VALUE in forms:
-                    tables = [core.value_table(kind, operand, b) for b in blocks]
+                    tables = [core.value_table(operand, b) for b in blocks]
                     reg[node, _VALUE] = self._step(
                         functools.partial(core.from_blocks, tables), *indices)
                 continue
@@ -723,7 +702,7 @@ class _Program:
                 elif kind == "leq":
                     codes = [r for b in blocks for r in (reg[lhs, _LEFT, b], reg[rhs, _RIGHT, b])]
                     holds = self._step(functools.partial(
-                        _below, [core.tables(kind, _leq_batch, b) for b in blocks]), *codes)
+                        _below, [core.tables(_leq_batch, b) for b in blocks]), *codes)
                 else:
                     holds = self._step(core.equal, reg[lhs, _VALUE], reg[rhs, _VALUE])
                 if node in verdicts:
@@ -1061,8 +1040,7 @@ def _outcome(law: Law, lattice: Oml, n_points: int, ops: dict[str, TenseOperator
 
 
 def check_laws(cases, lattice: Oml, n_points: int, *, budget: int | None = None,
-               pair_budget: int = DEFAULT_PAIR_BUDGET, seed: int = DEFAULT_SEED,
-               jobs: int = 1) -> list[LawOutcome]:
+               seed: int = DEFAULT_SEED, jobs: int = 1) -> list[LawOutcome]:
     """Quantify each (law, ops) case over all (or sampled) propositions.
 
     Each outcome is what the case gets when checked alone. The cases of one
@@ -1082,7 +1060,7 @@ def check_laws(cases, lattice: Oml, n_points: int, *, budget: int | None = None,
     # pairs first: the pair draw's offsets are drawn before any id map a
     # unary or closed law would build
     for arity, members in sorted(by_arity.items(), reverse=True):
-        space, cap = _space(arity, count, budget, pair_budget)
+        space, cap = _space(arity, count, budget)
         exhaustive = space <= cap
         if exhaustive:
             draw = None
@@ -1107,18 +1085,17 @@ def check_laws(cases, lattice: Oml, n_points: int, *, budget: int | None = None,
 
 
 def check_law(law: Law, lattice: Oml, n_points: int, ops: dict[str, TenseOperator], *,
-              budget: int | None = None, pair_budget: int = DEFAULT_PAIR_BUDGET,
-              seed: int = DEFAULT_SEED, jobs: int = 1) -> LawOutcome:
+              budget: int | None = None, seed: int = DEFAULT_SEED,
+              jobs: int = 1) -> LawOutcome:
     """check_laws on the one case (law, ops)."""
-    return check_laws([(law, ops)], lattice, n_points, budget=budget, pair_budget=pair_budget,
-                      seed=seed, jobs=jobs)[0]
+    return check_laws([(law, ops)], lattice, n_points, budget=budget, seed=seed, jobs=jobs)[0]
 
 
-def _space(arity: int, count: int, budget: int, pair_budget: int) -> tuple[int, int]:
+def _space(arity: int, count: int, budget: int) -> tuple[int, int]:
     """(bindings in the space, most bindings checked) for laws of this arity."""
     if arity < 2:
         return count ** arity, budget
-    return count * count, min(pair_budget, budget * budget)
+    return count * count, min(PAIR_BUDGET, budget * budget)
 
 
 def _bound_ids(index: int, count: int, arity: int) -> tuple[int, ...]:

@@ -14,6 +14,19 @@ from .sasaki import connective_tables
 from .tense import Prop
 
 
+def prop_text(lattice: Oml, values) -> str:
+    """A proposition as its element names, "(a, b, c)"."""
+    return "(" + ", ".join(lattice.name_of(int(v)) for v in values) + ")"
+
+
+def point_text(point: int | None, points) -> str:
+    """The text 'point N', with ' (t=name)' when points names point N."""
+    text = f"point {point}"
+    if point is not None and point < len(points):
+        text += f" (t={points[point]})"
+    return text
+
+
 def render_table(rows: list[list[str]], *, rule_after_first: bool = True,
                  zone_breaks: tuple[int, ...] = ()) -> str:
     """Align a cell matrix; zone_breaks insert a bar column before those indices."""
@@ -81,8 +94,7 @@ def induced_relation_text(report: InducedRelationReport, *,
         lines.append("excluded pairs, first violating proposition each:")
         for (s, t) in sorted(report.witnesses):
             w = report.witnesses[(s, t)]
-            prop = "(" + ", ".join(lattice.name_of(v) for v in w.q) + ")"
             lines.append(f"  ({report.points[s]}, {report.points[t]}): "
-                         f"{w.inequality} fails for q = {prop}; "
+                         f"{w.inequality} fails for q = {prop_text(lattice, w.q)}; "
                          f"{lattice.name_of(w.lhs)} !<= {lattice.name_of(w.rhs)}")
     return "\n".join(lines) + "\n"

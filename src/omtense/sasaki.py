@@ -13,45 +13,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NoOrtho
 from .lattice import Oml
-from .tense import Prop
 
 
 def sasaki_and(lattice: Oml, x: int, y: int) -> int:
     """(x v y') ^ y"""
-    comp = lattice.comp
-    if comp is None:
-        raise NoOrtho(f"lattice {lattice.name!r} has no orthocomplementation")
-    return int(lattice.meet_table[lattice.join_table[x, comp[y]], y])
+    return int(sasaki_and_batch(lattice, x, y))
 
 
 def sasaki_imp(lattice: Oml, x: int, y: int) -> int:
     """(y ^ x) v x'"""
-    comp = lattice.comp
-    if comp is None:
-        raise NoOrtho(f"lattice {lattice.name!r} has no orthocomplementation")
-    return int(lattice.join_table[lattice.meet_table[y, x], comp[x]])
-
-
-def prop_sasaki_and(lattice: Oml, a: Prop, b: Prop) -> Prop:
-    return tuple(sasaki_and(lattice, x, y) for x, y in zip(a, b, strict=True))
-
-
-def prop_sasaki_imp(lattice: Oml, a: Prop, b: Prop) -> Prop:
-    return tuple(sasaki_imp(lattice, x, y) for x, y in zip(a, b, strict=True))
+    return int(sasaki_imp_batch(lattice, x, y))
 
 
 def sasaki_and_batch(lattice: Oml, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if lattice.comp is None:
-        raise NoOrtho(f"lattice {lattice.name!r} has no orthocomplementation")
-    return lattice.meet_table[lattice.join_table[a, lattice.comp[b]], b]
+    return lattice.meet_table[lattice.join_table[a, lattice.ortho[b]], b]
 
 
 def sasaki_imp_batch(lattice: Oml, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if lattice.comp is None:
-        raise NoOrtho(f"lattice {lattice.name!r} has no orthocomplementation")
-    return lattice.join_table[lattice.meet_table[b, a], lattice.comp[a]]
+    return lattice.join_table[lattice.meet_table[b, a], lattice.ortho[a]]
 
 
 def connective_tables(lattice: Oml) -> tuple[np.ndarray, np.ndarray]:

@@ -54,7 +54,6 @@ from .lattice import INDEX_DTYPE, Oml, join_set, meet_set, _tokenize
 Prop = tuple[int, ...]
 
 DEFAULT_BUDGET = 10 ** 6
-DEFAULT_PAIR_BUDGET = 10 ** 6
 DEFAULT_SEED = 1729
 # dtype of id maps, which are built for spaces of fewer than 2^31 ids; int32
 # arithmetic on ids runs several times faster than int64 in numpy

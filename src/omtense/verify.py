@@ -47,6 +47,7 @@ from .laws import (
     eval_trace,
     render,
 )
+from .render import point_text, prop_text
 from .report import (
     EXHAUSTIVE,
     FAIL,
@@ -62,7 +63,6 @@ from .report import (
 )
 from .sasaki import connective_tables, sasaki_and, sasaki_imp
 from .tense import (
-    DEFAULT_PAIR_BUDGET,
     DEFAULT_SEED,
     OperatorQuadruple,
     Prop,
@@ -83,7 +83,6 @@ class Instance:
     ops: OperatorQuadruple | None = None
     points: tuple[str, ...] | int | None = None  # names, or just a count
     budget: int | None = None
-    pair_budget: int = DEFAULT_PAIR_BUDGET
     seed: int = DEFAULT_SEED
     jobs: int = 1
     # the quadruple built from lattice and frame, kept out of ops so that
@@ -284,8 +283,7 @@ def _law_suite(suite: str, inst: Instance, entries) -> VerifyReport:
     quad = inst.quadruple()
     checked = [entry for entry in entries if entry[0] == "law"]
     outcomes = iter(check_laws([(law, ops) for _, law, ops, _ in checked], lattice, len(points),
-                               budget=inst.budget, pair_budget=inst.pair_budget,
-                               seed=inst.seed, jobs=inst.jobs))
+                               budget=inst.budget, seed=inst.seed, jobs=inst.jobs))
     results: list[LawResult] = []
     for entry in entries:
         if entry[0] == "skip":
@@ -377,9 +375,8 @@ def _thm6_result(label: str, left: LawOutcome, right: LawOutcome) -> LawResult:
 
 
 def check_thm6_equivalence(lattice: Oml, points, A: TenseOperator, *,
-                           budget: int | None = None,
-                           pair_budget: int = DEFAULT_PAIR_BUDGET,
-                           seed: int = DEFAULT_SEED, jobs: int = 1) -> VerifyReport:
+                           budget: int | None = None, seed: int = DEFAULT_SEED,
+                           jobs: int = 1) -> VerifyReport:
     """Either both connective laws hold for A or neither does."""
     points = tuple(points)
     inst_text = f"lattice={lattice.name} op={A.label} points={len(points)} " \
@@ -389,7 +386,7 @@ def check_thm6_equivalence(lattice: Oml, points, A: TenseOperator, *,
         return VerifyReport(suite="thm6", instance=inst_text, verdict=SKIPPED, reason=reason,
                             budget=resolve_budget(budget), seed=seed)
     outcomes = check_laws(_thm6_cases(A), lattice, len(points), budget=budget,
-                          pair_budget=pair_budget, seed=seed, jobs=jobs)
+                          seed=seed, jobs=jobs)
     result = _thm6_result(A.label, *outcomes)
     return VerifyReport(suite="thm6", instance=inst_text, verdict=result.verdict,
                         laws=[result], budget=resolve_budget(budget), seed=seed,
@@ -403,7 +400,7 @@ def _suite_thm6(inst: Instance) -> VerifyReport:
     # the four operators' eight cases share one scan and one set of block tables
     outcomes = check_laws([case for op in quad.as_dict().values() for case in _thm6_cases(op)],
                           inst.lattice, len(points), budget=inst.budget,
-                          pair_budget=inst.pair_budget, seed=inst.seed, jobs=inst.jobs)
+                          seed=inst.seed, jobs=inst.jobs)
     results = [_thm6_result(label, *outcomes[2 * k:2 * k + 2])
                for k, label in enumerate(quad.as_dict())]
     return VerifyReport(
@@ -450,8 +447,8 @@ def _suite_prop1(inst: Instance) -> VerifyReport:
         (both[0].astype(np.int16), both[1].astype(np.int16)),
         "adjunction sides disagree (values are truth values)"))
     laws.append(_element_result(
-        "a -> 0 = a'", imp[idx, L.bottom] == L.comp[idx], ("a",),
-        (imp[idx, L.bottom], L.comp[idx].astype(np.int16)),
+        "a -> 0 = a'", imp[idx, L.bottom] == L.ortho[idx], ("a",),
+        (imp[idx, L.bottom], L.ortho[idx].astype(np.int16)),
         "implication into bottom is not the orthocomplement"))
     return VerifyReport(
         suite="prop1", instance=inst.descriptor(),
@@ -485,7 +482,7 @@ def _suite_lemma1(inst: Instance) -> VerifyReport:
 
 def _suite_omllaw(inst: Instance) -> VerifyReport:
     L = inst.lattice
-    join, meet, comp = L.join_table, L.meet_table, L.comp
+    join, meet, comp = L.join_table, L.meet_table, L.ortho
     laws: list[LawResult] = []
 
     wj = orthomodular_witness(L)
@@ -632,13 +629,9 @@ def _fmt_elem(lattice: Oml, value) -> str:
     return lattice.name_of(int(value))
 
 
-def _fmt_prop(lattice: Oml, values) -> str:
-    return "(" + ", ".join(_fmt_elem(lattice, v) for v in values) + ")"
-
-
 def _element_trace(lattice: Oml, law_id: str, elems: dict[str, int]):
     """Intermediate values for the element-level laws, by law id."""
-    j, m, c = lattice.join_table, lattice.meet_table, lattice.comp
+    j, m, c = lattice.join_table, lattice.meet_table, lattice.ortho
     a = elems.get("a", 0)
     b = elems.get("b", 0)
     x = elems.get("x", 0)
@@ -719,7 +712,7 @@ def replay_witness(report: VerifyReport) -> str:
 
     if witness.kind == "op-mismatch" and lattice is not None:
         for name, values in witness.props:
-            lines.append(f"  {name} = {_fmt_prop(lattice, values)}")
+            lines.append(f"  {name} = {prop_text(lattice, values)}")
         for slot, display in witness.ops:
             op = _resolve_op(context, slot, display)
             if op is None:
@@ -727,20 +720,17 @@ def replay_witness(report: VerifyReport) -> str:
             for name, values in witness.props:
                 if len(values) == op.n_points:
                     result = op(tuple(values))
-                    lines.append(f"  {display}({name}) = {_fmt_prop(lattice, result)}")
+                    lines.append(f"  {display}({name}) = {prop_text(lattice, result)}")
                     break
         if witness.point is not None:
-            where = f"point {witness.point}"
-            if points and witness.point < len(points):
-                where += f" (t={points[witness.point]})"
-            lines.append(f"  first difference at {where}: "
+            lines.append(f"  first difference at {point_text(witness.point, points)}: "
                          f"{_fmt_elem(lattice, witness.lhs)} vs "
                          f"{_fmt_elem(lattice, witness.rhs)}")
         return "\n".join(lines)
 
     if witness.kind == "law" and lattice is not None:
         for name, values in witness.props:
-            lines.append(f"  {name} = {_fmt_prop(lattice, values)}")
+            lines.append(f"  {name} = {prop_text(lattice, values)}")
         law = _LAW_REGISTRY.get(witness.law)
         names = {slot: display for slot, display in witness.ops}
         ops = {}
@@ -764,13 +754,11 @@ def replay_witness(report: VerifyReport) -> str:
                 if text in seen:
                     continue
                 seen.add(text)
-                lines.append(f"    {text} = {_fmt_prop(lattice, values)}")
+                lines.append(f"    {text} = {prop_text(lattice, values)}")
         if witness.point is not None:
-            where = f"point {witness.point}"
-            if points and witness.point < len(points):
-                where += f" (t={points[witness.point]})"
             relation = "=" if law is not None and law.relation == "eq" else "<="
-            lines.append(f"  at {where}: {_fmt_elem(lattice, witness.lhs)} "
+            lines.append(f"  at {point_text(witness.point, points)}: "
+                         f"{_fmt_elem(lattice, witness.lhs)} "
                          f"{relation} {_fmt_elem(lattice, witness.rhs)} fails")
         return "\n".join(lines)
 

@@ -208,7 +208,7 @@ def stratified_draws(count, cap, seed):
 
 @pytest.mark.parametrize("lattice_name", LATTICES)
 @pytest.mark.parametrize("frame_name", FRAMES)
-def test_id_core_matches_brute_force(lattice_name, frame_name):
+def test_id_core_matches_brute_force(monkeypatch, lattice_name, frame_name):
     # whole suites in one check_laws call, and each case alone
     lattice, frame = builtin_lattice(lattice_name), builtin_frame(frame_name)
     quad = OperatorQuadruple.from_frame(lattice, frame).as_dict()
@@ -217,10 +217,11 @@ def test_id_core_matches_brute_force(lattice_name, frame_name):
         cases = [(law, {slot: quad[w] for slot, w in names.items()}) for law, names in bindings]
         for pair_budget in (REFERENCE_PAIR_BUDGET, SMALL_PAIR_BUDGET):
             want = [brute.outcome(law, names, pair_budget) for law, names in bindings]
-            got = check_laws(cases, lattice, frame.n, pair_budget=pair_budget)
+            with monkeypatch.context() as patch:
+                patch.setattr(laws, "PAIR_BUDGET", pair_budget)
+                got = check_laws(cases, lattice, frame.n)
+                alone = [check_law(law, lattice, frame.n, ops) for law, ops in cases]
             assert got == want, (suite, pair_budget)
-            alone = [check_law(law, lattice, frame.n, ops, pair_budget=pair_budget)
-                     for law, ops in cases]
             assert alone == want, (suite, pair_budget)
         # a budget below the proposition count samples single-variable laws too
         got = check_laws(cases, lattice, frame.n, budget=7)
@@ -252,7 +253,7 @@ def test_encoding_and_operator_maps(lattice_name, frame_name):
     assert np.array_equal(comp, encode_props(lattice, lattice.comp[block]))
 
 
-def test_block_split_covers_wide_frames(chain2, cube2):
+def test_block_split_covers_wide_frames(monkeypatch, chain2, cube2):
     # nine points: blocks of 7 + 2 on chain2, three blocks of 3 on cube2; the
     # scan's meets, joins, equalities and order checks on block codes must
     # agree with the element tables applied point by point on the same draws
@@ -265,9 +266,10 @@ def test_block_split_covers_wide_frames(chain2, cube2):
         Law("join-above", "leq", q, Join(Meet(p, q), q), ("p", "q")),
     ]
     cap = 300
+    monkeypatch.setattr(laws, "PAIR_BUDGET", cap)
     for lattice in (chain2, cube2):
         count = proposition_count(lattice, 9)
-        got = check_laws([(law, {}) for law in cases], lattice, 9, pair_budget=cap)
+        got = check_laws([(law, {}) for law in cases], lattice, 9)
         offsets = laws._pair_offsets(count, cap, DEFAULT_SEED)
         a, b = (decode_props(lattice, 9, side) for side in laws._pairs_at(count, offsets, 0, cap))
         meet, join, flip = lattice.meet_table[a, b], lattice.join_table[a, b], \
@@ -299,8 +301,11 @@ def test_row_values_agree_with_id_maps(monkeypatch, oml10, le2):
               (unguarded, quad, 10 ** 6, 1), (unguarded, quad, 500, 1)]
 
     def run():
-        return [check_law(law, oml10, le2.n, ops, pair_budget=pair_budget, jobs=jobs)
-                for law, ops, pair_budget, jobs in cases]
+        out = []
+        for law, ops, pair_budget, jobs in cases:
+            monkeypatch.setattr(laws, "PAIR_BUDGET", pair_budget)
+            out.append(check_law(law, oml10, le2.n, ops, jobs=jobs))
+        return out
 
     want = run()
     monkeypatch.setattr(laws, "ID_PATH_MAX", 10)
@@ -418,7 +423,8 @@ def test_random_laws_match_the_oracles_at_every_setting(instance, bound):
             if row_core:
                 patch.setattr(laws, "ID_PATH_MAX", 0)
             patch.setattr(laws, "_split_cost", 0.0)
-            got = check_laws(cases, lattice, frame.n, pair_budget=RANDOM_PAIR_BUDGET, jobs=jobs)
+            patch.setattr(laws, "PAIR_BUDGET", RANDOM_PAIR_BUDGET)
+            got = check_laws(cases, lattice, frame.n, jobs=jobs)
         assert got == want, (chunk, row_core, jobs)
 
 

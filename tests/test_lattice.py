@@ -7,7 +7,6 @@ from omtense import (
     InvalidSpec,
     NotALattice,
     NotBounded,
-    NotOrthomodular,
     OrthoViolation,
     build_lattice,
     check_orthomodular,
@@ -84,15 +83,6 @@ def test_oml10_is_orthomodular(oml10):
     assert orthomodular_witness_dual(oml10) is None
     assert de_morgan_witness(oml10) is None
     assert check_orthomodular(oml10).verdict == "pass"
-
-
-def test_require_orthomodular_flag():
-    spec = parse_lattice(LATTICE_TEXTS["o6"])
-    with pytest.raises(NotOrthomodular) as err:
-        build_lattice(spec, require_orthomodular=True)
-    assert err.value.witness == ("x", "y")
-    assert build_lattice(parse_lattice(LATTICE_TEXTS["oml10"]),
-                         require_orthomodular=True).is_orthomodular
 
 
 def test_lattice_without_ortho_is_allowed():

@@ -1,6 +1,6 @@
 import pytest
 
-from omtense import OperatorQuadruple, laws
+from omtense import NoOrtho, OperatorQuadruple, build_lattice, laws, parse_lattice
 from omtense.laws import (
     App,
     At,
@@ -96,10 +96,12 @@ def test_sampled_can_still_fail(oml10, le5):
     assert out.witness_env is not None and out.witness_point is not None
 
 
-def test_pair_budget_cap(oml10, le3):
+def test_pair_budget_cap(monkeypatch, oml10, le3):
     ops = OperatorQuadruple.from_frame(oml10, le3).as_dict()
     widen = Law("widen", "leq", PVar("p"), Join(PVar("p"), PVar("q")), ("p", "q"))
-    out = check_law(widen, oml10, le3.n, ops, pair_budget=500)
+    with monkeypatch.context() as patch:
+        patch.setattr(laws, "PAIR_BUDGET", 500)
+        out = check_law(widen, oml10, le3.n, ops)
     assert (out.verdict, out.mode, out.checked) == (ONE_SIDED, SAMPLED, 500)
     out = check_law(widen, oml10, le3.n, ops)
     assert (out.verdict, out.mode, out.checked) == (PASS, EXHAUSTIVE, 10 ** 6)
@@ -142,6 +144,16 @@ def test_build_witness_and_trace(cube2, le2):
     got = eval_trace(P_OF_Q, cube2, {"q": (1, 0)}, le2.n, ops, {}, trace)
     assert got == (1, 1)
     assert trace == [("P(q)", (1, 1))]  # leaves stay out of the trace
+
+
+@pytest.mark.parametrize("expr", [Neg(PVar("q")), SAnd(PVar("q"), PVar("q")),
+                                  SImp(PVar("q"), PVar("q"))], ids=["neg", "sand", "simp"])
+def test_trace_without_orthocomplementation_raises_no_ortho(expr):
+    chain3 = build_lattice(parse_lattice("lattice chain3\nelements 0 m 1\ncovers 0<m m<1\n"))
+    with pytest.raises(NoOrtho, match="'chain3' has no orthocomplementation"):
+        eval_trace(expr, chain3, {"q": (0,)}, 1, {}, {}, [])
+    q = PVar("q")
+    assert eval_trace(Join(q, Meet(q, q)), chain3, {"q": (1,)}, 1, {}, {}, []) == (1,)
 
 
 def test_point_projections(cube2, le3):

@@ -65,8 +65,8 @@ def _reference(law, lattice, n_points, ops, cap, seed=DEFAULT_SEED):
     ("chain2", 64, 10 ** 6),  # 2^64 propositions: ids would not fit int64
     ("cube2", 16, 200),       # 2^32: pair ids would not fit ID_DTYPE
 ])
-def test_draws_past_the_id_range_match_a_per_draw_scan(request, lattice_name, n_points,
-                                                       pair_budget):
+def test_draws_past_the_id_range_match_a_per_draw_scan(monkeypatch, request, lattice_name,
+                                                       n_points, pair_budget):
     lattice = request.getfixturevalue(lattice_name)
     count = proposition_count(lattice, n_points)
     assert count > 2 ** 31
@@ -74,8 +74,9 @@ def test_draws_past_the_id_range_match_a_per_draw_scan(request, lattice_name, n_
     budget = 300
     unary = [GROW, SHRINK, DUAL]
     pairs = [MEET_OUT] if pair_budget >= budget * budget else [MEET_OUT, MEET_IN, MONO]
+    monkeypatch.setattr(laws, "PAIR_BUDGET", pair_budget)
     got = check_laws([(law, ops) for law in [CLOSED] + unary + pairs], lattice, n_points,
-                     budget=budget, pair_budget=pair_budget)
+                     budget=budget)
     assert got[0] == LawOutcome(PASS, EXHAUSTIVE, 1)
     cap = min(pair_budget, budget * budget)
     want = [_reference(law, lattice, n_points, ops, budget) for law in unary]
@@ -101,7 +102,8 @@ def test_split_past_the_cap_forks_laws_only(monkeypatch, forks, chain2, oml10):
         monkeypatch.setattr(laws, "_split_cost", 0.0)
         with monkeypatch.context() as patch:
             patch.setattr(laws, "ID_CHUNK", 50)
-            out = check_laws(sampled, chain2, 64, budget=300, pair_budget=1000, jobs=jobs)
+            patch.setattr(laws, "PAIR_BUDGET", 1000)
+            out = check_laws(sampled, chain2, 64, budget=300, jobs=jobs)
         with monkeypatch.context() as capped:
             capped.setattr(laws, "ID_PATH_MAX", 10)
             capped.setattr(laws, "ID_CHUNK", 20)

@@ -6,8 +6,6 @@ from omtense import (
     NoOrtho,
     build_lattice,
     parse_lattice,
-    prop_sasaki_and,
-    prop_sasaki_imp,
     sasaki_and,
     sasaki_imp,
 )
@@ -97,15 +95,6 @@ def test_batch_agrees_with_scalar(oml10):
     for i in range(64):
         assert int(got_and[i]) == sasaki_and(oml10, int(a[i]), int(b[i]))
         assert int(got_imp[i]) == sasaki_imp(oml10, int(a[i]), int(b[i]))
-
-
-def test_prop_connectives_are_pointwise(oml10):
-    a = (0, 3, 5, 9, 2)
-    b = (9, 1, 5, 0, 7)
-    assert prop_sasaki_and(oml10, a, b) == tuple(
-        sasaki_and(oml10, x, y) for x, y in zip(a, b))
-    assert prop_sasaki_imp(oml10, a, b) == tuple(
-        sasaki_imp(oml10, x, y) for x, y in zip(a, b))
 
 
 def test_requires_orthocomplementation():

@@ -47,10 +47,10 @@ def chunked(monkeypatch):
     monkeypatch.setattr(laws, "ID_CHUNK", CHUNK)
 
 
-def _split(monkeypatch, cases, lattice, n_points, jobs, **kwargs):
+def _split(monkeypatch, cases, lattice, n_points, jobs):
     """check_laws with the next split scan splitting after its first two batches."""
     monkeypatch.setattr(laws, "_split_cost", 0.0)
-    return check_laws(cases, lattice, n_points, jobs=jobs, **kwargs)
+    return check_laws(cases, lattice, n_points, jobs=jobs)
 
 
 def _marker(lattice, n_points, marked, label):
@@ -110,7 +110,8 @@ def test_sampled_split_takes_the_earliest_range(monkeypatch, chunked, forks, oml
                   {qs[picks["middle"]], qs[picks["last"]]}))
     marks.append((set(), {0}))
     cases = _marked_cases(oml10, le2.n, marks)
-    want = check_laws(cases, oml10, le2.n, pair_budget=cap)
+    monkeypatch.setattr(laws, "PAIR_BUDGET", cap)
+    want = check_laws(cases, oml10, le2.n)
     assert not forks
     first = []
     for (mp, mq), outcome in zip(marks, want):
@@ -123,7 +124,7 @@ def test_sampled_split_takes_the_earliest_range(monkeypatch, chunked, forks, oml
     assert want[-1].verdict == ONE_SIDED
     for jobs in (2, 3):
         forks.clear()
-        got = _split(monkeypatch, cases, oml10, le2.n, jobs, pair_budget=cap)
+        got = _split(monkeypatch, cases, oml10, le2.n, jobs)
         assert got == want, jobs
         assert forks == ["omtense.laws"] * (jobs - 1)
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from omtense import (
     build_lattice,
     identity_operator,
     induce_R3,
+    laws,
     parse_lattice,
 )
 from omtense.fixtures import example2_quadruple
@@ -24,6 +26,8 @@ from omtense.verify import (
     run_all,
     run_suite,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -282,8 +286,8 @@ def test_thm6_equivalence_can_fail_for_nonmonotone_maps(cube2):
     law = report.laws[0]
     assert law.detail == "(i) true, (ii) false"
     assert law.witness is not None
-    text = replay_witness(report)
-    assert "N(" in text and "fails" in text
+    golden = (GOLDEN / "replay-thm6-cube2-N.txt").read_text(encoding="utf-8")
+    assert replay_witness(report) + "\n" == golden
 
 
 def test_thm6_budget_limits_are_one_sided(oml10):
@@ -295,11 +299,12 @@ def test_thm6_budget_limits_are_one_sided(oml10):
     assert report.laws[0].detail == "(i) unknown, (ii) unknown"
 
 
-def test_thm6_sampling_can_settle_both_sides_false(oml10, le3):
+def test_thm6_sampling_can_settle_both_sides_false(monkeypatch, oml10, le3):
     # counterexamples found under sampling are conclusive, so a budget
     # too small for exhaustion can still confirm the equivalence
     quad = OperatorQuadruple.from_frame(oml10, le3)
-    report = check_thm6_equivalence(oml10, le3.points, quad.P, pair_budget=500)
+    monkeypatch.setattr(laws, "PAIR_BUDGET", 500)
+    report = check_thm6_equivalence(oml10, le3.points, quad.P)
     assert report.verdict == "pass"
     assert report.laws[0].detail == "(i) false, (ii) false"
 
