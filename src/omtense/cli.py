@@ -449,6 +449,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "jobs", 1) < 1:
             raise InvalidSpec(f"--jobs must be a positive integer, got {args.jobs}")
+        if getattr(args, "seed", 0) < 0:
+            raise InvalidSpec(f"--seed must be a non-negative integer, got {args.seed}")
         return args.fn(args)
     except (ParseError, InvalidSpec, TooBigForMemory, UnknownDemo, UnknownTimePoint) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -61,6 +61,7 @@ import numpy as np
 from .lattice import INDEX_DTYPE, Oml
 from .report import EXHAUSTIVE, FAIL, ONE_SIDED, PASS, SAMPLED, Witness
 from .sasaki import sasaki_and_batch, sasaki_imp_batch
+from .stream import Stream
 from .tense import (
     DEFAULT_SEED,
     ID_CHUNK,
@@ -992,10 +993,10 @@ def _pair_offsets(count: int, cap: int, seed: int) -> np.ndarray:
     dtype = np.min_scalar_type(width)
     require_memory(cap, dtype, f"a draw of {cap} pairs")
     offsets = np.empty(cap, dtype=dtype)
-    rng = np.random.default_rng(seed)
+    rng = Stream(seed)
     for lo in range(0, cap, ID_CHUNK):
         hi = min(lo + ID_CHUNK, cap)
-        offsets[lo:hi] = rng.integers(0, width + (np.arange(lo, hi, dtype=np.int64) < r))
+        offsets[lo:hi] = rng.integers(width + (np.arange(lo, hi, dtype=np.int64) < r))
     offsets.flags.writeable = False
     return offsets
 

@@ -50,6 +50,7 @@ import numpy as np
 from .errors import BudgetExceeded, InvalidSpec, ParseError, TabulatedMiss, TooBigForMemory
 from .frames import TimeFrame
 from .lattice import INDEX_DTYPE, Oml, join_set, meet_set, _tokenize
+from .stream import Stream
 
 Prop = tuple[int, ...]
 
@@ -448,10 +449,10 @@ def _draw_into(out: np.ndarray, n_elements: int, n_points: int, seed: int, fill)
     """out filled with len(out) uniformly drawn propositions: fill(out
     slice, digit rows) per slice of ID_CHUNK rows, drawn from one generator,
     which yields the same rows as drawing all at once."""
-    rng = np.random.default_rng(seed)
+    rng = Stream(seed)
     for lo in range(0, len(out), ID_CHUNK):
         hi = min(lo + ID_CHUNK, len(out))
-        fill(out[lo:hi], rng.integers(0, n_elements, size=(hi - lo, n_points)))
+        fill(out[lo:hi], rng.integers(n_elements, size=(hi - lo, n_points)))
     return out
 
 

@@ -288,6 +288,16 @@ def test_non_positive_budget_or_jobs_exits_2(capsys, files, command, flags):
     assert flags[0].lstrip("-") in err
 
 
+@pytest.mark.parametrize("frame", ["le5", "le3"], ids=["sampled", "exhaustive"])
+def test_negative_seed_exits_2(capsys, files, frame):
+    # on oml10 x le5 thm1's pair laws sample; on le3 they are exhaustive
+    code, out, err = run_cli(capsys, "verify", "--lattice", str(files["oml10"]),
+                             "--frame", str(files[frame]), "--suite", "thm1", "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --seed must be a non-negative integer, got -1\n"
+
+
 def test_classify_worked_quadruple(capsys, files):
     code, out, _ = run_cli(capsys, "classify", "--lattice", str(files["oml10"]),
                            "--ops", "example2")
