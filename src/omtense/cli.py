@@ -52,7 +52,12 @@ DEMOS = ("example1", "example1-pg", "example2", "example-final")
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    """The text of the file at path, which must be UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: byte {exc.object[exc.start]:#04x} "
+                         f"at offset {exc.start}") from None
 
 
 def _load_lattice(path: str) -> Oml:

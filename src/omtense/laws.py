@@ -7,11 +7,15 @@ whose claim only applies to ordered pairs). Expressions evaluate two ways:
   _Program     a batch of bindings at a time, for check_laws: one flat step
                list compiled from the distinct subterms of the cases still in
                a scan (_Subterms), each node producing only the forms its
-               readers use (values, plain or scaled block codes). Connectives
-               and the order check gather from small block tables at one add
-               per index; operators read their id maps whenever |L|^|T| is at
+               readers use (values, plain or scaled block codes, order rows).
+               Connectives gather from small block tables at one add per
+               index; operators read their id maps whenever |L|^|T| is at
                most ID_PATH_MAX (IdAlgebra), and past it act on the element
-               rows of the batch only (RowAlgebra)
+               rows of the batch only (RowAlgebra). The order check is one
+               gather on whole ids from one table over all id pairs while
+               N^2 <= ORDER_TABLE_ENTRIES, and per block like a connective
+               past it. Every table is built once per lattice and kept in
+               _SCAN_TABLES
   eval_trace   one proposition at a time, recording every intermediate value,
                for witnesses and their replays
 
@@ -53,6 +57,7 @@ import operator
 import os
 import signal
 import time
+import weakref
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401  perfbench/tracing.py hooks it
 from dataclasses import dataclass
 
@@ -256,6 +261,14 @@ class LawOutcome:
 
 # entries per block table: (|L|^k)^2 for blocks of k points
 BLOCK_TABLE_ENTRIES = 1 << 15
+# most entries of the order table over whole id pairs: N^2 for N
+# propositions, so up to 1024 of them (1 MB of bool). Past it the order check
+# runs per block
+ORDER_TABLE_ENTRIES = 1 << 20
+# the tables of every core on a lattice, built once: lattice -> {key: table};
+# kept here rather than on the Oml so that pickles stay small, and an entry
+# goes with its lattice. Forked scans inherit them
+_SCAN_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def block_width(lattice: Oml, n_points: int) -> int:
@@ -292,21 +305,28 @@ class IdAlgebra:
 
     A proposition's value is its odometer index (tense.encode_props).
     Operators (TenseOperator.id_map) and the complement are length-N id
-    maps. Binary connectives and the order check work on block codes: a
-    value split into blocks of a few points, most significant first, each
-    block coded like a proposition over its points. On one block, a
-    connective or the order check is one gather from a small table at the
-    index left * radix + right of its operands' codes (radix = |L|^width).
-    A left operand is therefore kept as scaled codes, already multiplied by
-    the radix, and a right one as plain codes, so that each index is one add.
+    maps. Binary connectives work on block codes: a value split into blocks
+    of a few points, most significant first, each block coded like a
+    proposition over its points. On one block, a connective is one gather
+    from a small table at the index left * radix + right of its operands'
+    codes (radix = |L|^width). A left operand is therefore kept as scaled
+    codes, already multiplied by the radix, and a right one as plain codes,
+    so that each index is one add.
+
+    The order check works the same way on whole ids while N^2 <=
+    ORDER_TABLE_ENTRIES (whole_order): one block of all the points, its
+    table order_table, its left operand the id times N (order_row) and its
+    right operand the id itself. Past that it runs per block, from each
+    block's order table.
 
     The dtypes follow from the largest radix alone: while radix^2 <= 2^15
     (radix <= 181), codes and code tables are uint8 and scaled codes, scaled
     tables and indices int16; past it all of them are ID_DTYPE. Each table
     comes from one block_table call per connective and block width; its
     plain, scaled and value forms are derived from that result. Table
-    memory does not depend on N. Tables are built on first use and live as
-    long as this object, which check_laws scopes to one call.
+    memory does not depend on N, but for the order table's N^2 bools. Tables
+    are built on first use, read-only, and shared through _SCAN_TABLES by
+    every core on the lattice until the lattice is freed.
     """
 
     def __init__(self, lattice: Oml, n_points: int):
@@ -322,7 +342,8 @@ class IdAlgebra:
         narrow = max(self.radices) ** 2 <= 1 << 15
         self.code_dtype = np.uint8 if narrow else ID_DTYPE
         self.index_dtype = np.int16 if narrow else ID_DTYPE
-        self._tables: dict[tuple, object] = {}
+        self.count = proposition_count(lattice, n_points)
+        self.whole_order = self.count ** 2 <= ORDER_TABLE_ENTRIES
         self._comp: np.ndarray | None = None
 
     def column(self, lo: int, hi: int):
@@ -381,25 +402,36 @@ class IdAlgebra:
         """Plain codes at this block as scaled codes."""
         return np.multiply(codes, self.radices[block], dtype=self.index_dtype)
 
+    def _memo(self, key: tuple, build):
+        """The lattice's table under key, built by build() on first use and
+        read-only. A key names all that a table's content and dtype depend
+        on."""
+        tables = _SCAN_TABLES.setdefault(self.lattice, {})
+        if key not in tables:
+            table = build()
+            for array in table if isinstance(table, tuple) else (table,):
+                array.flags.writeable = False
+            tables[key] = table
+        return tables[key]
+
     def tables(self, fn, block: int):
-        """block_table of fn at this block's width, built once: per index, for
-        the order check whether x <= y at every point of the block, for a
-        connective the plain and the scaled codes of fn(x, y)."""
-        key = (fn, self.widths[block])
-        if key not in self._tables:
-            table = block_table(self.lattice, self.widths[block], fn)
-            if table.dtype != bool:
-                table = (table.astype(self.code_dtype),
-                         (table * self.radices[block]).astype(self.index_dtype))
-            self._tables[key] = table
-        return self._tables[key]
+        """block_table of fn at this block's width: per index, for the order
+        check whether x <= y at every point of the block, for a connective
+        the plain and the scaled codes of fn(x, y)."""
+        width, radix = self.widths[block], self.radices[block]
+
+        def build():
+            table = block_table(self.lattice, width, fn)
+            if table.dtype == bool:
+                return table
+            return (table.astype(self.code_dtype), (table * radix).astype(self.index_dtype))
+        return self._memo((fn, width, self.code_dtype), build)
 
     def value_table(self, fn, block: int) -> np.ndarray:
-        """Per index, this block's part of the value of fn(x, y), built once."""
-        key = (fn, "value", block)
-        if key not in self._tables:
-            self._tables[key] = self._block_values(block, self.tables(fn, block)[0])
-        return self._tables[key]
+        """Per index, this block's part of the value of fn(x, y)."""
+        width, place = self.widths[block], self._places[block]
+        return self._memo((fn, "value", type(self), width, place),
+                          lambda: self._block_values(block, self.tables(fn, block)[0]))
 
     def _block_values(self, block: int, codes):
         """The part of a value that these plain codes at this block stand for."""
@@ -432,10 +464,28 @@ class IdAlgebra:
 
     def point_table(self) -> np.ndarray:
         """Per index left * |L| + right of two 1-point codes, whether left <= right."""
-        key = (_leq_batch, 1)
-        if key not in self._tables:
-            self._tables[key] = block_table(self.lattice, 1, _leq_batch)
-        return self._tables[key]
+        return self._memo((_leq_batch, 1), lambda: block_table(self.lattice, 1, _leq_batch))
+
+    def order_row(self, ids):
+        """ids as the left operand of order_table: times N."""
+        return np.multiply(ids, self.count, dtype=ID_DTYPE)
+
+    def order_table(self) -> np.ndarray:
+        """Per index x * N + y of two ids, whether x <= y at every point.
+
+        The id axis of each operand splits into the blocks' codes, most
+        significant first, so the table viewed with those axes is the AND of
+        the block order tables, each broadcast over the other blocks' axes;
+        each is ANDed into the table in place, so no temporary is made."""
+        def build():
+            radices, k = self.radices, len(self.radices)
+            table = np.ones(radices * 2, dtype=bool)
+            for b, radix in enumerate(radices):
+                shape = [1] * (2 * k)
+                shape[b] = shape[k + b] = radix
+                table &= self.tables(_leq_batch, b).reshape(shape)
+            return table.reshape(-1)
+        return self._memo(("order", self.n_points), build)
 
 
 class RowAlgebra(IdAlgebra):
@@ -453,6 +503,7 @@ class RowAlgebra(IdAlgebra):
 
     def __init__(self, lattice: Oml, n_points: int):
         super().__init__(lattice, n_points)
+        self.whole_order = False
         digit = np.empty(lattice.n, dtype=np.int64)
         digit[enumeration_order(lattice)] = np.arange(lattice.n)
         self._digit = digit.astype(self.code_dtype)
@@ -520,7 +571,7 @@ def _below(tables, *codes):
     return ok
 
 
-_VALUE, _LEFT, _RIGHT = "value", "left", "right"
+_VALUE, _LEFT, _RIGHT, _ROW = "value", "left", "right", "row"
 
 
 class _Subterms:
@@ -628,6 +679,8 @@ class _Program:
               complement and equality
       plain   block codes, one register per block, read as a right operand
       scaled  block codes times the block's radix, read as a left operand
+      row     the id times N, the left operand of an order check on whole
+              ids (IdAlgebra.whole_order), whose right operand is the value
     A connective adds its operands' codes into one index per block and
     gathers each form it must produce from a table at that index; any other
     node's codes are cut from its value. Nodes are evaluated children first,
@@ -655,7 +708,10 @@ class _Program:
         need: dict[int, set[str]] = {node: set() for node in order}
         for node in reversed(order):
             kind, _, children = nodes[node]
-            if kind in ("binary", "leq"):
+            if kind == "leq" and core.whole_order and nodes[children[0]][0] != "at":
+                need[children[0]].add(_ROW)
+                need[children[1]].add(_VALUE)
+            elif kind in ("binary", "leq"):
                 need[children[0]].add(_LEFT)
                 need[children[1]].add(_RIGHT)
             else:
@@ -690,16 +746,18 @@ class _Program:
                         reg[node, _RIGHT, b] = self._step(plain.take, index)
                     if _LEFT in forms:
                         reg[node, _LEFT, b] = self._step(scaled.take, index)
-                if _VALUE in forms:
+                if forms & {_VALUE, _ROW}:
                     tables = [core.value_table(operand, b) for b in blocks]
                     reg[node, _VALUE] = self._step(
                         functools.partial(core.from_blocks, tables), *indices)
-                continue
             else:
                 lhs, rhs = children
                 if nodes[lhs][0] == "at":
                     holds = self._step(functools.partial(_below, [core.point_table()]),
                                        reg[lhs, _LEFT], reg[rhs, _RIGHT])
+                elif kind == "leq" and core.whole_order:
+                    holds = self._step(functools.partial(_below, [core.order_table()]),
+                                       reg[lhs, _ROW], reg[rhs, _VALUE])
                 elif kind == "leq":
                     codes = [r for b in blocks for r in (reg[lhs, _LEFT, b], reg[rhs, _RIGHT, b])]
                     holds = self._step(functools.partial(
@@ -712,7 +770,9 @@ class _Program:
                 if node in regions:
                     self._effect(functools.partial(_region, self._batch, regions[node]), holds)
                 continue
-            if forms & {_LEFT, _RIGHT}:
+            if _ROW in forms:
+                reg[node, _ROW] = self._step(core.order_row, reg[node, _VALUE])
+            if kind != "binary" and forms & {_LEFT, _RIGHT}:
                 codes = self._step(core.codes, reg[node, _VALUE])
                 for b in blocks:
                     plain = self._step(operator.itemgetter(b), codes)

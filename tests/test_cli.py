@@ -174,6 +174,24 @@ def test_parse_error_exits_2(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("which", ["lattice", "frame", "optable", "props"])
+def test_non_utf8_file_exits_2(capsys, files, tmp_path, which):
+    # every input file is read as UTF-8 text; one that is not is a parse
+    # problem that names the file, not a traceback
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(bytes(range(256)))
+    lattice, frame = str(files["oml10"]), str(files["le5"])
+    argv = {
+        "lattice": ["verify", "--lattice", str(bad), "--frame", frame, "--suite", "thm1"],
+        "frame": ["verify", "--lattice", lattice, "--frame", str(bad), "--suite", "thm1"],
+        "optable": ["induce", "--lattice", lattice, "--ops", f"table:{bad}"],
+        "props": ["eval", "--lattice", lattice, "--frame", frame, "--prop", str(bad)],
+    }[which]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad} is not UTF-8 text: byte 0x80 at offset 128\n"
+
+
 def test_usage_errors_exit_2():
     for argv in ([], ["no-such-command"], ["demo", "no-such-demo"]):
         with pytest.raises(SystemExit) as exc:

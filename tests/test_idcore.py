@@ -417,15 +417,135 @@ def test_random_laws_match_the_oracles_at_every_setting(instance, bound):
                 assert not lattice.leq[lhs[point], rhs[point]]
             else:
                 assert lhs[point] != rhs[point]
-    for chunk, row_core, jobs in itertools.product((laws.ID_CHUNK, 1), (False, True), (1, 2)):
+    # every instance here has at most 1024 propositions, so the id core checks
+    # the order on whole ids; the last setting makes it check per block
+    settings = [(*setting, laws.ORDER_TABLE_ENTRIES) for setting in
+                itertools.product((laws.ID_CHUNK, 1), (False, True), (1, 2))]
+    settings.append((laws.ID_CHUNK, False, 1, 0))
+    for chunk, row_core, jobs, order_entries in settings:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(laws, "ID_CHUNK", chunk)
             if row_core:
                 patch.setattr(laws, "ID_PATH_MAX", 0)
+            patch.setattr(laws, "ORDER_TABLE_ENTRIES", order_entries)
             patch.setattr(laws, "_split_cost", 0.0)
             patch.setattr(laws, "PAIR_BUDGET", RANDOM_PAIR_BUDGET)
             got = check_laws(cases, lattice, frame.n, jobs=jobs)
-        assert got == want, (chunk, row_core, jobs)
+        assert got == want, (chunk, row_core, jobs, order_entries)
+
+
+# -- the order on whole ids ----------------------------------------------------
+
+def _point_counts(lattice):
+    """Every point count with at most 1024 propositions."""
+    return [n_points for n_points in range(1, 11) if lattice.n ** n_points <= 1024]
+
+
+def _order_reference(lattice, n_points, leq):
+    """Per index x * N + y of two ids, whether leq holds between x's and y's
+    elements at every point: ids decoded by oracles.decode_id, digit 0 the
+    bottom and the other digits the elements in declaration order."""
+    order = [lattice.bottom] + [e for e in range(lattice.n) if e != lattice.bottom]
+    rows = np.array([[order[d] for d in oracles.decode_id(i, lattice.n, n_points)]
+                     for i in range(lattice.n ** n_points)])
+    ok = np.ones((len(rows), len(rows)), dtype=bool)
+    for j in range(n_points):
+        ok &= leq(rows[:, None, j], rows[None, :, j])
+    return ok.ravel()
+
+
+def _assert_order_table(lattice, leq):
+    for n_points in _point_counts(lattice):
+        core = IdAlgebra(lattice, n_points)
+        assert core.whole_order, n_points
+        table = core.order_table()
+        assert table.dtype == bool and not table.flags.writeable
+        assert np.array_equal(table, _order_reference(lattice, n_points, leq)), n_points
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_TEXTS))
+def test_order_table_on_the_builtin_lattices(name):
+    lattice = builtin_lattice(name)
+    _assert_order_table(lattice, lambda a, b: lattice.leq[a, b])
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_order_table_on_boolean_cubes(k):
+    # elements are subsets of a k-set, so x <= y where each point's subset of
+    # x lies in y's
+    names, covers, ortho = oracles.boolean_cube_covers(k)
+    lattice = build_lattice(parse_lattice(
+        f"lattice cube{k}\nelements {' '.join(names)}\n"
+        f"covers {' '.join(f'{a}<{b}' for a, b in covers)}\n"
+        f"ortho {' '.join(f'{a}:{b}' for a, b in ortho if a <= b)}\n"))
+    mask = np.empty(lattice.n, dtype=np.int64)
+    for bits, name in enumerate(names):
+        mask[lattice.index[name]] = bits
+    _assert_order_table(lattice, lambda a, b: oracles.subset_leq(mask[a], mask[b]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+def test_order_table_on_mo_lattices(n):
+    lattice = _mo_lattice(n)
+    _assert_order_table(lattice, lambda a, b: lattice.leq[a, b])
+
+
+def test_order_table_on_182_elements():
+    # MO_90 x one point: block codes and indices are int32
+    assert IdAlgebra(MO90, 1).code_dtype == ID_DTYPE
+    _assert_order_table(MO90, lambda a, b: MO90.leq[a, b])
+
+
+@pytest.mark.parametrize("name, n_points, whole", [("cube2", 5, True), ("chain2", 11, False)])
+def test_order_check_on_both_sides_of_the_table_cap(monkeypatch, name, n_points, whole):
+    # cube2 x 5 points has 1024 propositions, the most the order table covers;
+    # chain2 x 11 has 2048 and is checked per block. Every pair is scanned and
+    # the guard p <= q checked on each one
+    lattice = builtin_lattice(name)
+    count = proposition_count(lattice, n_points)
+    assert IdAlgebra(lattice, n_points).whole_order == whole
+    monkeypatch.setattr(laws, "PAIR_BUDGET", count * count)
+    guards = []
+    real = laws._below
+
+    def logged(*args):
+        out = real(*args)
+        if out.ndim == 2:  # the guard on a batch of p rows; the law's sides are 1-D
+            guards.append(out)
+        return out
+
+    monkeypatch.setattr(laws, "_below", logged)
+    p, q = PVar("p"), PVar("q")
+    law = Law("guarded", "leq", p, ConstProp("top"), ("p", "q"), guard=(p, q))
+    assert check_law(law, lattice, n_points, {}) == LawOutcome(PASS, EXHAUSTIVE, count * count)
+    monkeypatch.undo()
+    got = np.concatenate([guard.ravel() for guard in guards])
+    assert np.array_equal(got, _order_reference(lattice, n_points,
+                                                lambda a, b: lattice.leq[a, b]))
+
+
+def test_scan_tables_are_built_once_per_lattice_and_die_with_it(monkeypatch):
+    lattice = build_lattice(parse_lattice(LATTICE_TEXTS["oml10"]))
+    frame = parse_frame(FRAME_TEXTS["le3"])
+    quad = OperatorQuadruple.from_frame(lattice, frame).as_dict()
+    cases = [(law, {slot: quad[w] for slot, w in names.items()})
+             for law, names in _thm7_bindings()[:4]]
+    want = check_laws(cases, lattice, frame.n)
+    tables = list(laws._SCAN_TABLES[lattice].values())
+    arrays = [a for table in tables for a in (table if isinstance(table, tuple) else (table,))]
+    assert arrays and not any(a.flags.writeable for a in arrays)
+    assert IdAlgebra(lattice, frame.n).order_table() is IdAlgebra(lattice, frame.n).order_table()
+
+    def refuse(*args):
+        raise AssertionError("a table was built again")
+
+    monkeypatch.setattr(laws, "block_table", refuse)
+    assert check_laws(cases, lattice, frame.n) == want
+    monkeypatch.undo()
+    refs = [weakref.ref(a) for a in arrays] + [weakref.ref(lattice)]
+    del lattice, quad, cases, tables, arrays
+    gc.collect()
+    assert all(ref() is None for ref in refs)
 
 
 # -- one scan for a list of cases ----------------------------------------------
@@ -608,19 +728,25 @@ def test_no_memo_entry_outlives_its_batch(monkeypatch, oml10, le3):
             return out
         return making
 
-    def logged_tables(self, *args):
-        tables = real_tables(self, *args)
-        logged = []
-        for table in tables if isinstance(tables, tuple) else [tables]:
-            table = table.view(GatherLog)
-            table.log, table.label = made, "codes"
-            logged.append(table)
-        return tuple(logged) if isinstance(tables, tuple) else logged[0]
+    def logged_tables(real):
+        def logging(self, *args):
+            tables = real(self, *args)
+            logged = []
+            for table in tables if isinstance(tables, tuple) else [tables]:
+                table = table.view(GatherLog)
+                table.log, table.label = made, "codes"
+                logged.append(table)
+            return tuple(logged) if isinstance(tables, tuple) else logged[0]
+        return logging
 
-    real_tables = IdAlgebra.tables
-    monkeypatch.setattr(IdAlgebra, "tables", logged_tables)
+    # the order table may have been built by an earlier test; its gathers
+    # are logged whoever built it
+    assert IdAlgebra(oml10, le3.n).whole_order
+    monkeypatch.setattr(IdAlgebra, "tables", logged_tables(IdAlgebra.tables))
+    monkeypatch.setattr(IdAlgebra, "order_table", logged_tables(IdAlgebra.order_table))
     monkeypatch.setattr(IdAlgebra, "codes", logged(IdAlgebra.codes))
     monkeypatch.setattr(IdAlgebra, "scale", logged(IdAlgebra.scale))
+    monkeypatch.setattr(IdAlgebra, "order_row", logged(IdAlgebra.order_row))
     monkeypatch.setattr(IdAlgebra, "from_blocks", staticmethod(logged(IdAlgebra.from_blocks)))
     monkeypatch.setattr(np, "add", logged(np.add))
     cases = [(law, {slot: quad[w] for slot, w in names.items()})

@@ -235,7 +235,8 @@ def test_the_first_batch_builds_all_a_scan_reads(monkeypatch):
         monkeypatch.setattr(module, name, _refuse)
     bad = subterms.scan(laws._exhaustive_batches(core, 2, count, laws.ID_CHUNK, slice(1, None)),
                         head)
-    # a fresh algebra would have to build its tables in the scan
+    # a fresh algebra shares the lattice's tables but builds its own
+    # complement map in the scan
     fresh = IdAlgebra(lattice, frame.n)
     with pytest.raises(AssertionError, match="built after"):
         laws._Subterms(fresh, cases).scan(laws._exhaustive_batches(fresh, 2, count, laws.ID_CHUNK))
