@@ -13,7 +13,6 @@ from .errors import (
     CycleInCovers,
     EmptyRestriction,
     InvalidSpec,
-    NameCollision,
     NoOrtho,
     NotAFailure,
     NotALattice,

@@ -3,8 +3,10 @@
 Subcommands: check-lattice, eval, sasaki-table, induce, classify, roundtrip,
 extend, verify, demo. All output is deterministic; errors go to stderr with
 an `error:` prefix. Exit codes: 0 success (including skipped and one-sided
-verdicts), 1 verification or lattice-law failure, 2 usage or parse error
-or an input whose arrays would not fit in physical memory.
+verdicts), 1 verification or lattice-law failure, 2 any error: usage, a
+file that cannot be read or parsed, an input the package refuses (say, an
+order with no top or a pair with no join) or one whose arrays would not
+fit in physical memory.
 The default proposition budget comes from OMT_BUDGET when set.
 """
 
@@ -16,14 +18,7 @@ import sys
 from pathlib import Path
 
 from . import fixtures
-from .errors import (
-    InvalidSpec,
-    OmtError,
-    ParseError,
-    TooBigForMemory,
-    UnknownDemo,
-    UnknownTimePoint,
-)
+from .errors import InvalidSpec, OmtError, ParseError, UnknownDemo
 from .extension import extend_frame, extend_prop
 from .frames import TimeFrame, parse_frame
 from .induction import classify_inducibility, induce_R1, induce_R2, induce_R3, roundtrip_frame
@@ -457,15 +452,11 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) < 0:
             raise InvalidSpec(f"--seed must be a non-negative integer, got {args.seed}")
         return args.fn(args)
-    except (ParseError, InvalidSpec, TooBigForMemory, UnknownDemo, UnknownTimePoint) as exc:
+    except (OmtError, OSError) as exc:
+        # exit 1 is kept for a failing verdict; an input the package refuses
+        # is an error like a missing file
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OmtError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -61,10 +61,6 @@ class UnknownTimePoint(OmtError):
     """A named time point does not belong to the frame."""
 
 
-class NameCollision(OmtError):
-    """Generated point names clash with existing ones."""
-
-
 class TabulatedMiss(OmtError):
     """A tabulated operator has no entry for the given proposition."""
 

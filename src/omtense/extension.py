@@ -1,7 +1,8 @@
 """Extending a time frame with a synthetic past and future copy of itself.
 
 Every point s gains a past copy s1 (related to s) and a future copy s2
-(reachable from s); the original relation survives unchanged in the middle.
+(reachable from s), named s_1 and s_2 where the plain names are taken
+(extend_frame); the original relation survives unchanged in the middle.
 A proposition q extends to the copies through a chosen operator pair
 (extend_prop, the one extender): the PF variant places P(q) on the past
 copies and F(q) on the future ones, the HG variant uses H(q) and G(q).
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NameCollision
 from .frames import TimeFrame, restrict
 from .lattice import Oml
 from .laws import App, Law, PVar, check_laws
@@ -68,17 +68,18 @@ class ExtendedFrame:
 
 
 def extend_frame(frame: TimeFrame) -> ExtendedFrame:
-    """Build the extended frame; copy names append 1 and 2 to the point name."""
+    """Build the extended frame. A point's copies are named by appending 1
+    (past) and 2 (future) to its name; where that gives a base point's name,
+    a separator of underscores goes before the digit, one longer each time,
+    until no copy is named like a base point (two copies never share a name,
+    and a separator as long as the longest point name always suffices)."""
     n = frame.n
-    past = tuple(p + "1" for p in frame.points)
-    future = tuple(p + "2" for p in frame.points)
+    sep = ""
+    while not set(frame.points).isdisjoint(p + sep + c for p in frame.points for c in "12"):
+        sep += "_"
+    past = tuple(p + sep + "1" for p in frame.points)
+    future = tuple(p + sep + "2" for p in frame.points)
     names = past + frame.points + future
-    if len(set(names)) != 3 * n:
-        seen: set[str] = set()
-        for name in names:
-            if name in seen:
-                raise NameCollision(f"extended point name {name!r} collides")
-            seen.add(name)
     pairs = [(s, n + s) for s in range(n)]
     pairs += [(n + s, n + t) for s, t in frame.rel]
     pairs += [(n + s, 2 * n + s) for s in range(n)]

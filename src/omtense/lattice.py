@@ -106,12 +106,6 @@ class Oml:
     def le(self, x: int, y: int) -> bool:
         return bool(self.leq[x, y])
 
-    def join(self, x: int, y: int) -> int:
-        return int(self.join_table[x, y])
-
-    def meet(self, x: int, y: int) -> int:
-        return int(self.meet_table[x, y])
-
     @property
     def ortho(self) -> np.ndarray:
         """The orthocomplement as an element -> element table; NoOrtho on a
@@ -119,9 +113,6 @@ class Oml:
         if self.comp is None:
             raise NoOrtho(f"lattice {self.name!r} has no orthocomplementation")
         return self.comp
-
-    def orthocomplement(self, x: int) -> int:
-        return int(self.ortho[x])
 
     @property
     def has_ortho(self) -> bool:
@@ -245,6 +236,16 @@ def meet_set(lattice: Oml, xs) -> int:
     for x in xs:
         acc = int(lattice.meet_table[acc, x])
     return acc
+
+
+def join_irreducibles(lattice: Oml) -> np.ndarray:
+    """The join-irreducible elements in index order: each x that is not the
+    join of the elements strictly below it (so not the bottom, the empty
+    join). Every element is the join of the irreducibles below it (Birkhoff),
+    so x <= y exactly when each irreducible below x lies below y."""
+    below = lattice.leq & ~np.eye(lattice.n, dtype=bool)
+    return np.array([x for x in range(lattice.n)
+                     if join_set(lattice, np.flatnonzero(below[:, x])) != x], dtype=INDEX_DTYPE)
 
 
 # -- orthomodularity ----------------------------------------------------

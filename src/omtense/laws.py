@@ -7,13 +7,13 @@ whose claim only applies to ordered pairs). Expressions evaluate two ways:
   _Program     a batch of bindings at a time, for check_laws: one flat step
                list compiled from the distinct subterms of the cases still in
                a scan (_Subterms), each node producing only the forms its
-               readers use (values, plain or scaled block codes, order rows).
-               Connectives gather from small block tables at one add per
-               index; operators read their id maps whenever |L|^|T| is at
-               most ID_PATH_MAX (IdAlgebra), and past it act on the element
-               rows of the batch only (RowAlgebra). The order check is one
-               gather on whole ids from one table over all id pairs while
-               N^2 <= ORDER_TABLE_ENTRIES, and per block like a connective
+               readers use (values, plain or scaled block codes, order
+               masks). Connectives gather from small block tables at one add
+               per index; operators read their id maps whenever |L|^|T| is
+               at most ID_PATH_MAX (IdAlgebra), and past it act on the
+               element rows of the batch only (RowAlgebra). The id core
+               checks x <= y as (x | y) == y on join-irreducible bit masks
+               while a mask fits MASK_BITS, and per block like a connective
                past it. Every table is built once per lattice and kept in
                _SCAN_TABLES
   eval_trace   one proposition at a time, recording every intermediate value,
@@ -63,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import INDEX_DTYPE, Oml
+from .lattice import INDEX_DTYPE, Oml, join_irreducibles
 from .report import EXHAUSTIVE, FAIL, ONE_SIDED, PASS, SAMPLED, Witness
 from .sasaki import sasaki_and_batch, sasaki_imp_batch
 from .stream import Stream
@@ -261,10 +261,9 @@ class LawOutcome:
 
 # entries per block table: (|L|^k)^2 for blocks of k points
 BLOCK_TABLE_ENTRIES = 1 << 15
-# most entries of the order table over whole id pairs: N^2 for N
-# propositions, so up to 1024 of them (1 MB of bool). Past it the order check
-# runs per block
-ORDER_TABLE_ENTRIES = 1 << 20
+# most bits of a proposition's order mask, |J| per point for the lattice's
+# join-irreducibles J; past it the order check runs per block
+MASK_BITS = 64
 # the tables of every core on a lattice, built once: lattice -> {key: table};
 # kept here rather than on the Oml so that pickles stay small, and an entry
 # goes with its lattice. Forked scans inherit them
@@ -301,7 +300,7 @@ def _leq_batch(lattice: Oml, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 class IdAlgebra:
     """Propositions as ids for one lattice and point count: the values,
-    operators and block codes that a _Program computes with.
+    operators, block codes and order masks that a _Program computes with.
 
     A proposition's value is its odometer index (tense.encode_props).
     Operators (TenseOperator.id_map) and the complement are length-N id
@@ -313,20 +312,24 @@ class IdAlgebra:
     codes, already multiplied by the radix, and a right one as plain codes,
     so that each index is one add.
 
-    The order check works the same way on whole ids while N^2 <=
-    ORDER_TABLE_ENTRIES (whole_order): one block of all the points, its
-    table order_table, its left operand the id times N (order_row) and its
-    right operand the id itself. Past that it runs per block, from each
-    block's order table.
+    The order check reads order masks. An element's mask has one bit per
+    join-irreducible below it, so x <= y exactly when (x | y) == y. A
+    proposition's mask packs its points' masks, the first point's highest,
+    into mask_dtype, the narrowest unsigned dtype that holds |J| bits per
+    point. A value's mask is one gather from mask_map, over all ids; a
+    connective's is the sum of its blocks' mask_table entries at the indices
+    it computes, like its value. Where a mask would take more than MASK_BITS
+    bits, mask_dtype is None and the check runs per block, each block's
+    order table read like a connective's.
 
     The dtypes follow from the largest radix alone: while radix^2 <= 2^15
     (radix <= 181), codes and code tables are uint8 and scaled codes, scaled
     tables and indices int16; past it all of them are ID_DTYPE. Each table
     comes from one block_table call per connective and block width; its
-    plain, scaled and value forms are derived from that result. Table
-    memory does not depend on N, but for the order table's N^2 bools. Tables
-    are built on first use, read-only, and shared through _SCAN_TABLES by
-    every core on the lattice until the lattice is freed.
+    plain, scaled, value and mask forms are derived from that result. Table
+    memory does not depend on N, but for the mask map's N masks. Tables are
+    built on first use, read-only, and shared through _SCAN_TABLES by every
+    core on the lattice until the lattice is freed.
     """
 
     def __init__(self, lattice: Oml, n_points: int):
@@ -343,7 +346,10 @@ class IdAlgebra:
         self.code_dtype = np.uint8 if narrow else ID_DTYPE
         self.index_dtype = np.int16 if narrow else ID_DTYPE
         self.count = proposition_count(lattice, n_points)
-        self.whole_order = self.count ** 2 <= ORDER_TABLE_ENTRIES
+        bits = len(self.irreducibles()) * n_points
+        self.mask_dtype = None if bits > MASK_BITS else next(
+            dtype for dtype in (np.uint8, np.uint16, np.uint32, np.uint64)
+            if bits <= np.iinfo(dtype).bits)
         self._comp: np.ndarray | None = None
 
     def column(self, lo: int, hi: int):
@@ -466,26 +472,37 @@ class IdAlgebra:
         """Per index left * |L| + right of two 1-point codes, whether left <= right."""
         return self._memo((_leq_batch, 1), lambda: block_table(self.lattice, 1, _leq_batch))
 
-    def order_row(self, ids):
-        """ids as the left operand of order_table: times N."""
-        return np.multiply(ids, self.count, dtype=ID_DTYPE)
+    def irreducibles(self) -> np.ndarray:
+        """The lattice's join-irreducibles, one mask bit per point each."""
+        return self._memo(("irreducibles",), lambda: join_irreducibles(self.lattice))
 
-    def order_table(self) -> np.ndarray:
-        """Per index x * N + y of two ids, whether x <= y at every point.
+    def masks(self, width: int) -> np.ndarray:
+        """Per proposition over width points, by its id, its order mask."""
+        dtype = self.mask_dtype
 
-        The id axis of each operand splits into the blocks' codes, most
-        significant first, so the table viewed with those axes is the AND of
-        the block order tables, each broadcast over the other blocks' axes;
-        each is ANDed into the table in place, so no temporary is made."""
         def build():
-            radices, k = self.radices, len(self.radices)
-            table = np.ones(radices * 2, dtype=bool)
-            for b, radix in enumerate(radices):
-                shape = [1] * (2 * k)
-                shape[b] = shape[k + b] = radix
-                table &= self.tables(_leq_batch, b).reshape(shape)
-            return table.reshape(-1)
-        return self._memo(("order", self.n_points), build)
+            count = self.lattice.n ** width
+            require_memory(count, dtype, f"the order masks of {count} propositions")
+            irreducibles = self.irreducibles()
+            below = self.lattice.leq[np.ix_(irreducibles, enumeration_order(self.lattice))]
+            bits = np.arange(len(irreducibles), dtype=dtype)[:, None]
+            point = (below.astype(dtype) << bits).sum(axis=0, dtype=dtype)
+            masks, shift = point, dtype(len(irreducibles))
+            for _ in range(width - 1):
+                masks = ((masks[:, None] << shift) | point).reshape(-1)
+            return masks
+        return self._memo(("masks", width, dtype), build)
+
+    def mask_map(self) -> np.ndarray:
+        """The order mask of every id."""
+        return self.masks(self.n_points)
+
+    def mask_table(self, fn, block: int) -> np.ndarray:
+        """Per index, this block's part of the order mask of fn(x, y)."""
+        width, dtype = self.widths[block], self.mask_dtype
+        shift = len(self.irreducibles()) * sum(self.widths[block + 1:])
+        return self._memo((fn, "mask", width, shift, dtype), lambda: np.left_shift(
+            self.masks(width).take(self.tables(fn, block)[0]), dtype(shift)))
 
 
 class RowAlgebra(IdAlgebra):
@@ -498,12 +515,13 @@ class RowAlgebra(IdAlgebra):
     are those of IdAlgebra. A block's code is a sum of gathers, one per
     point of the block, from tables of each element's digit times its place
     in the block, built once per core; a connective's rows are its blocks'
-    rows, gathered from the decoded code tables.
+    rows, gathered from the decoded code tables. It has no order masks:
+    the order check runs per block.
     """
 
     def __init__(self, lattice: Oml, n_points: int):
         super().__init__(lattice, n_points)
-        self.whole_order = False
+        self.mask_dtype = None
         digit = np.empty(lattice.n, dtype=np.int64)
         digit[enumeration_order(lattice)] = np.arange(lattice.n)
         self._digit = digit.astype(self.code_dtype)
@@ -571,7 +589,12 @@ def _below(tables, *codes):
     return ok
 
 
-_VALUE, _LEFT, _RIGHT, _ROW = "value", "left", "right", "row"
+def _mask_below(x, y):
+    """Whether x <= y at every point, from their order masks."""
+    return (x | y) == y
+
+
+_VALUE, _LEFT, _RIGHT, _MASK = "value", "left", "right", "mask"
 
 
 class _Subterms:
@@ -679,12 +702,12 @@ class _Program:
               complement and equality
       plain   block codes, one register per block, read as a right operand
       scaled  block codes times the block's radix, read as a left operand
-      row     the id times N, the left operand of an order check on whole
-              ids (IdAlgebra.whole_order), whose right operand is the value
+      mask    the order mask (IdAlgebra.mask_dtype), read by order checks
     A connective adds its operands' codes into one index per block and
     gathers each form it must produce from a table at that index; any other
-    node's codes are cut from its value. Nodes are evaluated children first,
-    each once per batch, and a register is dropped after its last reader.
+    node's codes are cut from its value, and its mask is gathered by it.
+    Nodes are evaluated children first, each once per batch, and a register
+    is dropped after its last reader.
     Steps whose inputs are all constants run once, at compile time.
 
     A check's verdict step finds the failing position (argmin) only in a
@@ -708,9 +731,9 @@ class _Program:
         need: dict[int, set[str]] = {node: set() for node in order}
         for node in reversed(order):
             kind, _, children = nodes[node]
-            if kind == "leq" and core.whole_order and nodes[children[0]][0] != "at":
-                need[children[0]].add(_ROW)
-                need[children[1]].add(_VALUE)
+            if kind == "leq" and core.mask_dtype is not None and nodes[children[0]][0] != "at":
+                need[children[0]].add(_MASK)
+                need[children[1]].add(_MASK)
             elif kind in ("binary", "leq"):
                 need[children[0]].add(_LEFT)
                 need[children[1]].add(_RIGHT)
@@ -746,18 +769,18 @@ class _Program:
                         reg[node, _RIGHT, b] = self._step(plain.take, index)
                     if _LEFT in forms:
                         reg[node, _LEFT, b] = self._step(scaled.take, index)
-                if forms & {_VALUE, _ROW}:
-                    tables = [core.value_table(operand, b) for b in blocks]
-                    reg[node, _VALUE] = self._step(
-                        functools.partial(core.from_blocks, tables), *indices)
+                for form, table in ((_VALUE, core.value_table), (_MASK, core.mask_table)):
+                    if form in forms:
+                        tables = [table(operand, b) for b in blocks]
+                        reg[node, form] = self._step(
+                            functools.partial(core.from_blocks, tables), *indices)
             else:
                 lhs, rhs = children
                 if nodes[lhs][0] == "at":
                     holds = self._step(functools.partial(_below, [core.point_table()]),
                                        reg[lhs, _LEFT], reg[rhs, _RIGHT])
-                elif kind == "leq" and core.whole_order:
-                    holds = self._step(functools.partial(_below, [core.order_table()]),
-                                       reg[lhs, _ROW], reg[rhs, _VALUE])
+                elif kind == "leq" and core.mask_dtype is not None:
+                    holds = self._step(_mask_below, reg[lhs, _MASK], reg[rhs, _MASK])
                 elif kind == "leq":
                     codes = [r for b in blocks for r in (reg[lhs, _LEFT, b], reg[rhs, _RIGHT, b])]
                     holds = self._step(functools.partial(
@@ -770,8 +793,8 @@ class _Program:
                 if node in regions:
                     self._effect(functools.partial(_region, self._batch, regions[node]), holds)
                 continue
-            if _ROW in forms:
-                reg[node, _ROW] = self._step(core.order_row, reg[node, _VALUE])
+            if kind != "binary" and _MASK in forms:
+                reg[node, _MASK] = self._step(core.mask_map().take, reg[node, _VALUE])
             if kind != "binary" and forms & {_LEFT, _RIGHT}:
                 codes = self._step(core.codes, reg[node, _VALUE])
                 for b in blocks:

@@ -206,6 +206,40 @@ def test_verify_failure_exits_1(capsys, files):
     assert out.startswith("suite oml-law: fail")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("elements 0 a 1\ncovers 0<a 0<1\n", "exactly one minimum and one maximum"),
+    ("elements 0 a b c d 1\ncovers 0<a 0<b a<c a<d b<c b<d c<1 d<1\n",
+     "'a' and 'b' have no least upper bound"),
+    ("elements 0 a 1\ncovers 0<a a<1 1<a\n", "covers force"),
+], ids=["not-bounded", "not-a-lattice", "cycle-in-covers"])
+def test_invalid_lattice_exits_2(capsys, files, text, message):
+    # an order the package refuses is an input error, like a parse error:
+    # exit 1 is kept for a failing verdict
+    path = files["dir"] / "bad.lat"
+    path.write_text("lattice bad\n" + text, encoding="utf-8")
+    for argv in (["check-lattice", str(path)],
+                 ["verify", "--lattice", str(path), "--frame", str(files["le2"]), "--suite", "all"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err, argv
+
+
+def test_verify_all_on_an_11_point_chain(capsys, files):
+    # the extension names the copies of 1 and 11 apart, so every suite runs
+    chain = files["dir"] / "le11.frame"
+    points = range(1, 12)
+    chain.write_text(f"frame le11\npoints {' '.join(map(str, points))}\nrel "
+                     + " ".join(f"{s}>{t}" for s in points for t in points if s <= t) + "\n",
+                     encoding="utf-8")
+    lattice = files["dir"] / "chain2.lat"
+    lattice.write_text(LATTICE_TEXTS["chain2"], encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", "--lattice", str(lattice), "--frame", str(chain),
+                             "--suite", "all")
+    assert (code, err) == (0, "")
+    suites = [line.split(":")[0] for line in out.splitlines() if line.startswith("suite ")]
+    assert suites == [f"suite {suite}" for suite in SUITE_IDS]
+
+
 def test_verify_skip_exits_0(capsys, files):
     code, out, _ = run_cli(capsys, "verify", "--lattice", str(files["oml10"]),
                            "--frame", str(files["nonserial2"]), "--suite", "thm1")

@@ -8,7 +8,6 @@ from omtense import (
     EmptyRestriction,
     FrameInduced,
     IdentityElseConstant,
-    NameCollision,
     OperatorQuadruple,
     TimeFrame,
     check_extension_HG,
@@ -58,9 +57,16 @@ def test_extension_restricts_back_to_base(le5, blocks5):
 
 
 def test_name_collision():
+    # the past copy of 1 would be named like the point 11, so a separator
+    # goes between name and digit, one underscore longer until nothing
+    # collides; names that collide with nothing stay plain
     frame = TimeFrame.from_names("tricky", ["1", "11"], [("1", "11")])
-    with pytest.raises(NameCollision):
-        extend_frame(frame)
+    assert extend_frame(frame).bar.points == ("1_1", "11_1", "1", "11", "1_2", "11_2")
+    frame = TimeFrame.from_names("trickier", ["a", "a1", "a_2"], [("a", "a1")])
+    assert extend_frame(frame).bar.points == ("a__1", "a1__1", "a_2__1", "a", "a1", "a_2",
+                                              "a__2", "a1__2", "a_2__2")
+    frame = TimeFrame.from_names("plain", ["a", "b"], [("a", "b")])
+    assert extend_frame(frame).bar.points == ("a1", "b1", "a", "b", "a2", "b2")
 
 
 FINAL_TABLE = {

@@ -417,62 +417,124 @@ def test_random_laws_match_the_oracles_at_every_setting(instance, bound):
                 assert not lattice.leq[lhs[point], rhs[point]]
             else:
                 assert lhs[point] != rhs[point]
-    # every instance here has at most 1024 propositions, so the id core checks
-    # the order on whole ids; the last setting makes it check per block
-    settings = [(*setting, laws.ORDER_TABLE_ENTRIES) for setting in
+    # the id core checks the order on masks but on MO_90 (180 bits a point);
+    # the last setting, a bit cap of 0, makes it check per block everywhere
+    settings = [(*setting, laws.MASK_BITS) for setting in
                 itertools.product((laws.ID_CHUNK, 1), (False, True), (1, 2))]
     settings.append((laws.ID_CHUNK, False, 1, 0))
-    for chunk, row_core, jobs, order_entries in settings:
+    for chunk, row_core, jobs, mask_bits in settings:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(laws, "ID_CHUNK", chunk)
             if row_core:
                 patch.setattr(laws, "ID_PATH_MAX", 0)
-            patch.setattr(laws, "ORDER_TABLE_ENTRIES", order_entries)
+            patch.setattr(laws, "MASK_BITS", mask_bits)
             patch.setattr(laws, "_split_cost", 0.0)
             patch.setattr(laws, "PAIR_BUDGET", RANDOM_PAIR_BUDGET)
             got = check_laws(cases, lattice, frame.n, jobs=jobs)
-        assert got == want, (chunk, row_core, jobs, order_entries)
+        assert got == want, (chunk, row_core, jobs, mask_bits)
 
 
-# -- the order on whole ids ----------------------------------------------------
+# -- the order check -----------------------------------------------------------
+
+# pair spaces above this many pairs are compared on sampled pairs
+ORDER_PAIRS = 1 << 20
+
 
 def _point_counts(lattice):
-    """Every point count with at most 1024 propositions."""
-    return [n_points for n_points in range(1, 11) if lattice.n ** n_points <= 1024]
+    """Every point count the id core takes: at most ID_PATH_MAX propositions."""
+    return [n_points for n_points in range(1, 21) if lattice.n ** n_points <= tense.ID_PATH_MAX]
 
 
-def _order_reference(lattice, n_points, leq):
-    """Per index x * N + y of two ids, whether leq holds between x's and y's
-    elements at every point: ids decoded by oracles.decode_id, digit 0 the
-    bottom and the other digits the elements in declaration order."""
-    order = [lattice.bottom] + [e for e in range(lattice.n) if e != lattice.bottom]
-    rows = np.array([[order[d] for d in oracles.decode_id(i, lattice.n, n_points)]
-                     for i in range(lattice.n ** n_points)])
-    ok = np.ones((len(rows), len(rows)), dtype=bool)
+def _digits_order(lattice):
+    """Digit -> element: digit 0 the bottom, the others in declaration order."""
+    return [lattice.bottom] + [e for e in range(lattice.n) if e != lattice.bottom]
+
+
+def _decoded(lattice, n_points, ids):
+    """The element rows of these ids, by oracles.decode_id."""
+    order = _digits_order(lattice)
+    return np.array([[order[d] for d in oracles.decode_id(int(i), lattice.n, n_points)]
+                     for i in ids]).reshape(-1, n_points)
+
+
+def _order_pairs(lattice, n_points, rng):
+    """(x ids, y ids) to check the order on: every pair, as a column and a
+    row of all ids, while there are at most ORDER_PAIRS, else 1500 uniform
+    pairs and 1500 pairs with x <= y, each such y the pointwise join of x
+    with a uniform proposition."""
+    count = lattice.n ** n_points
+    if count * count <= ORDER_PAIRS:
+        ids = np.arange(count)
+        return ids[:, None], ids[None, :]
+    x, y, z = rng.integers(0, count, size=(3, 1500))
+    joined = lattice.join_table[_decoded(lattice, n_points, x), _decoded(lattice, n_points, z)]
+    digit = np.argsort(_digits_order(lattice))
+    above = digit[joined] @ (lattice.n ** np.arange(n_points - 1, -1, -1))
+    return np.concatenate([x, x]), np.concatenate([y, above])
+
+
+def _order_reference(lattice, n_points, leq, x, y):
+    """Per pair of ids x and y, broadcast against each other, whether leq
+    holds between their elements at every point."""
+    a, b = (_decoded(lattice, n_points, ids.ravel()).reshape(ids.shape + (n_points,))
+            for ids in (x, y))
+    ok = np.ones(np.broadcast_shapes(x.shape, y.shape), dtype=bool)
     for j in range(n_points):
-        ok &= leq(rows[:, None, j], rows[None, :, j])
-    return ok.ravel()
+        ok &= leq(a[..., j], b[..., j])
+    return ok
+
+
+def _core_below(core, x, y):
+    """Whether x <= y, as the core checks it: on order masks where they fit,
+    else per block from the block order tables."""
+    if core.mask_dtype is not None:
+        masks = core.mask_map()
+        return laws._mask_below(masks[x], masks[y])
+    blocks = range(len(core.widths))
+    left, right = core.codes(x.astype(ID_DTYPE)), core.codes(y.astype(ID_DTYPE))
+    return laws._below([core.tables(laws._leq_batch, b) for b in blocks],
+                       *[code for b in blocks for code in (core.scale(b, left[b]), right[b])])
 
 
 def _assert_order_table(lattice, leq):
+    """The core's order tables, its mask map or, where masks do not fit, its
+    per-block order tables, against leq at every point count."""
+    rng = np.random.default_rng(11)
     for n_points in _point_counts(lattice):
         core = IdAlgebra(lattice, n_points)
-        assert core.whole_order, n_points
-        table = core.order_table()
-        assert table.dtype == bool and not table.flags.writeable
-        assert np.array_equal(table, _order_reference(lattice, n_points, leq)), n_points
+        bits = len(core.irreducibles()) * n_points
+        assert (core.mask_dtype is not None) == (bits <= 64), n_points
+        if core.mask_dtype is not None:
+            assert np.iinfo(core.mask_dtype).bits == max(8, 1 << (bits - 1).bit_length())
+            masks = core.mask_map()
+            assert masks.dtype == core.mask_dtype and not masks.flags.writeable
+            assert masks.shape == (proposition_count(lattice, n_points),)
+        x, y = _order_pairs(lattice, n_points, rng)
+        got = _core_below(core, x, y)
+        assert got.dtype == bool and got.any() and not got.all(), n_points
+        assert np.array_equal(got, _order_reference(lattice, n_points, leq, x, y)), n_points
+
+
+def _brute_irreducibles(lattice):
+    """The join-irreducibles by brute force: elements but the bottom that
+    are the join of no two elements other than themselves."""
+    join = lattice.join_table
+    return [j for j in range(lattice.n) if j != lattice.bottom
+            and not any(int(join[x, y]) == j for x in range(lattice.n) for y in range(lattice.n)
+                        if j not in (x, y))]
 
 
 @pytest.mark.parametrize("name", sorted(LATTICE_TEXTS))
 def test_order_table_on_the_builtin_lattices(name):
     lattice = builtin_lattice(name)
+    assert IdAlgebra(lattice, 1).irreducibles().tolist() == _brute_irreducibles(lattice)
     _assert_order_table(lattice, lambda a, b: lattice.leq[a, b])
 
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_order_table_on_boolean_cubes(k):
     # elements are subsets of a k-set, so x <= y where each point's subset of
-    # x lies in y's
+    # x lies in y's; the irreducibles are the k singletons
     names, covers, ortho = oracles.boolean_cube_covers(k)
     lattice = build_lattice(parse_lattice(
         f"lattice cube{k}\nelements {' '.join(names)}\n"
@@ -481,32 +543,44 @@ def test_order_table_on_boolean_cubes(k):
     mask = np.empty(lattice.n, dtype=np.int64)
     for bits, name in enumerate(names):
         mask[lattice.index[name]] = bits
+    irreducibles = IdAlgebra(lattice, 1).irreducibles().tolist()
+    assert irreducibles == _brute_irreducibles(lattice)
+    assert sorted(mask[irreducibles].tolist()) == [1 << i for i in range(k)]
     _assert_order_table(lattice, lambda a, b: oracles.subset_leq(mask[a], mask[b]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7])
 def test_order_table_on_mo_lattices(n):
+    # MO_n's irreducibles are its 2n atoms: MO_7 x 5 points would take 70
+    # bits, so it is checked per block
     lattice = _mo_lattice(n)
+    assert IdAlgebra(lattice, 1).irreducibles().tolist() == _brute_irreducibles(lattice)
+    assert len(_brute_irreducibles(lattice)) == 2 * n
     _assert_order_table(lattice, lambda a, b: lattice.leq[a, b])
 
 
 def test_order_table_on_182_elements():
-    # MO_90 x one point: block codes and indices are int32
-    assert IdAlgebra(MO90, 1).code_dtype == ID_DTYPE
+    # MO_90 x one point: 180 irreducibles, far past a 64-bit mask, so the
+    # order check runs per block, on int32 block codes and indices
+    core = IdAlgebra(MO90, 1)
+    assert core.code_dtype == ID_DTYPE and core.mask_dtype is None
     _assert_order_table(MO90, lambda a, b: MO90.leq[a, b])
 
 
-@pytest.mark.parametrize("name, n_points, whole", [("cube2", 5, True), ("chain2", 11, False)])
-def test_order_check_on_both_sides_of_the_table_cap(monkeypatch, name, n_points, whole):
-    # cube2 x 5 points has 1024 propositions, the most the order table covers;
-    # chain2 x 11 has 2048 and is checked per block. Every pair is scanned and
-    # the guard p <= q checked on each one
+@pytest.mark.parametrize("name, n_points, masked", [("cube2", 5, True), ("chain2", 11, False)])
+def test_order_check_on_both_sides_of_the_bit_cap(monkeypatch, name, n_points, masked):
+    # with the bit cap at 10, cube2 x 5 points (two irreducibles a point)
+    # takes exactly 10 bits and is checked on masks, while chain2 x 11 takes
+    # 11 and is checked per block. Every pair is scanned and the guard
+    # p <= q checked on each one
+    monkeypatch.setattr(laws, "MASK_BITS", 10)
     lattice = builtin_lattice(name)
     count = proposition_count(lattice, n_points)
-    assert IdAlgebra(lattice, n_points).whole_order == whole
+    assert (IdAlgebra(lattice, n_points).mask_dtype is not None) == masked
     monkeypatch.setattr(laws, "PAIR_BUDGET", count * count)
     guards = []
-    real = laws._below
+    check = "_mask_below" if masked else "_below"
+    real = getattr(laws, check)
 
     def logged(*args):
         out = real(*args)
@@ -514,14 +588,16 @@ def test_order_check_on_both_sides_of_the_table_cap(monkeypatch, name, n_points,
             guards.append(out)
         return out
 
-    monkeypatch.setattr(laws, "_below", logged)
+    monkeypatch.setattr(laws, check, logged)
     p, q = PVar("p"), PVar("q")
     law = Law("guarded", "leq", p, ConstProp("top"), ("p", "q"), guard=(p, q))
     assert check_law(law, lattice, n_points, {}) == LawOutcome(PASS, EXHAUSTIVE, count * count)
     monkeypatch.undo()
     got = np.concatenate([guard.ravel() for guard in guards])
-    assert np.array_equal(got, _order_reference(lattice, n_points,
-                                                lambda a, b: lattice.leq[a, b]))
+    ids = np.arange(count)
+    want = _order_reference(lattice, n_points, lambda a, b: lattice.leq[a, b],
+                            ids[:, None], ids[None, :])
+    assert np.array_equal(got, want.ravel())
 
 
 def test_scan_tables_are_built_once_per_lattice_and_die_with_it(monkeypatch):
@@ -534,7 +610,7 @@ def test_scan_tables_are_built_once_per_lattice_and_die_with_it(monkeypatch):
     tables = list(laws._SCAN_TABLES[lattice].values())
     arrays = [a for table in tables for a in (table if isinstance(table, tuple) else (table,))]
     assert arrays and not any(a.flags.writeable for a in arrays)
-    assert IdAlgebra(lattice, frame.n).order_table() is IdAlgebra(lattice, frame.n).order_table()
+    assert IdAlgebra(lattice, frame.n).mask_map() is IdAlgebra(lattice, frame.n).mask_map()
 
     def refuse(*args):
         raise AssertionError("a table was built again")
@@ -668,14 +744,15 @@ def test_shared_guard_is_checked_once_per_batch(monkeypatch, oml10, le3):
     # sides on just the bindings where the guard holds
     log = []
     _marked_batches(monkeypatch, log)
-    real = laws._below
+    real = laws._mask_below
 
     def logged(*args):
         out = real(*args)
         log.append(("leq", out))
         return out
 
-    monkeypatch.setattr(laws, "_below", logged)
+    assert IdAlgebra(oml10, le3.n).mask_dtype == np.uint16  # 5 irreducibles a point
+    monkeypatch.setattr(laws, "_mask_below", logged)
     quad = OperatorQuadruple.from_frame(oml10, le3).as_dict()
     cases = [(law, quad) for law in _THM1_LAWS if law.guard is not None]
     assert len(cases) == 4
@@ -697,8 +774,9 @@ def test_shared_guard_is_checked_once_per_batch(monkeypatch, oml10, le3):
 
 
 def test_no_memo_entry_outlives_its_batch(monkeypatch, oml10, le3):
-    # every gathered id array and every array of block codes, connective
-    # values or indices made in a batch must be freed before the next batch
+    # every gathered id array and every array of block codes, order masks,
+    # connective values, indices or order checks made in a batch must be
+    # freed before the next batch
     # is handed out, and within a batch each is dropped after its last
     # reader, so few are alive at once
     log, refs, live = [], [], []  # per batch: arrays made; weakrefs; alive at each make
@@ -739,15 +817,15 @@ def test_no_memo_entry_outlives_its_batch(monkeypatch, oml10, le3):
             return tuple(logged) if isinstance(tables, tuple) else logged[0]
         return logging
 
-    # the order table may have been built by an earlier test; its gathers
-    # are logged whoever built it
-    assert IdAlgebra(oml10, le3.n).whole_order
-    monkeypatch.setattr(IdAlgebra, "tables", logged_tables(IdAlgebra.tables))
-    monkeypatch.setattr(IdAlgebra, "order_table", logged_tables(IdAlgebra.order_table))
+    # the mask tables may have been built by an earlier test; their gathers
+    # are logged whoever built them
+    assert IdAlgebra(oml10, le3.n).mask_dtype is not None
+    for name in ("tables", "mask_map", "mask_table"):
+        monkeypatch.setattr(IdAlgebra, name, logged_tables(getattr(IdAlgebra, name)))
     monkeypatch.setattr(IdAlgebra, "codes", logged(IdAlgebra.codes))
     monkeypatch.setattr(IdAlgebra, "scale", logged(IdAlgebra.scale))
-    monkeypatch.setattr(IdAlgebra, "order_row", logged(IdAlgebra.order_row))
     monkeypatch.setattr(IdAlgebra, "from_blocks", staticmethod(logged(IdAlgebra.from_blocks)))
+    monkeypatch.setattr(laws, "_mask_below", logged(laws._mask_below))
     monkeypatch.setattr(np, "add", logged(np.add))
     cases = [(law, {slot: quad[w] for slot, w in names.items()})
              for law, names in _thm7_bindings()]

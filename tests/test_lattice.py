@@ -32,8 +32,8 @@ def test_tables_match_brute_force(name):
     for x in range(lat.n):
         for y in range(lat.n):
             assert bool(lat.leq[x, y]) == leq[x][y]
-            assert lat.join(x, y) == oracles.least_upper_bound(leq, x, y)
-            assert lat.meet(x, y) == oracles.greatest_lower_bound(leq, x, y)
+            assert lat.join_table[x, y] == oracles.least_upper_bound(leq, x, y)
+            assert lat.meet_table[x, y] == oracles.greatest_lower_bound(leq, x, y)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -45,7 +45,7 @@ def test_orthocomplement_is_declared_pairing(name):
         declared[lat.index[a]] = lat.index[b]
         declared[lat.index[b]] = lat.index[a]
     for x in range(lat.n):
-        assert lat.orthocomplement(x) == declared[x]
+        assert lat.ortho[x] == declared[x]
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -53,7 +53,8 @@ def test_orthomodularity_agrees_with_brute_force(name):
     lat = build_lattice(parse_lattice(LATTICE_TEXTS[name]))
     witness = oracles.om_violation(
         [[bool(lat.leq[x, y]) for y in range(lat.n)] for x in range(lat.n)],
-        lat.join, lat.meet, [lat.orthocomplement(x) for x in range(lat.n)])
+        lambda x, y: int(lat.join_table[x, y]), lambda x, y: int(lat.meet_table[x, y]),
+        lat.ortho.tolist())
     assert lat.is_orthomodular == (witness is None)
     assert orthomodular_witness(lat) == witness
 
@@ -64,7 +65,7 @@ def test_o6_witness_pair(o6):
     x, y = o6.index_of("x"), o6.index_of("y")
     assert orthomodular_witness(o6) == (x, y)
     assert orthomodular_witness_dual(o6) == (x, y)
-    got = o6.join(x, o6.meet(y, o6.orthocomplement(x)))
+    got = o6.join_table[x, o6.meet_table[y, o6.ortho[x]]]
     assert got == x != y
 
 
@@ -89,7 +90,7 @@ def test_lattice_without_ortho_is_allowed():
     lat = build_lattice(parse_lattice(
         "lattice chain3\nelements 0 m 1\ncovers 0<m m<1\n"))
     assert not lat.has_ortho
-    assert lat.join(lat.index["m"], lat.index["1"]) == lat.index["1"]
+    assert lat.join_table[lat.index["m"], lat.index["1"]] == lat.index["1"]
 
 
 def test_cycle_in_covers_rejected():
@@ -166,11 +167,11 @@ def test_boolean_envelope_2_to_6():
     assert lat.has_ortho and lat.is_orthomodular
     mask = {lat.index[nm]: i for i, nm in enumerate(names)}
     for x in range(lat.n):
-        assert mask[lat.orthocomplement(x)] == 63 ^ mask[x]
+        assert mask[lat.ortho[x]] == 63 ^ mask[x]
         for y in range(lat.n):
             assert bool(lat.leq[x, y]) == oracles.subset_leq(mask[x], mask[y])
-            assert mask[lat.join(x, y)] == mask[x] | mask[y]
-            assert mask[lat.meet(x, y)] == mask[x] & mask[y]
+            assert mask[lat.join_table[x, y]] == mask[x] | mask[y]
+            assert mask[lat.meet_table[x, y]] == mask[x] & mask[y]
 
 
 def test_join_meet_over_sets(oml10):
@@ -180,8 +181,8 @@ def test_join_meet_over_sets(oml10):
     assert join_set(oml10, []) == oml10.bottom
     assert meet_set(oml10, []) == oml10.top
     assert join_set(oml10, [a]) == a
-    assert join_set(oml10, [a, b, c]) == oml10.join(a, oml10.join(b, c))
-    assert meet_set(oml10, [a, b, c]) == oml10.meet(a, oml10.meet(b, c))
+    assert join_set(oml10, [a, b, c]) == oml10.join_table[a, oml10.join_table[b, c]]
+    assert meet_set(oml10, [a, b, c]) == oml10.meet_table[a, oml10.meet_table[b, c]]
     assert join_set(oml10, range(oml10.n)) == oml10.top
     assert meet_set(oml10, range(oml10.n)) == oml10.bottom
 
@@ -190,15 +191,15 @@ def test_leq_antitone_under_complement(oml10):
     for x in range(oml10.n):
         for y in range(oml10.n):
             if oml10.leq[x, y]:
-                assert oml10.leq[oml10.orthocomplement(y), oml10.orthocomplement(x)]
+                assert oml10.leq[oml10.ortho[y], oml10.ortho[x]]
 
 
 def test_de_morgan_on_fixtures(oml10, mo2, cube3):
     for lat in (oml10, mo2, cube3):
         for x in range(lat.n):
-            xc = lat.orthocomplement(x)
-            assert lat.orthocomplement(xc) == x
+            xc = lat.ortho[x]
+            assert lat.ortho[xc] == x
             for y in range(lat.n):
-                yc = lat.orthocomplement(y)
-                assert lat.orthocomplement(lat.join(x, y)) == lat.meet(xc, yc)
-                assert lat.orthocomplement(lat.meet(x, y)) == lat.join(xc, yc)
+                yc = lat.ortho[y]
+                assert lat.ortho[lat.join_table[x, y]] == lat.meet_table[xc, yc]
+                assert lat.ortho[lat.meet_table[x, y]] == lat.join_table[xc, yc]
