@@ -49,7 +49,6 @@ from .tense import (
     TenseOperator,
     compose,
     format_prop,
-    identity_operator,
     op_leq_counterexample,
     ops_equal,
     parse_props,

@@ -11,10 +11,10 @@ whose claim only applies to ordered pairs). Expressions evaluate two ways:
                masks). Connectives gather from small block tables at one add
                per index; operators read their id maps whenever |L|^|T| is
                at most ID_PATH_MAX (IdAlgebra), and past it act on the
-               element rows of the batch only (RowAlgebra). The id core
-               checks x <= y as (x | y) == y on join-irreducible bit masks
-               while a mask fits MASK_BITS, and per block like a connective
-               past it. Every table is built once per lattice and kept in
+               element rows of the batch only (RowAlgebra). Both cores check
+               x <= y as (x | y) == y on join-irreducible bit masks while a
+               mask fits MASK_BITS, and per block like a connective past it.
+               Every table is built once per lattice and kept in
                _SCAN_TABLES
   eval_trace   one proposition at a time, recording every intermediate value,
                for witnesses and their replays
@@ -23,10 +23,9 @@ A binary connective is one subclass of Binary, given by its symbol and its
 lift(lattice, a, b), the elementwise rule on element index arrays; every
 reader handles all of them in one branch.
 
-A point projection At(expr, s), expr's value at the point s, may only be a
-whole side of a leq check whose other side is one too. A scan evaluates it
-to a digit (one 1-point block code) and checks the pair with one gather from
-the 1-point order table; eval_trace makes it the constant proposition.
+A point projection At(expr, s) is the constant proposition of expr's element
+at the point s, a node like any other; q(s) <= P(q)(t), a comparison at two
+points, is the order check At(q, s) <= At(P(q), t).
 
 check_laws quantifies a list of (law, operators) cases. Quantification is
 exhaustive in odometer order below the budget and falls back to
@@ -162,8 +161,7 @@ class App:
 
 @dataclass(frozen=True)
 class At:
-    """arg's value at one point, as a constant proposition. Only a whole side
-    of a leq check whose other side is an At too, a comparison at two points."""
+    """The constant proposition of arg's element at one point."""
 
     arg: "Expr"
     point: int
@@ -284,8 +282,8 @@ def block_table(lattice: Oml, width: int, connective) -> np.ndarray:
 
     Blocks are coded like propositions over `width` points (tense.encode_props).
     Entry a * |L|^width + b of the flat table holds the code of connective(a, b)
-    or, when the connective is a relation with a boolean result, whether it
-    holds at every point of the block.
+    or, for the order relation of a check past MASK_BITS, whether it holds at
+    every point of the block.
     """
     rows = decode_props(lattice, width, np.arange(lattice.n ** width))
     out = connective(lattice, rows[:, None, :], rows[None, :, :])
@@ -310,17 +308,18 @@ class IdAlgebra:
     from a small table at the index left * radix + right of its operands'
     codes (radix = |L|^width). A left operand is therefore kept as scaled
     codes, already multiplied by the radix, and a right one as plain codes,
-    so that each index is one add.
+    so that each index is one add. A point projection (at) is the point's
+    digit times the repunit, the sum of |L|^k over the points.
 
     The order check reads order masks. An element's mask has one bit per
     join-irreducible below it, so x <= y exactly when (x | y) == y. A
     proposition's mask packs its points' masks, the first point's highest,
     into mask_dtype, the narrowest unsigned dtype that holds |J| bits per
-    point. A value's mask is one gather from mask_map, over all ids; a
-    connective's is the sum of its blocks' mask_table entries at the indices
-    it computes, like its value. Where a mask would take more than MASK_BITS
-    bits, mask_dtype is None and the check runs per block, each block's
-    order table read like a connective's.
+    point. A value's mask comes from masker, here one gather from mask_map,
+    over all ids; a connective's is the sum of its blocks' mask_table
+    entries at the indices it computes, like its value. Where a mask would
+    take more than MASK_BITS bits, mask_dtype is None and the check runs per
+    block, each block's order table read like a connective's.
 
     The dtypes follow from the largest radix alone: while radix^2 <= 2^15
     (radix <= 181), codes and code tables are uint8 and scaled codes, scaled
@@ -451,26 +450,19 @@ class IdAlgebra:
             out += table.take(index)
         return out
 
-    def point_codes(self, point: int):
-        """values -> their codes at one point: the point's digit, a plain
-        1-point block code."""
-        n, dtype = self.lattice.n, self.code_dtype
+    def at(self, point: int):
+        """values -> the constant propositions of their elements at one point."""
+        n = self.lattice.n
         place = n ** (self.n_points - 1 - point)
+        repunit = sum(n ** k for k in range(self.n_points))
 
-        def digits(ids):
-            rest = ids // place if place > 1 else ids
+        def constants(ids):
+            digits = ids // place
             if point:
-                rest = rest - rest // n * n  # numpy's % is slower
-            return rest.astype(dtype)
-        return digits
-
-    def point_scale(self, codes):
-        """Plain 1-point codes as scaled ones, the left operand of point_table."""
-        return np.multiply(codes, self.lattice.n, dtype=self.index_dtype)
-
-    def point_table(self) -> np.ndarray:
-        """Per index left * |L| + right of two 1-point codes, whether left <= right."""
-        return self._memo((_leq_batch, 1), lambda: block_table(self.lattice, 1, _leq_batch))
+                digits -= digits // n * n  # numpy's % is slower
+            digits *= repunit
+            return digits
+        return constants
 
     def irreducibles(self) -> np.ndarray:
         """The lattice's join-irreducibles, one mask bit per point each."""
@@ -497,6 +489,10 @@ class IdAlgebra:
         """The order mask of every id."""
         return self.masks(self.n_points)
 
+    def masker(self):
+        """values -> their order masks."""
+        return self.mask_map().take
+
     def mask_table(self, fn, block: int) -> np.ndarray:
         """Per index, this block's part of the order mask of fn(x, y)."""
         width, dtype = self.widths[block], self.mask_dtype
@@ -511,20 +507,20 @@ class RowAlgebra(IdAlgebra):
 
     Operators and the complement act on the rows of the current batch only,
     so no length-N map is built, and no full id is formed (past 2^63
-    propositions one would not fit int64). Block codes, indices and tables
-    are those of IdAlgebra. A block's code is a sum of gathers, one per
-    point of the block, from tables of each element's digit times its place
-    in the block, built once per core; a connective's rows are its blocks'
-    rows, gathered from the decoded code tables. It has no order masks:
-    the order check runs per block.
+    propositions one would not fit int64). Block codes, indices, tables and
+    order masks are those of IdAlgebra. A block's code is a sum of gathers,
+    one per point of the block, from tables of each element's digit times
+    its place in the block, built once per core; a connective's rows are its
+    blocks' rows, gathered from the decoded code tables. A point projection
+    is the point's column broadcast across the row. A row's mask ORs its
+    elements' masks, one gather per point; a connective's is summed from its
+    blocks' mask tables as in IdAlgebra.
     """
 
     def __init__(self, lattice: Oml, n_points: int):
         super().__init__(lattice, n_points)
-        self.mask_dtype = None
         digit = np.empty(lattice.n, dtype=np.int64)
         digit[enumeration_order(lattice)] = np.arange(lattice.n)
-        self._digit = digit.astype(self.code_dtype)
         self._digits = []  # per block: (column, element -> digit * place) per point
         start = 0
         for width in self.widths:
@@ -570,9 +566,23 @@ class RowAlgebra(IdAlgebra):
     def _block_values(self, block: int, codes):
         return decode_props(self.lattice, self.widths[block], codes)
 
-    def point_codes(self, point: int):
-        digit = self._digit
-        return lambda rows: digit.take(rows[..., point])
+    def at(self, point: int):
+        return lambda rows: np.broadcast_to(rows[..., point, None], rows.shape)
+
+    def masker(self):
+        masks = np.empty_like(self.masks(1))  # element -> its order mask
+        masks[enumeration_order(self.lattice)] = self.masks(1)
+        bits = len(self.irreducibles())
+        # per point, element -> its mask shifted to the point's place
+        placed = [masks << self.mask_dtype(bits * (self.n_points - 1 - point))
+                  for point in range(self.n_points)]
+
+        def pack(rows):
+            out = placed[0].take(rows[..., 0])
+            for point in range(1, self.n_points):
+                out |= placed[point].take(rows[..., point])
+            return out
+        return pack
 
     @staticmethod
     def from_blocks(tables, *indices):
@@ -601,9 +611,9 @@ class _Subterms:
     """The distinct subterms of a list of cases, scanned together on the
     values of a core (IdAlgebra or RowAlgebra).
 
-    A subterm is keyed by its connective or its operator object and its
-    children, with each variable named by its position in law.vars, so a
-    subterm that several cases contain is one node. A case's check
+    A subterm is keyed by its connective, its operator object or its point
+    and its children, with each variable named by its position in law.vars,
+    so a subterm that several cases contain is one node. A case's check
     (lhs <= rhs or lhs = rhs) and its guard's order check are nodes too, so
     a guard that several cases share is checked once. Nodes are numbered
     children first. scan compiles the cases still in it into a _Program and
@@ -616,7 +626,7 @@ class _Subterms:
         self._number: dict[tuple, int] = {}
         self.checks = []              # per case: (check node, guard check node or None)
         for law, ops in cases:
-            sides = (self._side(side, law, ops) for side in (law.lhs, law.rhs))
+            sides = (self._add(side, law.vars, ops) for side in (law.lhs, law.rhs))
             check = self._node((law.relation, None, tuple(sides)))
             guard = None
             if law.guard is not None:
@@ -624,15 +634,6 @@ class _Subterms:
                 guard = self._node(("leq", None, tuple(sides)))
             self.checks.append((check, guard))
         self.arity = max((len(law.vars) for law, _ in cases), default=0)
-
-    def _side(self, expr: Expr, law: Law, ops: dict[str, TenseOperator]) -> int:
-        """A node for one side of law's check; an At side only in a leq check
-        between two At sides."""
-        if not isinstance(expr, At):
-            return self._add(expr, law.vars, ops)
-        if law.relation != "leq" or not isinstance(law.lhs, At) or not isinstance(law.rhs, At):
-            raise TypeError(f"At is a side of a leq check between two points only: {law.id}")
-        return self._node(("at", expr.point, (self._add(expr.arg, law.vars, ops),)))
 
     def _add(self, expr: Expr, names: tuple[str, ...], ops: dict[str, TenseOperator]) -> int:
         match expr:
@@ -646,8 +647,8 @@ class _Subterms:
                 key = ("app", ops[slot], (self._add(arg, names, ops),))
             case Binary(a, b):
                 key = ("binary", expr.lift, (self._add(a, names, ops), self._add(b, names, ops)))
-            case At():
-                raise TypeError(f"At is a whole side of a leq check only: {expr!r}")
+            case At(arg, point):
+                key = ("at", point, (self._add(arg, names, ops),))
             case _:
                 raise TypeError(f"not an expression: {expr!r}")
         return self._node(key)
@@ -702,10 +703,11 @@ class _Program:
               complement and equality
       plain   block codes, one register per block, read as a right operand
       scaled  block codes times the block's radix, read as a left operand
-      mask    the order mask (IdAlgebra.mask_dtype), read by order checks
+      mask    the order mask (mask_dtype), read by order checks
     A connective adds its operands' codes into one index per block and
     gathers each form it must produce from a table at that index; any other
-    node's codes are cut from its value, and its mask is gathered by it.
+    node's codes are cut from its value, and its mask made from it by the
+    core's masker.
     Nodes are evaluated children first, each once per batch, and a register
     is dropped after its last reader.
     Steps whose inputs are all constants run once, at compile time.
@@ -731,7 +733,7 @@ class _Program:
         need: dict[int, set[str]] = {node: set() for node in order}
         for node in reversed(order):
             kind, _, children = nodes[node]
-            if kind == "leq" and core.mask_dtype is not None and nodes[children[0]][0] != "at":
+            if kind == "leq" and core.mask_dtype is not None:
                 need[children[0]].add(_MASK)
                 need[children[1]].add(_MASK)
             elif kind in ("binary", "leq"):
@@ -754,11 +756,7 @@ class _Program:
             elif kind == "app":
                 reg[node, _VALUE] = self._step(core.applier(operand), reg[children[0], _VALUE])
             elif kind == "at":
-                plain = self._step(core.point_codes(operand), reg[children[0], _VALUE])
-                reg[node, _RIGHT] = plain
-                if _LEFT in forms:
-                    reg[node, _LEFT] = self._step(core.point_scale, plain)
-                continue
+                reg[node, _VALUE] = self._step(core.at(operand), reg[children[0], _VALUE])
             elif kind == "binary":
                 left, right = children
                 indices = [self._step(np.add, reg[left, _LEFT, b], reg[right, _RIGHT, b])
@@ -769,17 +767,15 @@ class _Program:
                         reg[node, _RIGHT, b] = self._step(plain.take, index)
                     if _LEFT in forms:
                         reg[node, _LEFT, b] = self._step(scaled.take, index)
-                for form, table in ((_VALUE, core.value_table), (_MASK, core.mask_table)):
+                # a mask is a sum over blocks in both cores
+                for form, table, combine in ((_VALUE, core.value_table, core.from_blocks),
+                                             (_MASK, core.mask_table, IdAlgebra.from_blocks)):
                     if form in forms:
                         tables = [table(operand, b) for b in blocks]
-                        reg[node, form] = self._step(
-                            functools.partial(core.from_blocks, tables), *indices)
+                        reg[node, form] = self._step(functools.partial(combine, tables), *indices)
             else:
                 lhs, rhs = children
-                if nodes[lhs][0] == "at":
-                    holds = self._step(functools.partial(_below, [core.point_table()]),
-                                       reg[lhs, _LEFT], reg[rhs, _RIGHT])
-                elif kind == "leq" and core.mask_dtype is not None:
+                if kind == "leq" and core.mask_dtype is not None:
                     holds = self._step(_mask_below, reg[lhs, _MASK], reg[rhs, _MASK])
                 elif kind == "leq":
                     codes = [r for b in blocks for r in (reg[lhs, _LEFT, b], reg[rhs, _RIGHT, b])]
@@ -794,7 +790,7 @@ class _Program:
                     self._effect(functools.partial(_region, self._batch, regions[node]), holds)
                 continue
             if kind != "binary" and _MASK in forms:
-                reg[node, _MASK] = self._step(core.mask_map().take, reg[node, _VALUE])
+                reg[node, _MASK] = self._step(core.masker(), reg[node, _VALUE])
             if kind != "binary" and forms & {_LEFT, _RIGHT}:
                 codes = self._step(core.codes, reg[node, _VALUE])
                 for b in blocks:

@@ -321,11 +321,6 @@ def compose(outer: TenseOperator, inner: TenseOperator) -> Composed:
     return Composed(outer, inner)
 
 
-def identity_operator(lattice: Oml, n_points: int) -> IdentityElseConstant:
-    return IdentityElseConstant(lattice, n_points, frozenset(range(n_points)),
-                                lattice.bottom, label="Id")
-
-
 @dataclass(frozen=True, eq=False)
 class OperatorQuadruple:
     """The four tense operators bound to one lattice and one point set."""

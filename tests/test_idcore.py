@@ -26,6 +26,7 @@ from omtense.frames import parse_frame
 from omtense.lattice import build_lattice, parse_lattice
 from omtense.laws import (
     App,
+    At,
     ConstProp,
     IdAlgebra,
     Join,
@@ -34,6 +35,7 @@ from omtense.laws import (
     Meet,
     Neg,
     PVar,
+    RowAlgebra,
     SAnd,
     SImp,
     check_law,
@@ -51,7 +53,6 @@ from omtense.tense import (
     compose,
     decode_props,
     encode_props,
-    identity_operator,
     ops_equal,
     proposition_block,
     proposition_count,
@@ -158,6 +159,8 @@ class Brute:
                 if q not in seen:
                     seen[q] = self._defs[ops[slot]](q)
                 return seen[q]
+            case At(a, s):
+                return (self.eval(a, env, ops)[s],) * self.n_points
         raise TypeError(expr)
 
     def outcome(self, law, ops, pair_budget):
@@ -319,33 +322,35 @@ SLOTS = ("A", "B")
 RANDOM_PAIR_BUDGET = 300
 
 
-def _expressions(names, depth):
-    """Expressions over the variables names, at most depth connectives or
-    operators deep."""
+def _expressions(names, depth, n_points):
+    """Expressions over the variables names, at most depth connectives,
+    operators or point projections deep, on n_points points."""
     leaf = st.builds(ConstProp, st.sampled_from(["bottom", "top"]))
     if names:
         leaf = st.one_of(st.sampled_from([PVar(name) for name in names]), leaf)
     if depth == 0:
         return leaf
-    sub = _expressions(names, depth - 1)
+    sub = _expressions(names, depth - 1, n_points)
     return st.one_of(leaf, st.builds(Neg, sub), st.builds(App, st.sampled_from(SLOTS), sub),
+                     st.builds(At, sub, st.integers(0, n_points - 1)),
                      *(st.builds(kind, sub, sub) for kind in (Join, Meet, SAnd, SImp)))
 
 
 @st.composite
-def _random_laws(draw):
-    """A law of arity 0-2, its sides at most three deep, leq or eq, about 30%
-    guarded; a third of them built to hold, so they scan to the end."""
+def _random_laws(draw, n_points):
+    """A law of arity 0-2 on n_points points, its sides at most three deep,
+    leq or eq, about 30% guarded; a third of them built to hold, so they scan
+    to the end."""
     names = ("p", "q")[2 - draw(st.integers(0, 2)):]
-    lhs = draw(_expressions(names, 3))
+    lhs = draw(_expressions(names, 3, n_points))
     relation = draw(st.sampled_from(["leq", "eq"]))
     if draw(st.integers(0, 2)) == 0:
-        rhs = lhs if relation == "eq" else Join(lhs, draw(_expressions(names, 2)))
+        rhs = lhs if relation == "eq" else Join(lhs, draw(_expressions(names, 2, n_points)))
     else:
-        rhs = draw(_expressions(names, 3))
+        rhs = draw(_expressions(names, 3, n_points))
     guard = None
     if draw(st.integers(0, 9)) < 3:
-        guard = (draw(_expressions(names, 2)), draw(_expressions(names, 2)))
+        guard = tuple(draw(_expressions(names, 2, n_points)) for _ in range(2))
     return Law("random", relation, lhs, rhs, names, guard)
 
 
@@ -389,16 +394,23 @@ def test_frame_maps_widen_before_they_index_a_182_element_table():
                               encode_props(MO90, np.array([a(tuple(q)) for q in sample])))
 
 
+def _random_bound(instance):
+    """instance with 1-3 random laws on its points, each with the operators
+    bound to its slots A and B."""
+    n_points = POINT.n if instance[1] == "one" else builtin_frame(instance[1]).n
+    case = st.tuples(_random_laws(n_points), st.sampled_from("PFHG"), st.sampled_from("PFHG"))
+    return st.tuples(st.just(instance), st.lists(case, min_size=1, max_size=3))
+
+
 @settings(max_examples=30, deadline=None)
-@given(instance=st.sampled_from([(lattice, frame) for lattice in ("chain2", "mo2", "oml10")
-                                 for frame in ("le2", "le3", "nonserial2")] + [("mo90", "one")]),
-       bound=st.lists(st.tuples(_random_laws(), st.sampled_from("PFHG"),
-                                st.sampled_from("PFHG")), min_size=1, max_size=3))
-def test_random_laws_match_the_oracles_at_every_setting(instance, bound):
+@given(drawn=st.sampled_from([(lattice, frame) for lattice in ("chain2", "mo2", "oml10")
+                              for frame in ("le2", "le3", "nonserial2")] + [("mo90", "one")])
+       .flatmap(_random_bound))
+def test_random_laws_match_the_oracles_at_every_setting(drawn):
     # one reference per case from the oracles, checked against eval_trace on
     # the failing binding; check_laws must report it at the default and a
     # one-binding ID_CHUNK, on ids and on rows, at jobs 1 and 2
-    lattice_name, frame_name = instance
+    (lattice_name, frame_name), bound = drawn
     if lattice_name == "mo90":
         lattice, frame = MO90, POINT
         assert IdAlgebra(lattice, 1).code_dtype == IdAlgebra(lattice, 1).index_dtype == ID_DTYPE
@@ -417,11 +429,12 @@ def test_random_laws_match_the_oracles_at_every_setting(instance, bound):
                 assert not lattice.leq[lhs[point], rhs[point]]
             else:
                 assert lhs[point] != rhs[point]
-    # the id core checks the order on masks but on MO_90 (180 bits a point);
-    # the last setting, a bit cap of 0, makes it check per block everywhere
+    # both cores check the order on masks but on MO_90 (180 bits a point);
+    # the last two settings, a bit cap of 0, make them check per block
+    # everywhere
     settings = [(*setting, laws.MASK_BITS) for setting in
                 itertools.product((laws.ID_CHUNK, 1), (False, True), (1, 2))]
-    settings.append((laws.ID_CHUNK, False, 1, 0))
+    settings += [(laws.ID_CHUNK, row_core, 1, 0) for row_core in (False, True)]
     for chunk, row_core, jobs, mask_bits in settings:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(laws, "ID_CHUNK", chunk)
@@ -498,18 +511,23 @@ def _core_below(core, x, y):
 
 def _assert_order_table(lattice, leq):
     """The core's order tables, its mask map or, where masks do not fit, its
-    per-block order tables, against leq at every point count."""
+    per-block order tables, against leq at every point count; and the row
+    core's masks of the checked propositions against the mask map."""
     rng = np.random.default_rng(11)
     for n_points in _point_counts(lattice):
         core = IdAlgebra(lattice, n_points)
         bits = len(core.irreducibles()) * n_points
         assert (core.mask_dtype is not None) == (bits <= 64), n_points
+        assert RowAlgebra(lattice, n_points).mask_dtype == core.mask_dtype
+        x, y = _order_pairs(lattice, n_points, rng)
         if core.mask_dtype is not None:
             assert np.iinfo(core.mask_dtype).bits == max(8, 1 << (bits - 1).bit_length())
             masks = core.mask_map()
             assert masks.dtype == core.mask_dtype and not masks.flags.writeable
             assert masks.shape == (proposition_count(lattice, n_points),)
-        x, y = _order_pairs(lattice, n_points, rng)
+            ids = np.unique(np.concatenate([x.ravel(), y.ravel()]))
+            rows = RowAlgebra(lattice, n_points).masker()(_decoded(lattice, n_points, ids))
+            assert rows.dtype == core.mask_dtype and np.array_equal(rows, masks[ids]), n_points
         got = _core_below(core, x, y)
         assert got.dtype == bool and got.any() and not got.all(), n_points
         assert np.array_equal(got, _order_reference(lattice, n_points, leq, x, y)), n_points
@@ -567,16 +585,21 @@ def test_order_table_on_182_elements():
     _assert_order_table(MO90, lambda a, b: MO90.leq[a, b])
 
 
-@pytest.mark.parametrize("name, n_points, masked", [("cube2", 5, True), ("chain2", 11, False)])
-def test_order_check_on_both_sides_of_the_bit_cap(monkeypatch, name, n_points, masked):
+@pytest.mark.parametrize("name, n_points, masked, core", [
+    ("cube2", 5, True, IdAlgebra), ("chain2", 11, False, IdAlgebra),
+    ("cube2", 5, True, RowAlgebra), ("chain2", 11, False, RowAlgebra),
+], ids=["cube2-5-True", "chain2-11-False", "cube2-5-True-rows", "chain2-11-False-rows"])
+def test_order_check_on_both_sides_of_the_bit_cap(monkeypatch, name, n_points, masked, core):
     # with the bit cap at 10, cube2 x 5 points (two irreducibles a point)
     # takes exactly 10 bits and is checked on masks, while chain2 x 11 takes
-    # 11 and is checked per block. Every pair is scanned and the guard
-    # p <= q checked on each one
+    # 11 and is checked per block, on ids and on rows alike. Every pair is
+    # scanned and the guard p <= q checked on each one
     monkeypatch.setattr(laws, "MASK_BITS", 10)
+    if core is RowAlgebra:
+        monkeypatch.setattr(laws, "ID_PATH_MAX", 0)
     lattice = builtin_lattice(name)
     count = proposition_count(lattice, n_points)
-    assert (IdAlgebra(lattice, n_points).mask_dtype is not None) == masked
+    assert (core(lattice, n_points).mask_dtype is not None) == masked
     monkeypatch.setattr(laws, "PAIR_BUDGET", count * count)
     guards = []
     check = "_mask_below" if masked else "_below"
@@ -954,15 +977,16 @@ def test_ops_equal_on_id_maps_matches_element_path(monkeypatch, oml10, le3):
     rows = [tuple(int(x) for x in row)
             for row in proposition_block(oml10, le3.n, 0, proposition_count(oml10, le3.n))]
     table_g = Tabulated(oml10, le3.n, {q: quad.G(q) for q in rows}, label="T")
+    identity = IdentityElseConstant(oml10, le3.n, frozenset(range(le3.n)), oml10.bottom,
+                                    label="Id")
     pairs = [
         (quad.P, FrameInduced(oml10, le3, "P"), True),
         (quad.P, quad.F, False),
         (table_g, quad.G, True),
         (table_g, quad.H, False),
         (IdentityElseConstant(oml10, le3.n, frozenset(range(le3.n)), oml10.top),
-         identity_operator(oml10, le3.n), True),
-        (IdentityElseConstant(oml10, le3.n, frozenset({0}), oml10.top),
-         identity_operator(oml10, le3.n), False),
+         identity, True),
+        (IdentityElseConstant(oml10, le3.n, frozenset({0}), oml10.top), identity, False),
         (compose(quad.P, table_g), compose(quad.P, quad.G), True),
         (compose(quad.P, table_g), compose(quad.G, quad.P), False),
     ]

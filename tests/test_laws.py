@@ -156,36 +156,58 @@ def test_trace_without_orthocomplementation_raises_no_ortho(expr):
     assert eval_trace(Join(q, Meet(q, q)), chain3, {"q": (1,)}, 1, {}, {}, []) == (1,)
 
 
-def test_point_projections(cube2, le3):
+def test_point_projections(monkeypatch, cube2, le3):
     # q(s) <= P(q)(t) for one pair (s, t) per check; the first failing q in
-    # odometer order, found by a plain loop, is the witness
+    # odometer order, found by a plain loop, is the witness, on ids and on rows
     ops = OperatorQuadruple.from_frame(cube2, le3).as_dict()
     q = PVar("q")
     props = [tuple(int(x) for x in row) for row in proposition_block(cube2, 3, 0, cube2.n ** 3)]
-    for s in range(3):
-        for t in range(3):
-            law = Law("at", "leq", At(q, s), At(P_OF_Q, t), ("q",))
-            assert law.describe() == f"q({s}) <= P(q)({t})"
-            outcome = check_law(law, cube2, 3, ops)
-            misses = [i for i, row in enumerate(props)
-                      if not cube2.leq[row[s], ops["P"](row)[t]]]
-            if not misses:
-                assert outcome.verdict == PASS and outcome.index is None
-                continue
-            assert outcome.verdict == FAIL and outcome.index == misses[0]
-            assert outcome.witness_env == {"q": props[misses[0]]}
-            trace = []
-            value = eval_trace(law.lhs, cube2, outcome.witness_env, 3, ops, {}, trace)
-            assert value == (props[misses[0]][s],) * 3 and trace[-1][0] == f"q({s})"
+    for id_path_max in (laws.ID_PATH_MAX, 0):
+        monkeypatch.setattr(laws, "ID_PATH_MAX", id_path_max)
+        for s in range(3):
+            for t in range(3):
+                law = Law("at", "leq", At(q, s), At(P_OF_Q, t), ("q",))
+                assert law.describe() == f"q({s}) <= P(q)({t})"
+                outcome = check_law(law, cube2, 3, ops)
+                misses = [i for i, row in enumerate(props)
+                          if not cube2.leq[row[s], ops["P"](row)[t]]]
+                if not misses:
+                    assert outcome.verdict == PASS and outcome.index is None
+                    continue
+                assert outcome.verdict == FAIL and outcome.index == misses[0]
+                assert outcome.witness_env == {"q": props[misses[0]]}
+                trace = []
+                value = eval_trace(law.lhs, cube2, outcome.witness_env, 3, ops, {}, trace)
+                assert value == (props[misses[0]][s],) * 3 and trace[-1][0] == f"q({s})"
 
 
 @pytest.mark.parametrize("law", [
     Law("eq", "eq", At(PVar("q"), 0), At(PVar("q"), 1), ("q",)),
     Law("one-side", "leq", At(PVar("q"), 0), PVar("q"), ("q",)),
     Law("nested", "leq", App("P", At(PVar("q"), 0)), PVar("q"), ("q",)),
-    Law("guard", "leq", PVar("q"), PVar("q"), ("q",), guard=(At(PVar("q"), 0), At(PVar("q"), 1))),
+    Law("guard", "leq", PVar("q"), At(PVar("q"), 0), ("q",), guard=(At(PVar("q"), 0), At(PVar("q"), 1))),
 ], ids=lambda law: law.id)
-def test_point_projection_only_as_a_side_of_an_order_check(cube2, le2, law):
+@pytest.mark.parametrize("id_path_max", [laws.ID_PATH_MAX, 0], ids=["ids", "rows"])
+def test_point_projection_anywhere_in_a_law(monkeypatch, cube2, le2, law, id_path_max):
+    # a point projection is an ordinary subterm: an equality side, one side
+    # of an order check, an operator's argument or a guard's side. The first
+    # failing q in odometer order, found by eval_trace point by point, is the
+    # witness, on ids and on rows
+    monkeypatch.setattr(laws, "ID_PATH_MAX", id_path_max)
     ops = OperatorQuadruple.from_frame(cube2, le2).as_dict()
-    with pytest.raises(TypeError, match="At"):
-        check_law(law, cube2, 2, ops)
+    props = [tuple(int(x) for x in row) for row in proposition_block(cube2, 2, 0, cube2.n ** 2)]
+
+    def holds(lhs, rhs, relation):
+        return all(cube2.leq[x, y] if relation == "leq" else x == y for x, y in zip(lhs, rhs))
+
+    misses = []
+    for i, q in enumerate(props):
+        env = {"q": q}
+        values = [eval_trace(side, cube2, env, 2, ops, {}, [])
+                  for side in (law.lhs, law.rhs) + (law.guard or ())]
+        if (law.guard is None or holds(*values[2:], "leq")) and \
+                not holds(*values[:2], law.relation):
+            misses.append(i)
+    outcome = check_law(law, cube2, 2, ops)
+    assert misses and outcome.verdict == FAIL and outcome.index == misses[0]
+    assert outcome.witness_env == {"q": props[misses[0]]}

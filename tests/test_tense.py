@@ -18,7 +18,6 @@ from omtense import (
     TabulatedMiss,
     compose,
     format_prop,
-    identity_operator,
     op_leq_counterexample,
     ops_equal,
     parse_props,
@@ -327,7 +326,7 @@ def test_identity_else_constant(oml10):
 
 
 def test_identity_operator_is_identity(oml10):
-    op = identity_operator(oml10, 4)
+    op = IdentityElseConstant(oml10, 4, frozenset(range(4)), oml10.bottom, label="Id")
     q = (1, 5, 0, 9)
     assert op(q) == q
 

@@ -11,7 +11,6 @@ from omtense import (
     Tabulated,
     TimeFrame,
     build_lattice,
-    identity_operator,
     induce_R3,
     laws,
     parse_lattice,
@@ -270,8 +269,13 @@ def test_thm6_worked_quadruple_three_points(oml10):
     assert all(law.detail == "(i) true, (ii) true" for law in report.laws)
 
 
+def _identity(lattice, n_points):
+    return IdentityElseConstant(lattice, n_points, frozenset(range(n_points)), lattice.bottom,
+                                label="Id")
+
+
 def test_thm6_identity_operator(oml10):
-    report = check_thm6_equivalence(oml10, ("1", "2"), identity_operator(oml10, 2))
+    report = check_thm6_equivalence(oml10, ("1", "2"), _identity(oml10, 2))
     assert report.verdict == "pass"
 
 
@@ -310,10 +314,10 @@ def test_thm6_sampling_can_settle_both_sides_false(monkeypatch, oml10, le3):
 
 
 def test_thm6_gates(chain3, o6):
-    op = identity_operator(chain3, 2)
+    op = _identity(chain3, 2)
     report = check_thm6_equivalence(chain3, ("1", "2"), op)
     assert (report.verdict, report.reason) == ("skipped", "requires orthocomplementation")
-    report = check_thm6_equivalence(o6, ("1", "2"), identity_operator(o6, 2))
+    report = check_thm6_equivalence(o6, ("1", "2"), _identity(o6, 2))
     assert (report.verdict, report.reason) == ("skipped", "requires an orthomodular lattice")
 
 
