@@ -29,10 +29,15 @@ points, is the order check At(q, s) <= At(P(q), t).
 
 check_laws quantifies a list of (law, operators) cases. Quantification is
 exhaustive in odometer order below the budget and falls back to
-deterministic seeded sampling above it (one-sided verdict). Pair laws
-quantify over the pair-index space p-major, capped at min(PAIR_BUDGET,
-budget^2) with stratified sampling beyond; a closed law is a scan of its
-one empty binding. The cases of one arity share one scan: the same
+deterministic seeded sampling above it (one-sided verdict). Unary laws
+quantify over the ids, capped at the budget, and pair laws over the
+pair-index space p-major, capped at min(PAIR_BUDGET, budget^2); a closed law
+is a scan of its one empty binding. A sampled space takes one stratified
+draw, one index from each of cap near-equal strata (_offsets), so no binding
+repeats; it is drawn once per (space, cap, seed) and read by every case and
+call over that space. Only a space of 2^63 indices or more, which only a
+RowAlgebra meets, is sampled as uniform element rows per variable
+(tense.sampled_block). The cases of one arity share one scan: the same
 batches in that order (sampled draws in draw order), each distinct subterm
 evaluated once per batch, a guarded case checked only on the bindings where
 its guard holds, and each case leaving the scan at its first failing index.
@@ -84,7 +89,6 @@ from .tense import (
     resolve_budget,
     rows_id_map,
     sampled_block,
-    sampled_ids,
 )
 
 # most bindings a pair law checks, whatever the budget
@@ -367,10 +371,6 @@ class IdAlgebra:
         """The element rows of these values."""
         return decode_props(self.lattice, self.n_points, values)
 
-    def sampled(self, count: int, seed: int):
-        """The values of count uniformly drawn propositions."""
-        return sampled_ids(self.lattice, self.n_points, count, seed)
-
     def constant(self, which: str):
         value = self.lattice.bottom if which == "bottom" else self.lattice.top
         return self.from_rows(np.full(self.n_points, value, dtype=INDEX_DTYPE))
@@ -539,9 +539,6 @@ class RowAlgebra(IdAlgebra):
 
     def rows(self, values):
         return values
-
-    def sampled(self, count: int, seed: int):
-        return sampled_block(self.lattice, self.n_points, count, seed)
 
     def complementer(self):
         return self.lattice.ortho.take
@@ -898,16 +895,18 @@ def _exhaustive_batches(core: IdAlgebra, arity: int, count: int, step: int,
 
 def _draws(core: IdAlgebra, arity: int, count: int, cap: int, seed: int):
     """cap sampled bindings, as a function of (lo, hi) that gives bindings
-    lo..hi-1 as one column of the core's values per variable: uniform draws
-    of propositions (seed), pairs stratified over the pair-index space while
-    their ids fit ID_DTYPE (N <= 2^31), derived per call from the draw's
-    offsets (_pair_offsets), and past that independent uniform draws per
-    side (seed, seed + 1). Uniform draws are held whole."""
-    if arity == 2 and count <= 2 ** 31:
-        offsets = _pair_offsets(count, cap, seed)
-        return lambda lo, hi: tuple(core.from_ids(side)
-                                    for side in _pairs_at(count, offsets, lo, hi))
-    columns = tuple(core.sampled(cap, seed + k) for k in range(arity))
+    lo..hi-1 as one column of the core's values per variable. While the
+    count^arity indices of the space fit int64, they are the stratified draw
+    over it (_offsets), and each call derives and passes to core.from_ids
+    the ids of its own bindings only. Past that, which only a RowAlgebra
+    meets, variable k takes cap uniform element rows (seed + k), held whole."""
+    space = count ** arity
+    if space < 2 ** 63:
+        offsets = _offsets(space, cap, seed)
+        return lambda lo, hi: tuple(core.from_ids(ids) for ids in
+                                    _bound_at(_ids_at(space, offsets, lo, hi), count, arity))
+    columns = tuple(sampled_block(core.lattice, core.n_points, cap, seed + k)
+                    for k in range(arity))
     return lambda lo, hi: tuple(column[lo:hi] for column in columns)
 
 
@@ -1059,18 +1058,20 @@ def _collect(pid: int, fd: int, size: int) -> list[int] | None:
     return np.frombuffer(data, dtype=np.int64).tolist()
 
 
-@functools.lru_cache(maxsize=1)
-def _pair_offsets(count: int, cap: int, seed: int) -> np.ndarray:
-    """The stratified pair draw: one uniform draw from each of cap near-equal
-    strata of the p-major pair space, kept as each pair's offset into its
-    stratum (_pairs_at derives the pairs). Read-only, in the narrowest
-    unsigned dtype that holds the stratum width, and drawn once for all the
-    pair laws of a run (the draw depends on nothing else). Drawn ID_CHUNK
-    strata at a time from one generator, which yields the same offsets as
-    drawing all cap at once."""
-    width, r = divmod(count * count, cap)
+@functools.lru_cache(maxsize=2)
+def _offsets(space: int, cap: int, seed: int) -> np.ndarray:
+    """The stratified draw over an index space of fewer than 2^63 indices:
+    one uniform draw from each of cap near-equal strata, the first r of
+    width + 1 indices and the rest of width, where width, r = divmod(space,
+    cap). Kept as each draw's offset into its stratum (_ids_at derives the
+    indices), read-only, in the narrowest unsigned dtype that holds the
+    widest stratum's largest offset. The draw depends on nothing else, so a
+    run draws it once per space; the memo holds two, a run's unary and its
+    pair draw. Drawn ID_CHUNK strata at a time from one generator, which
+    yields the same offsets as drawing all cap at once."""
+    width, r = divmod(space, cap)
     dtype = np.min_scalar_type(width)
-    require_memory(cap, dtype, f"a draw of {cap} pairs")
+    require_memory(cap, dtype, f"a draw of {cap} of {space} bindings")
     offsets = np.empty(cap, dtype=dtype)
     rng = Stream(seed)
     for lo in range(0, cap, ID_CHUNK):
@@ -1080,24 +1081,32 @@ def _pair_offsets(count: int, cap: int, seed: int) -> np.ndarray:
     return offsets
 
 
-def _pairs_at(count: int, offsets: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """(p ids, q ids) of the pairs lo..hi-1 of the draw with these offsets:
-    pair i is divmod(k_i, count) at k_i = i * width + min(i, r) + offsets[i],
-    where width, r = divmod(count^2, cap). ID_DTYPE columns while
-    count <= 2^31 and int64 past that."""
-    width, r = divmod(count * count, len(offsets))
+def _ids_at(space: int, offsets: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The indices of draws lo..hi-1 of the stratified draw over space with
+    these offsets, as int64: k_i = i * width + min(i, r) + offsets[i], where
+    width, r = divmod(space, cap)."""
+    width, r = divmod(space, len(offsets))
     ks = np.arange(lo * width, hi * width, width, dtype=np.int64)
     if r:
         ks += np.minimum(np.arange(lo, hi, dtype=np.int64), r)
     np.add(ks, offsets[lo:hi], out=ks, dtype=np.int64)
+    return ks
+
+
+def _bound_at(ks: np.ndarray, count: int, arity: int) -> np.ndarray:
+    """The ids that the indices ks into the space of count^arity bindings
+    bind, one row per variable (p-major for pairs), in id_dtype(count)."""
+    out = np.empty((arity, len(ks)), dtype=id_dtype(count))
+    if arity < 2:
+        out[:] = ks
+        return out
     # a floor division by a scalar and a subtraction run in about half the
     # time of np.divmod
-    p, q = np.empty((2, hi - lo), dtype=id_dtype(count))
     whole = ks // count
-    p[:] = whole
+    out[0] = whole
     whole *= count
-    np.subtract(ks, whole, out=q, casting="same_kind")
-    return p, q
+    np.subtract(ks, whole, out=out[1], casting="same_kind")
+    return out
 
 
 def _outcome(law: Law, lattice: Oml, n_points: int, ops: dict[str, TenseOperator],
@@ -1156,7 +1165,8 @@ def check_laws(cases, lattice: Oml, n_points: int, *, budget: int | None = None,
             law, ops = cases[i]
             rows = None
             if bad >= 0 and exhaustive:
-                rows = [decode_props(lattice, n_points, x) for x in _bound_ids(bad, count, arity)]
+                rows = [decode_props(lattice, n_points, ids[0])
+                        for ids in _bound_at(np.array([bad]), count, arity)]
             elif bad >= 0:
                 rows = [core.rows(column[0]) for column in draw(bad, bad + 1)]
             outcomes[i] = _outcome(law, lattice, n_points, ops, exhaustive,
@@ -1176,12 +1186,6 @@ def _space(arity: int, count: int, budget: int) -> tuple[int, int]:
     if arity < 2:
         return count ** arity, budget
     return count * count, min(PAIR_BUDGET, budget * budget)
-
-
-def _bound_ids(index: int, count: int, arity: int) -> tuple[int, ...]:
-    """The ids bound by an index into the exhaustive space, p-major (none
-    for a closed law)."""
-    return divmod(index, count) if arity == 2 else (index,) * arity
 
 
 def build_witness(law: Law, outcome: LawOutcome, op_names: dict[str, str]) -> Witness:

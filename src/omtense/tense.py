@@ -32,11 +32,11 @@ weakly by the lattice and live outside it, so a pickled lattice carries
 neither.
 
 Every array that grows with the proposition count or the sample size (an id
-map, a sampled draw, the offsets of laws' pair draw) is filled in place,
-ID_CHUNK rows at a time, so that no temporary grows with it; laws derive the
-pairs themselves from the offsets one batch at a time. Before it is allocated,
-require_memory compares its bytes with the machine's physical memory and
-raises TooBigForMemory when it could not fit.
+map, a uniform draw, the offsets of laws' stratified draws) is filled in
+place, ID_CHUNK rows at a time, so that no temporary grows with it; laws
+derive the bindings themselves from the offsets one batch at a time. Before
+it is allocated, require_memory compares its bytes with the machine's
+physical memory and raises TooBigForMemory when it could not fit.
 """
 
 from __future__ import annotations
@@ -440,40 +440,18 @@ def partition_ranges(total: int, k: int) -> list[tuple[int, int]]:
     return [(bounds[i], bounds[i + 1]) for i in range(k) if bounds[i] < bounds[i + 1]]
 
 
-def _draw_into(out: np.ndarray, n_elements: int, n_points: int, seed: int, fill) -> np.ndarray:
-    """out filled with len(out) uniformly drawn propositions: fill(out
-    slice, digit rows) per slice of ID_CHUNK rows, drawn from one generator,
-    which yields the same rows as drawing all at once."""
-    rng = Stream(seed)
-    for lo in range(0, len(out), ID_CHUNK):
-        hi = min(lo + ID_CHUNK, len(out))
-        fill(out[lo:hi], rng.integers(n_elements, size=(hi - lo, n_points)))
-    return out
-
-
 def sampled_block(lattice: Oml, n_points: int, count: int, seed: int) -> np.ndarray:
-    """Uniformly drawn propositions (with repetition) for one-sided checks."""
+    """count uniformly drawn propositions (with repetition) as element rows,
+    drawn ID_CHUNK rows at a time from one generator, which yields the same
+    rows as drawing all at once."""
     require_memory((count, n_points), INDEX_DTYPE, f"a draw of {count} propositions")
     order = enumeration_order(lattice)
-
-    def fill(rows, digits):
-        rows[:] = order[digits]
-    return _draw_into(np.empty((count, n_points), dtype=INDEX_DTYPE), lattice.n, n_points,
-                      seed, fill)
-
-
-def sampled_ids(lattice: Oml, n_points: int, count: int, seed: int) -> np.ndarray:
-    """The ids of sampled_block's propositions, each slice of digits encoded
-    as it is drawn."""
-    dtype = id_dtype(lattice.n ** n_points)
-    require_memory(count, dtype, f"a draw of {count} propositions")
-
-    def fill(ids, digits):
-        ids[:] = digits[:, 0]
-        for j in range(1, n_points):
-            ids *= lattice.n
-            ids += digits[:, j]
-    return _draw_into(np.empty(count, dtype=dtype), lattice.n, n_points, seed, fill)
+    out = np.empty((count, n_points), dtype=INDEX_DTYPE)
+    rng = Stream(seed)
+    for lo in range(0, count, ID_CHUNK):
+        hi = min(lo + ID_CHUNK, count)
+        out[lo:hi] = order[rng.integers(lattice.n, size=(hi - lo, n_points))]
+    return out
 
 
 # -- ordering between operators -------------------------------------------

@@ -185,13 +185,20 @@ def decode_id(index, n_elements, n_points):
     return tuple(digits[::-1])
 
 
-def stratified_pairs(count, cap, seed):
-    """One uniform draw from each of cap near-equal strata of the count^2
-    pair indices, p-major, all drawn at once; as (p ids, q ids) in int64."""
-    q, r = divmod(count * count, cap)
+def stratified_ids(space, cap, seed):
+    """One uniform draw from each of cap near-equal strata of the indices
+    0..space-1, the first space % cap strata one wider, all drawn at once;
+    as int64 indices."""
+    q, r = divmod(space, cap)
     i = np.arange(cap, dtype=np.int64)
     rng = np.random.default_rng(seed)
-    ks = i * q + np.minimum(i, r) + rng.integers(0, q + (i < r))
+    return i * q + np.minimum(i, r) + rng.integers(0, q + (i < r))
+
+
+def stratified_pairs(count, cap, seed):
+    """stratified_ids over the count^2 pair indices, p-major, as (p ids,
+    q ids) in int64."""
+    ks = stratified_ids(count * count, cap, seed)
     return ks // count, ks % count
 
 

@@ -21,8 +21,8 @@ from omtense.tense import (
     FrameInduced,
     OperatorQuadruple,
     Tabulated,
+    decode_props,
     proposition_block,
-    sampled_block,
 )
 
 R1_INEQS = ("q(s) <= P(q)(t)", "q(t) <= F(q)(s)")
@@ -93,8 +93,8 @@ def test_induction_and_classify_match_oracles(core, jobs, sampled, instance):
     n = len(points)
     count = lattice.n ** n
     budget = max(1, count // 3) if sampled else None
-    props = _rows(sampled_block(lattice, n, budget, DEFAULT_SEED) if sampled
-                  else proposition_block(lattice, n, 0, count))
+    props = _rows(decode_props(lattice, n, oracles.stratified_ids(count, budget, DEFAULT_SEED))
+                  if sampled else proposition_block(lattice, n, 0, count))
     want, differs = _oracle(lattice, n, quad, props)
 
     with pytest.MonkeyPatch.context() as patch:

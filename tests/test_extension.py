@@ -3,6 +3,7 @@ from dataclasses import replace
 import pytest
 
 import converse_cases
+import oracles
 from omtense import laws
 from omtense import (
     EmptyRestriction,
@@ -20,7 +21,7 @@ from omtense import (
 from omtense.extension import _check_extension
 from omtense.induction import induce_R1
 from omtense.fixtures import example2_quadruple, example_props
-from omtense.tense import proposition_block, sampled_block
+from omtense.tense import decode_props, proposition_block
 
 
 def test_extended_frame_shape(le5):
@@ -207,7 +208,7 @@ def test_each_restriction_side_reports_its_own_first_failure(cube2, le2, budget)
                               ("P", "F"), budget=budget, seed=1729, jobs=1)
     count = cube2.n ** le2.n
     order = (proposition_block(cube2, le2.n, 0, count) if budget is None
-             else sampled_block(cube2, le2.n, budget, 1729))
+             else decode_props(cube2, le2.n, oracles.stratified_ids(count, budget, 1729)))
     bar = extend_frame(wrong.frame()).bar
     by_id = {law.law: law for law in report.laws}
     for label, op in (("P", quad.P), ("F", quad.F)):

@@ -8,13 +8,14 @@ checked, witness_env, witness_point) can be compared exactly.
 
 import gc
 import itertools
+import math
 import pickle
 import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -44,6 +45,7 @@ from omtense.laws import (
 )
 from omtense.report import EXHAUSTIVE, FAIL, ONE_SIDED, PASS, SAMPLED
 from omtense.tense import (
+    DEFAULT_BUDGET,
     DEFAULT_SEED,
     ID_DTYPE,
     FrameInduced,
@@ -163,21 +165,20 @@ class Brute:
                 return (self.eval(a, env, ops)[s],) * self.n_points
         raise TypeError(expr)
 
-    def outcome(self, law, ops, pair_budget):
+    def outcome(self, law, ops, pair_budget, budget=DEFAULT_BUDGET):
+        """The law's outcome at check_laws's caps: budget propositions, and
+        min(pair_budget, budget^2) pairs; a space past its cap is walked in
+        the order of its stratified draw."""
         count = len(self.props)
         arity = len(law.vars)
-        if arity == 0:
-            envs, mode, checked = [{}], EXHAUSTIVE, 1
-        elif arity == 1:
-            envs = [{law.vars[0]: q} for q in self.props]
-            mode, checked = EXHAUSTIVE, count
-        elif count * count <= pair_budget:
-            envs = ({law.vars[0]: a, law.vars[1]: b} for a in self.props for b in self.props)
-            mode, checked = EXHAUSTIVE, count * count
+        cap = budget if arity < 2 else min(pair_budget, budget * budget)
+        if count ** arity <= cap:  # odometer order, p-major
+            ks, mode, checked = range(count ** arity), EXHAUSTIVE, count ** arity
         else:
-            envs = ({law.vars[0]: self.props[i], law.vars[1]: self.props[j]}
-                    for i, j in stratified_draws(count, pair_budget, DEFAULT_SEED))
-            mode, checked = SAMPLED, pair_budget
+            ks = [int(k) for k in oracles.stratified_ids(count ** arity, cap, DEFAULT_SEED)]
+            mode, checked = SAMPLED, cap
+        ids = (lambda k: divmod(k, count)) if arity == 2 else (lambda k: (k,) * arity)
+        envs = ({var: self.props[i] for var, i in zip(law.vars, ids(k))} for k in ks)
         for index, env in enumerate(envs):
             lhs, rhs = self.eval(law.lhs, env, ops), self.eval(law.rhs, env, ops)
             if law.relation == "leq":
@@ -192,21 +193,6 @@ class Brute:
                 return LawOutcome(FAIL, mode, checked, witness_env=env, witness_point=bad[0],
                                   index=index, witness_lhs=lhs[bad[0]], witness_rhs=rhs[bad[0]])
         return LawOutcome(PASS if mode == EXHAUSTIVE else ONE_SIDED, mode, checked)
-
-
-def stratified_draws(count, cap, seed):
-    """One uniform pair index from each of cap near-equal strata, p-major."""
-    total = count * count
-    q, r = divmod(total, cap)
-    rng = np.random.default_rng(seed)
-    widths = np.array([q + (i < r) for i in range(cap)], dtype=np.int64)
-    offsets = rng.integers(0, widths)
-    out, start = [], 0
-    for i in range(cap):
-        k = start + int(offsets[i])
-        out.append(divmod(k, count))
-        start += int(widths[i])
-    return out
 
 
 @pytest.mark.parametrize("lattice_name", LATTICES)
@@ -229,6 +215,8 @@ def test_id_core_matches_brute_force(monkeypatch, lattice_name, frame_name):
         # a budget below the proposition count samples single-variable laws too
         got = check_laws(cases, lattice, frame.n, budget=7)
         assert got == [check_law(law, lattice, frame.n, ops, budget=7) for law, ops in cases]
+        assert got == [brute.outcome(law, names, laws.PAIR_BUDGET, budget=7)
+                       for law, names in bindings], suite
 
 
 @pytest.mark.parametrize("lattice_name", LATTICES)
@@ -273,8 +261,8 @@ def test_block_split_covers_wide_frames(monkeypatch, chain2, cube2):
     for lattice in (chain2, cube2):
         count = proposition_count(lattice, 9)
         got = check_laws([(law, {}) for law in cases], lattice, 9)
-        offsets = laws._pair_offsets(count, cap, DEFAULT_SEED)
-        a, b = (decode_props(lattice, 9, side) for side in laws._pairs_at(count, offsets, 0, cap))
+        ks = laws._ids_at(count ** 2, laws._offsets(count ** 2, cap, DEFAULT_SEED), 0, cap)
+        a, b = (decode_props(lattice, 9, side) for side in laws._bound_at(ks, count, 2))
         meet, join, flip = lattice.meet_table[a, b], lattice.join_table[a, b], \
             lattice.meet_table[b, a]
         sides = [(meet, a), (a, meet), (meet, flip), (join, flip), (b, lattice.join_table[meet, b])]
@@ -406,10 +394,15 @@ def _random_bound(instance):
 @given(drawn=st.sampled_from([(lattice, frame) for lattice in ("chain2", "mo2", "oml10")
                               for frame in ("le2", "le3", "nonserial2")] + [("mo90", "one")])
        .flatmap(_random_bound))
+# top <= q(1): on the row core at the small budget, a point projection that
+# reads the wrong point reports a failure at a draw where q(1) is top
+@example(drawn=(("mo2", "le3"), [(Law("random", "leq", ConstProp("top"), At(PVar("q"), 1),
+                                      ("p", "q")), "P", "P")]))
 def test_random_laws_match_the_oracles_at_every_setting(drawn):
     # one reference per case from the oracles, checked against eval_trace on
     # the failing binding; check_laws must report it at the default and a
-    # one-binding ID_CHUNK, on ids and on rows, at jobs 1 and 2
+    # one-binding ID_CHUNK, on ids and on rows, at jobs 1 and 2, and on both
+    # cores at a budget that samples every unary space
     (lattice_name, frame_name), bound = drawn
     if lattice_name == "mo90":
         lattice, frame = MO90, POINT
@@ -419,8 +412,14 @@ def test_random_laws_match_the_oracles_at_every_setting(drawn):
     quad = OperatorQuadruple.from_frame(lattice, frame).as_dict()
     brute = Brute(lattice, frame)
     cases = [(law, {"A": quad[a], "B": quad[b]}) for law, a, b in bound]
-    want = [brute.outcome(law, {"A": a, "B": b}, RANDOM_PAIR_BUDGET) for law, a, b in bound]
-    for (law, ops), outcome in zip(cases, want):
+    # a budget of the square root of the proposition count samples every
+    # unary space in strata that wide, so that failing bindings come from
+    # draws across the space, not from the first ids in odometer order,
+    # which are bottom at most points
+    small = math.isqrt(len(brute.props))
+    wants = {budget: [brute.outcome(law, {"A": a, "B": b}, RANDOM_PAIR_BUDGET, budget)
+                      for law, a, b in bound] for budget in (DEFAULT_BUDGET, small)}
+    for (law, ops), outcome in zip(cases * 2, wants[DEFAULT_BUDGET] + wants[small]):
         if outcome.verdict == FAIL:
             env, point = outcome.witness_env, outcome.witness_point
             lhs, rhs = (laws.eval_trace(side, lattice, env, frame.n, ops, {}, [])
@@ -432,10 +431,12 @@ def test_random_laws_match_the_oracles_at_every_setting(drawn):
     # both cores check the order on masks but on MO_90 (180 bits a point);
     # the last two settings, a bit cap of 0, make them check per block
     # everywhere
-    settings = [(*setting, laws.MASK_BITS) for setting in
+    settings = [(*setting, laws.MASK_BITS, DEFAULT_BUDGET) for setting in
                 itertools.product((laws.ID_CHUNK, 1), (False, True), (1, 2))]
-    settings += [(laws.ID_CHUNK, row_core, 1, 0) for row_core in (False, True)]
-    for chunk, row_core, jobs, mask_bits in settings:
+    settings += [(laws.ID_CHUNK, row_core, 1, 0, DEFAULT_BUDGET) for row_core in (False, True)]
+    settings += [(laws.ID_CHUNK, row_core, 1, laws.MASK_BITS, small)
+                 for row_core in (False, True)]
+    for chunk, row_core, jobs, mask_bits, budget in settings:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(laws, "ID_CHUNK", chunk)
             if row_core:
@@ -443,8 +444,8 @@ def test_random_laws_match_the_oracles_at_every_setting(drawn):
             patch.setattr(laws, "MASK_BITS", mask_bits)
             patch.setattr(laws, "_split_cost", 0.0)
             patch.setattr(laws, "PAIR_BUDGET", RANDOM_PAIR_BUDGET)
-            got = check_laws(cases, lattice, frame.n, jobs=jobs)
-        assert got == want, (chunk, row_core, jobs, mask_bits)
+            got = check_laws(cases, lattice, frame.n, budget=budget, jobs=jobs)
+        assert got == wants[budget], (chunk, row_core, jobs, mask_bits, budget)
 
 
 # -- the order check -----------------------------------------------------------
@@ -958,18 +959,36 @@ def test_instance_keeps_one_frame_quadruple(oml10, le2, le3):
 
 
 def test_pair_draw_is_memoized_and_read_only():
-    count, cap = 1000, 5000
-    offsets = laws._pair_offsets(count, cap, 3)
-    assert laws._pair_offsets(count, cap, 3) is offsets
-    assert offsets.dtype == np.uint8  # strata of 200 pairs
-    with pytest.raises(ValueError):
-        offsets[0] = 1
-    columns = laws._pairs_at(count, offsets, 0, cap)
-    for got, want in zip(columns, oracles.stratified_pairs(count, cap, 3)):
-        assert got.dtype == ID_DTYPE
-        assert np.array_equal(got, want)
-    other = laws._pairs_at(count, laws._pair_offsets(count, cap, 4), 0, cap)
-    assert not np.array_equal(other[0] * count + other[1], columns[0] * count + columns[1])
+    # a pair space (strata of 200 pairs) and a unary one, mo2 x 8 points
+    # (strata of one or two propositions)
+    for count, arity, cap in ((1000, 2, 5000), (6 ** 8, 1, 10 ** 6)):
+        space = count ** arity
+        offsets = laws._offsets(space, cap, 3)
+        assert laws._offsets(space, cap, 3) is offsets
+        assert offsets.dtype == np.uint8
+        with pytest.raises(ValueError):
+            offsets[0] = 1
+        ks = laws._ids_at(space, offsets, 0, cap)
+        assert ks.dtype == np.int64
+        assert np.array_equal(ks, oracles.stratified_ids(space, cap, 3))
+        assert len(np.unique(ks)) == cap
+        columns = laws._bound_at(ks, count, arity)
+        want = oracles.stratified_pairs(count, cap, 3) if arity == 2 else (ks,)
+        for got, reference in zip(columns, want, strict=True):
+            assert got.dtype == ID_DTYPE
+            assert np.array_equal(got, reference)
+        other = laws._ids_at(space, laws._offsets(space, cap, 4), 0, cap)
+        assert not np.array_equal(other, ks)
+
+
+def test_a_run_draws_each_space_once(oml10, le3):
+    # at budget 100 on oml10 x le3 every unary (10^3) and pair (10^6) space
+    # is sampled: all suites read one unary and one pair draw
+    laws._offsets.cache_clear()
+    reports = run_all(Instance(oml10, frame=le3, budget=100))
+    assert {law.samples for report in reports for law in report.laws
+            if law.mode == SAMPLED} == {100, 100 ** 2}
+    assert laws._offsets.cache_info().misses == 2
 
 
 def test_ops_equal_on_id_maps_matches_element_path(monkeypatch, oml10, le3):

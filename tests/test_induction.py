@@ -24,7 +24,7 @@ from omtense import (
 )
 from omtense.fixtures import LATTICE_TEXTS, builtin_lattice, example2_quadruple, example_props
 from omtense.report import EXHAUSTIVE, FAIL, SAMPLED
-from omtense.tense import DEFAULT_SEED, proposition_count, sampled_block
+from omtense.tense import DEFAULT_SEED, decode_props, proposition_count
 from omtense.verify import Instance, run_all
 
 T5 = ("1", "2", "3", "4", "5")
@@ -259,7 +259,7 @@ def test_sampled_witnesses_index_the_draws(oml10, ex2_quad):
     # a sampled witness's index is its position in the draws
     budget = 3000
     report = induce_R1(oml10, T5, ex2_quad.P, ex2_quad.F, budget=budget)
-    draws = sampled_block(oml10, 5, budget, DEFAULT_SEED)
+    draws = decode_props(oml10, 5, oracles.stratified_ids(oml10.n ** 5, budget, DEFAULT_SEED))
     assert report.witnesses
     for w in report.witnesses.values():
         assert w.q == tuple(int(x) for x in draws[w.index])

@@ -61,29 +61,19 @@ def chain_frame(n_points):
 # -- transient peaks ------------------------------------------------------
 
 def test_pair_draw_needs_little_beyond_its_columns():
-    # the draw is held as its offsets, strata of 10^4 pairs in uint16; a scan
-    # derives each batch's pairs from them
-    laws._pair_offsets.__wrapped__(1000, 5000, 1)  # numpy's first draw allocates once
-    laws._pair_offsets.cache_clear()
-    try:
-        offsets, held, peak = traced(lambda: laws._pair_offsets(10 ** 5, 10 ** 6, 1729))
-    finally:
-        laws._pair_offsets.cache_clear()
-    assert offsets.dtype == np.uint16 and offsets.nbytes == 2 * 10 ** 6
-    assert offsets.nbytes <= held <= 2.1 * MB
-    assert peak <= offsets.nbytes + MB
-
-
-def test_unary_id_draw_is_encoded_per_slice(cube2):
-    # cube2 x 10 points: 4^10 propositions, within ID_PATH_MAX, sampled 10^6
-    # times as ids, with no draw of element rows behind them
-    count, cap = 4 ** 10, 10 ** 6
-    tense.sampled_ids(cube2, 10, 10, 1)  # numpy's first draw allocates once
-    draw, held, peak = traced(lambda: laws._draws(laws.IdAlgebra(cube2, 10), 1, count, cap, 1729))
-    (ids,) = draw(0, cap)
-    assert ids.dtype == tense.ID_DTYPE and held >= ids.nbytes
-    assert peak <= 6 * MB
-    assert np.array_equal(ids, encode_props(cube2, sampled_block(cube2, 10, cap, 1729)))
+    # a stratified draw is held as its offsets: strata of 10^4 pairs over
+    # oml10 x 5 points in uint16, and strata of one or two propositions over
+    # cube2 x 10 points in uint8; a scan derives each batch's bindings from them
+    laws._offsets.__wrapped__(10 ** 6, 5000, 1)  # the stream's first draw allocates once
+    for space, cap, dtype in ((10 ** 10, 10 ** 6, np.uint16), (4 ** 10, 10 ** 6, np.uint8)):
+        laws._offsets.cache_clear()
+        try:
+            offsets, held, peak = traced(lambda: laws._offsets(space, cap, 1729))
+        finally:
+            laws._offsets.cache_clear()
+        assert offsets.dtype == dtype and offsets.nbytes == cap * offsets.itemsize
+        assert offsets.nbytes <= held <= offsets.nbytes + 0.1 * MB
+        assert peak <= offsets.nbytes + MB
 
 
 def test_uniform_draw_needs_little_beyond_its_rows():
@@ -129,12 +119,12 @@ def test_restricted_bar_id_map_peak():
 def test_stratified_pairs_equal_one_shot_draw(count, cap, seed):
     # the pairs derived from the offsets, whole and per batch as a scan
     # derives them, are the one-shot draw's
-    offsets = laws._pair_offsets.__wrapped__(count, cap, seed)
+    offsets = laws._offsets.__wrapped__(count * count, cap, seed)
     assert offsets.dtype == np.min_scalar_type(count * count // cap)
     want = oracles.stratified_pairs(count, cap, seed)
     for step in (cap, tense.ID_CHUNK, 1000):
-        parts = [laws._pairs_at(count, offsets, lo, min(lo + step, cap))
-                 for lo in range(0, cap, step)]
+        parts = [laws._bound_at(laws._ids_at(count * count, offsets, lo, min(lo + step, cap)),
+                                count, 2) for lo in range(0, cap, step)]
         for k, reference in enumerate(want):
             side = np.concatenate([part[k] for part in parts])
             assert side.dtype == (tense.ID_DTYPE if count <= 2 ** 31 else np.int64)
@@ -179,7 +169,7 @@ def small_memory(monkeypatch):
 
 @pytest.mark.parametrize("build", [
     lambda lattice: sampled_block(lattice, 5, 10 ** 6, 1),
-    lambda lattice: laws._pair_offsets.__wrapped__(10 ** 5, 10 ** 6, 1),
+    lambda lattice: laws._offsets.__wrapped__(10 ** 10, 10 ** 6, 1),
     lambda lattice: tense.all_props(lattice, 5),
     lambda lattice: FrameInduced(lattice, fixtures.builtin_frame("le5"), "P").id_map(),
 ], ids=["uniform-draw", "pair-draw", "all-props", "id-map"])
@@ -206,7 +196,7 @@ def test_fitting_arrays_pass_the_memory_check(monkeypatch):
 
 def test_cli_says_too_big_for_memory_up_front(capsys, monkeypatch, tmp_path):
     # oml10 x an 11-point chain has 10^11 propositions; at a budget of 10^10
-    # each unary law samples 10^10 of them, 220 GB as int16 rows
+    # each unary law samples 10^10 of them, 10 GB of uint8 offsets
     monkeypatch.setattr(tense, "physical_memory", lambda: 8 << 30)
     lattice = tmp_path / "oml10.lattice"
     lattice.write_text(LATTICE_TEXTS["oml10"], encoding="utf-8")
@@ -217,8 +207,8 @@ def test_cli_says_too_big_for_memory_up_front(capsys, monkeypatch, tmp_path):
     err = capsys.readouterr().err
     assert code == 2
     assert err.splitlines() == [
-        "error: a draw of 10000000000 propositions would hold 220000000000 bytes, "
-        f"more than the {8 << 30} bytes of physical memory"]
+        "error: a draw of 10000000000 of 100000000000 bindings would hold 10000000000 "
+        f"bytes, more than the {8 << 30} bytes of physical memory"]
 
 
 def test_cli_exits_2_when_an_id_map_would_not_fit(capsys, small_memory, tmp_path):

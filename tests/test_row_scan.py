@@ -11,12 +11,19 @@ starts no process pool.
 
 import pytest
 
+import oracles
 from omtense import laws
 from omtense.frames import parse_frame
 from omtense.laws import App, ConstProp, Join, Law, LawOutcome, Meet, Neg, PVar, check_laws
 from omtense.laws import eval_trace
 from omtense.report import EXHAUSTIVE, FAIL, ONE_SIDED, PASS, SAMPLED
-from omtense.tense import DEFAULT_SEED, OperatorQuadruple, proposition_count, sampled_block
+from omtense.tense import (
+    DEFAULT_SEED,
+    OperatorQuadruple,
+    decode_props,
+    proposition_count,
+    sampled_block,
+)
 
 P, Q = PVar("p"), PVar("q")
 CLOSED = Law("closed", "eq", App("P", ConstProp("bottom")), ConstProp("bottom"), ())
@@ -44,9 +51,16 @@ def _holds(lattice, law, env, n_points, ops, sides):
 
 
 def _reference(law, lattice, n_points, ops, cap, seed=DEFAULT_SEED):
-    """The outcome of a sampled check, one draw at a time: variable i of draw
-    k is row k of sampled_block(..., seed + i)."""
-    columns = [sampled_block(lattice, n_points, cap, seed + i) for i in range(len(law.vars))]
+    """The outcome of a sampled check, one draw at a time. Draw k of a space
+    of fewer than 2^63 bindings (here only cube2 x 16's propositions) is the
+    k-th index of oracles.stratified_ids; past that variable i of draw k is
+    row k of sampled_block(..., seed + i)."""
+    space = proposition_count(lattice, n_points) ** len(law.vars)
+    if space < 2 ** 63:
+        assert len(law.vars) == 1
+        columns = [decode_props(lattice, n_points, oracles.stratified_ids(space, cap, seed))]
+    else:
+        columns = [sampled_block(lattice, n_points, cap, seed + i) for i in range(len(law.vars))]
     for k in range(cap):
         env = {v: tuple(int(x) for x in col[k]) for v, col in zip(law.vars, columns)}
         if law.guard is not None and not all(

@@ -101,8 +101,8 @@ def test_exhaustive_split_takes_the_earliest_range(monkeypatch, chunked, forks, 
 
 def test_sampled_split_takes_the_earliest_range(monkeypatch, chunked, forks, oml10, le2):
     count, cap = proposition_count(oml10, le2.n), 9000
-    offsets = laws._pair_offsets(count, cap, DEFAULT_SEED)
-    ps, qs = (col.astype(int) for col in laws._pairs_at(count, offsets, 0, cap))
+    ks = laws._ids_at(count ** 2, laws._offsets(count ** 2, cap, DEFAULT_SEED), 0, cap)
+    ps, qs = (col.astype(int) for col in laws._bound_at(ks, count, 2))
     # 90 batches of 100 draws; pick draws in the first, a middle and the last range
     picks = {"first": 1005, "middle": 4520, "last": 8950, "early": 150}
     marks = [({ps[d]}, {qs[d]}) for d in picks.values()]
