@@ -61,19 +61,40 @@ def chain_frame(n_points):
 # -- transient peaks ------------------------------------------------------
 
 def test_pair_draw_needs_little_beyond_its_columns():
-    # a stratified draw is held as its offsets: strata of 10^4 pairs over
-    # oml10 x 5 points in uint16, and strata of one or two propositions over
-    # cube2 x 10 points in uint8; a scan derives each batch's bindings from them
+    # the draw is held as its offsets, strata of 10^4 pairs in uint16; a scan
+    # derives each batch's pairs from them
     laws._offsets.__wrapped__(10 ** 6, 5000, 1)  # the stream's first draw allocates once
-    for space, cap, dtype in ((10 ** 10, 10 ** 6, np.uint16), (4 ** 10, 10 ** 6, np.uint8)):
+    laws._offsets.cache_clear()
+    try:
+        offsets, held, peak = traced(lambda: laws._offsets(10 ** 10, 10 ** 6, 1729))
+    finally:
         laws._offsets.cache_clear()
-        try:
-            offsets, held, peak = traced(lambda: laws._offsets(space, cap, 1729))
-        finally:
-            laws._offsets.cache_clear()
-        assert offsets.dtype == dtype and offsets.nbytes == cap * offsets.itemsize
-        assert offsets.nbytes <= held <= offsets.nbytes + 0.1 * MB
-        assert peak <= offsets.nbytes + MB
+    assert offsets.dtype == np.uint16 and offsets.nbytes == 2 * 10 ** 6
+    assert offsets.nbytes <= held <= offsets.nbytes + 0.1 * MB
+    assert peak <= offsets.nbytes + MB
+
+
+def test_unary_id_draw_is_encoded_per_slice(cube2):
+    # cube2 x 10 points: 4^10 propositions, within ID_PATH_MAX, sampled 10^6
+    # times as ids; the draw holds uint8 offsets (strata of one or two
+    # propositions) and derives each slice's ids from them, with no draw of
+    # element rows behind them
+    count, cap, step = 4 ** 10, 10 ** 6, tense.ID_CHUNK
+    laws._offsets.__wrapped__(10 ** 6, 5000, 1)  # the stream's first draw allocates once
+    laws._offsets.cache_clear()
+    try:
+        draw, held, peak = traced(
+            lambda: laws._draws(laws.IdAlgebra(cube2, 10), 1, count, cap, 1729))
+        offsets = laws._offsets(count, cap, 1729)
+        slices = [traced(lambda: draw(lo, min(lo + step, cap))) for lo in range(0, cap, step)]
+    finally:
+        laws._offsets.cache_clear()
+    assert offsets.dtype == np.uint8 and offsets.nbytes <= held <= offsets.nbytes + 0.1 * MB
+    assert peak <= offsets.nbytes + MB
+    for (ids,), _, slice_peak in slices:
+        assert ids.dtype == tense.ID_DTYPE and slice_peak <= MB
+    ids = np.concatenate([ids for (ids,), _, _ in slices])
+    assert np.array_equal(ids, oracles.stratified_ids(count, cap, 1729))
 
 
 def test_uniform_draw_needs_little_beyond_its_rows():
