@@ -32,12 +32,20 @@ exhaustive in odometer order below the budget and falls back to
 deterministic seeded sampling above it (one-sided verdict). Unary laws
 quantify over the ids, capped at the budget, and pair laws over the
 pair-index space p-major, capped at min(PAIR_BUDGET, budget^2); a closed law
-is a scan of its one empty binding. A sampled space takes one stratified
-draw, one index from each of cap near-equal strata (_offsets), so no binding
-repeats; it is drawn once per (space, cap, seed) and read by every case and
-call over that space. Only a space of 2^63 indices or more, which only a
-RowAlgebra meets, is sampled as uniform element rows per variable
-(tense.sampled_block). The cases of one arity share one scan: the same
+is a scan of its one empty binding. An exhaustive pair scan runs only the p
+rows whose id is least in its orbit under S, and every q of each
+(_orbit_rows). S holds the lattice automorphisms found by a bounded search
+(automorphisms), each acting at every point, that the scan checks on tables
+to commute with every connective, constant and operator it reads. Such an
+s fails a case at (s(p), s(q)) exactly where it fails at (p, q), so a
+case's first failing pair lies in a scanned row: outcomes, witnesses and
+checked, which still counts the whole space, are those of a full scan. A
+sampled space takes one stratified draw, one index from each of cap
+near-equal strata (_offsets), so no binding repeats; it is drawn once per
+(space, cap, seed) and read by every case and call over that space. Only
+a space of 2^63 indices or more, which only a RowAlgebra meets, is sampled
+as uniform element rows per variable (tense.sampled_block). The cases of
+one arity share one scan: the same
 batches in that order (sampled draws in draw order), each distinct subterm
 evaluated once per batch, a guarded case checked only on the bindings where
 its guard holds, and each case leaving the scan at its first failing index.
@@ -300,6 +308,71 @@ def _leq_batch(lattice: Oml, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return lattice.leq[a, b]
 
 
+def automorphisms(lattice: Oml, limit: int) -> np.ndarray:
+    """Up to limit automorphisms of the ortholattice, one element permutation
+    s per row, the identity first: x <= y exactly when s(x) <= s(y), and
+    s(x') = s(x)'.
+
+    A depth-first search assigns each pair x, x' at once, s(x) = y forcing
+    s(x') = y', the pairs with the smallest down-sets first. A candidate y
+    has as many elements below and above it as x, is no assigned element's
+    image yet, and compares with every assigned element as x does; so does
+    y' with x'. x itself is tried first, so the first automorphism found is
+    the identity. The search stops after limit automorphisms or limit + |L|
+    expansions, so it may return a subset of the group. A lattice with no
+    orthocomplement yields the identity alone.
+    """
+    n = lattice.n
+    identity = np.arange(n)
+    if not lattice.has_ortho or n < 2 or limit < 2:
+        return identity[None]
+    leq = lattice.leq
+    ortho = lattice.ortho.astype(np.intp)
+    below, above = leq.sum(axis=0), leq.sum(axis=1)
+    pairs = sorted({min(x, ortho[x], key=lambda e: (below[e], e)) for x in range(n)},
+                   key=lambda x: (below[x], x))
+    # per y, whether y <= y' and whether y' <= y
+    under, over = leq[identity, ortho], leq[ortho, identity]
+    image = np.full(n, -1, dtype=np.intp)
+    used = np.zeros(n, dtype=bool)
+
+    def fits(x):
+        """Per element y, whether s(x) = y agrees with the assignment so far."""
+        done = np.flatnonzero(image >= 0)
+        onto = image[done]
+        return ((below == below[x]) & (above == above[x]) & ~used
+                & (leq[:, onto] == leq[x, done]).all(axis=1)
+                & (leq[onto, :] == leq[done, x][:, None]).all(axis=0))
+
+    def candidates(x):
+        xc = ortho[x]
+        ok = (fits(x) & fits(xc)[ortho] & (under == leq[x, xc]) & (over == leq[xc, x]))
+        ys = np.flatnonzero(ok).tolist()
+        return iter(sorted(ys, key=lambda y: y != x))
+
+    found, steps = [], 1
+    stack = [candidates(pairs[0])]
+    while stack and len(found) < limit:
+        x = pairs[len(stack) - 1]
+        if image[x] >= 0:  # undo this level's last choice
+            used[image[x]] = used[image[ortho[x]]] = False
+            image[x] = image[ortho[x]] = -1
+        y = next(stack[-1], None)
+        if y is None:
+            stack.pop()
+            continue
+        image[x], image[ortho[x]] = y, ortho[y]
+        used[y] = used[ortho[y]] = True
+        if len(stack) == len(pairs):
+            found.append(image.copy())
+        elif steps == limit + n:
+            break
+        else:
+            steps += 1
+            stack.append(candidates(pairs[len(stack)]))
+    return np.array(found)
+
+
 class IdAlgebra:
     """Propositions as ids for one lattice and point count: the values,
     operators, block codes and order masks that a _Program computes with.
@@ -500,6 +573,39 @@ class IdAlgebra:
         return self._memo((fn, "mask", width, shift, dtype), lambda: np.left_shift(
             self.masks(width).take(self.tables(fn, block)[0]), dtype(shift)))
 
+    def symmetries(self) -> tuple[np.ndarray, np.ndarray]:
+        """The automorphisms of the lattice but the identity, up to count of
+        them, each as an element permutation and as the id permutation it
+        makes acting on every point: (k, |L|) and (k, count) arrays."""
+        def build():
+            elements = automorphisms(self.lattice, self.count)[1:]
+            props = proposition_block(self.lattice, self.n_points, 0, self.count)
+            ids = np.empty((len(elements), self.count), dtype=ID_DTYPE)
+            for k, sigma in enumerate(elements):
+                ids[k] = encode_props(self.lattice, sigma[props])
+            return elements, ids
+        return self._memo(("symmetries", self.n_points), build)
+
+    def commuting(self, kind: str, operand) -> np.ndarray:
+        """Per symmetry, whether it commutes with the lattice's table for a
+        node of this kind: it fixes a constant, and carries the complement,
+        the order and each connective's values on every element pair to
+        their own images."""
+        def build():
+            lattice, elements = self.lattice, self.symmetries()[0]
+            if kind == "const":
+                value = lattice.bottom if operand == "bottom" else lattice.top
+                return elements[:, value] == value
+            if kind == "neg":
+                return (elements[:, lattice.ortho] == lattice.ortho[elements]).all(axis=1)
+            every = np.arange(lattice.n, dtype=INDEX_DTYPE)
+            table = (_leq_batch if kind == "leq" else operand)(
+                lattice, every[:, None], every[None, :])
+            return np.array([np.array_equal(table[np.ix_(sigma, sigma)],
+                                            table if kind == "leq" else sigma[table])
+                             for sigma in elements], dtype=bool)
+        return self._memo(("commuting", kind, operand, self.n_points), build)
+
 
 class RowAlgebra(IdAlgebra):
     """Propositions as element rows (shape (..., n_points)), for spaces past
@@ -550,6 +656,12 @@ class RowAlgebra(IdAlgebra):
 
     def equal(self, x, y):
         return (x == y).all(axis=-1)
+
+    def symmetries(self) -> tuple[np.ndarray, np.ndarray]:
+        # none: checking an operator against a symmetry would take its id
+        # map, which the row core never builds
+        return (np.empty((0, self.lattice.n), dtype=np.intp),
+                np.empty((0, self.count), dtype=ID_DTYPE))
 
     def codes(self, rows) -> list:
         out = []
@@ -672,16 +784,17 @@ class _Subterms:
         return _Program(self, verdicts, regions, bad)
 
     def scan(self, batches, bad: list[int] | None = None) -> list[int]:
-        """Per case, the first failing index over (offset, columns, shape)
-        batches taken in order, or -1. A case leaves the scan when it fails;
-        a case that bad already marks failed is not scanned."""
+        """Per case, the first failing index over (where, columns, shape)
+        batches taken in order, or -1; where maps a position in the batch to
+        its index. A case leaves the scan when it fails; a case that bad
+        already marks failed is not scanned."""
         bad = [-1] * len(self.checks) if bad is None else list(bad)
         active = [case for case, index in enumerate(bad) if index < 0]
         if not active:
             return bad
         program = self.compile(active, bad)
-        for offset, columns, shape in batches:
-            program.run(columns, shape, functools.partial(operator.add, offset))
+        for where, columns, shape in batches:
+            program.run(columns, shape, where)
             if any(bad[case] >= 0 for case in active):
                 active = [case for case in active if bad[case] < 0]
                 if not active:
@@ -868,29 +981,63 @@ def _closure(nodes: list[tuple], roots) -> list[int]:
     return sorted(seen)
 
 
-def _exhaustive_starts(arity: int, count: int, step: int) -> range:
+def _orbit_rows(core: IdAlgebra, subterms: _Subterms) -> np.ndarray:
+    """The p rows of an exhaustive pair scan of subterms, as ID_DTYPE ids:
+    those least in their orbit under the symmetries (core.symmetries) that
+    commute with every table and operator the scan reads. Each operator is
+    checked on its id map, op(s(q)) = s(op(q)) for every id q.
+
+    Such a symmetry s fails a case at (s(p), s(q)) exactly where it fails
+    at (p, q), so a case's first failing pair has a p row that no kept s
+    moves to a smaller id, and scanning every q of just these rows finds
+    it. Any subset of the symmetries keeps this true, with more rows."""
+    elements, ids = core.symmetries()
+    rows = np.arange(core.count, dtype=ID_DTYPE)
+    if not len(ids):
+        return rows
+    keep = np.ones(len(ids), dtype=bool)
+    for kind, operand in dict.fromkeys(node[:2] for node in subterms.nodes):
+        if kind == "app":
+            table = operand.id_map()
+            keep &= (table[ids] == ids[:, table]).all(axis=1)
+        elif kind in ("const", "neg", "binary", "leq"):
+            keep &= core.commuting(kind, operand)
+    return rows[(ids[keep] >= rows).all(axis=0)]
+
+
+def _exhaustive_starts(arity: int, count: int, step: int, rows=None) -> range:
     """Where each exhaustive batch starts: at an id (the one empty binding of
-    a closed law), or at a p row of the pairs."""
+    a closed law), or at a position in the p rows of the pairs (rows, every
+    id when None)."""
     if arity == 2:
-        return range(0, count, max(1, step // count))
+        return range(0, count if rows is None else len(rows), max(1, step // count))
     return range(0, count ** arity, step)
 
 
 def _exhaustive_batches(core: IdAlgebra, arity: int, count: int, step: int,
-                        part: slice = slice(None)):
+                        part: slice = slice(None), rows=None):
     """Every binding in order, as the core's values: propositions, pairs
-    p-major as whole broadcast p rows, or the empty binding of a closed law.
-    part picks a contiguous range of the batches."""
-    starts = _exhaustive_starts(arity, count, step)
+    p-major as whole broadcast p rows, those of the ids in rows (every id
+    when None), or the empty binding of a closed law. part picks a
+    contiguous range of the batches."""
+    starts = _exhaustive_starts(arity, count, step, rows)
     if arity < 2:
         for lo in starts[part]:
             hi = min(lo + step, count ** arity)
-            yield lo, ((core.column(lo, hi),) if arity else ()), (hi - lo,)
+            yield (functools.partial(operator.add, lo),
+                   ((core.column(lo, hi),) if arity else ()), (hi - lo,))
         return
+    rows = np.arange(count, dtype=ID_DTYPE) if rows is None else rows
     right = core.column(0, count)[None, :]
     for lo in starts[part]:
-        hi = min(lo + starts.step, count)
-        yield lo * count, (core.column(lo, hi)[:, None], right), (hi - lo, count)
+        chunk = rows[lo:lo + starts.step]
+        yield (functools.partial(_pair_index, chunk, count),
+               (core.from_ids(chunk)[:, None], right), (len(chunk), count))
+
+
+def _pair_index(rows: np.ndarray, count: int, position: int) -> int:
+    """The pair index at a position of a batch of whole p rows, these ids."""
+    return int(rows[position // count]) * count + position % count
 
 
 def _draws(core: IdAlgebra, arity: int, count: int, cap: int, seed: int):
@@ -915,7 +1062,7 @@ def _draw_batches(draw, total: int, step: int, part: slice = slice(None)):
     contiguous range of the batches."""
     for lo in range(0, total, step)[part]:
         hi = min(lo + step, total)
-        yield lo, draw(lo, hi), (hi - lo,)
+        yield functools.partial(operator.add, lo), draw(lo, hi), (hi - lo,)
 
 
 # what the last split scan in this process cost beyond its calling process's
@@ -1151,15 +1298,17 @@ def check_laws(cases, lattice: Oml, n_points: int, *, budget: int | None = None,
     for arity, members in sorted(by_arity.items(), reverse=True):
         space, cap = _space(arity, count, budget)
         exhaustive = space <= cap
+        subterms = _Subterms(core, [cases[i] for i in members])
         if exhaustive:
             draw = None
-            batches = functools.partial(_exhaustive_batches, core, arity, count, ID_CHUNK)
-            n_batches = len(_exhaustive_starts(arity, count, ID_CHUNK))
+            rows = _orbit_rows(core, subterms) if arity == 2 else None
+            batches = functools.partial(_exhaustive_batches, core, arity, count, ID_CHUNK,
+                                        rows=rows)
+            n_batches = len(_exhaustive_starts(arity, count, ID_CHUNK, rows))
         else:
             draw = _draws(core, arity, count, cap, seed)
             batches = functools.partial(_draw_batches, draw, cap, ID_CHUNK)
             n_batches = len(range(0, cap, ID_CHUNK))
-        subterms = _Subterms(core, [cases[i] for i in members])
         bads = _split_scan(subterms, batches, n_batches, jobs)
         for i, bad in zip(members, bads):
             law, ops = cases[i]

@@ -369,14 +369,21 @@ def decode_props(lattice: Oml, n_points: int, ids: np.ndarray) -> np.ndarray:
     """Propositions at the given odometer indices (ids), one row each.
 
     Computed in ID_DTYPE while every id over that many points fits it, and
-    in int64 past that.
+    in int64 past that, ID_CHUNK ids at a time.
     """
     order = enumeration_order(lattice)
-    idx = np.array(ids, dtype=id_dtype(lattice.n ** n_points))
-    out = np.empty(idx.shape + (n_points,), dtype=INDEX_DTYPE)
-    for j in range(n_points - 1, -1, -1):
-        out[..., j] = order[idx % lattice.n]
-        idx //= lattice.n
+    n = lattice.n
+    dtype = id_dtype(n ** n_points)
+    ids = np.asarray(ids)
+    out = np.empty(ids.shape + (n_points,), dtype=INDEX_DTYPE)
+    flat, rows = ids.reshape(-1), out.reshape(-1, n_points)
+    for lo in range(0, len(flat), ID_CHUNK):
+        idx = flat[lo:lo + ID_CHUNK].astype(dtype)
+        for j in range(n_points - 1, -1, -1):
+            rest = idx // n
+            idx -= rest * n  # the digit; numpy's % is slower
+            rows[lo:lo + ID_CHUNK, j] = order.take(idx)
+            idx = rest
     return out
 
 

@@ -8,7 +8,7 @@ end, which numpy's generator defines: they are the one-shot formulas, each
 drawing all its values in one call.
 """
 
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 
@@ -53,6 +53,16 @@ def om_violation(leq, join2, meet2, comp):
             if leq[x][y] and join2(x, meet2(y, comp[x])) != y:
                 return x, y
     return None
+
+
+def automorphisms(leq, comp):
+    """Every permutation s of the elements with leq[x][y] == leq[s[x]][s[y]]
+    and s[comp[x]] == comp[s[x]] for all x and y, as tuples in
+    lexicographic order, by trying each permutation."""
+    n = len(leq)
+    return [s for s in permutations(range(n))
+            if all(s[comp[x]] == comp[s[x]] for x in range(n))
+            and all(leq[x][y] == leq[s[x]][s[y]] for x in range(n) for y in range(n))]
 
 
 def tense_P(join2, bottom, rel, q):

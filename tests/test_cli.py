@@ -78,6 +78,19 @@ def test_sasaki_table_matches_golden(capsys, files):
     assert out == (GOLDEN / "sasaki-cube2.txt").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("lattice, frame", [("cube3", "le3"), ("mo2", "le3"), ("oml10", "le2")])
+def test_verify_all_matches_golden(capsys, tmp_path, lattice, frame):
+    # lattices with 6, 8 and 12 automorphisms, whose exhaustive pair scans
+    # run only the p rows least in their orbits
+    (tmp_path / "l.lattice").write_text(LATTICE_TEXTS[lattice], encoding="utf-8")
+    (tmp_path / "f.frame").write_text(FRAME_TEXTS[frame], encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", "--lattice", str(tmp_path / "l.lattice"),
+                             "--frame", str(tmp_path / "f.frame"), "--suite", "all",
+                             "--format", "json-lines")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"verify-all-{lattice}-{frame}.txt").read_text(encoding="utf-8")
+
+
 def test_entry_points_agree_with_golden():
     """`python -m omtense.cli` and the declared `omt` script print the golden.
 

@@ -10,6 +10,7 @@ import gc
 import itertools
 import math
 import pickle
+import time
 import weakref
 from collections import Counter
 
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import converse_cases
 import oracles
 from omtense import cli, laws, tense
 from omtense.errors import BudgetExceeded, TabulatedMiss
@@ -156,10 +158,13 @@ class Brute:
                 return tuple(oracles.sasaki_imp(self.join2, self.meet2, self.comp, x[s], y[s])
                              for s in point)
             case App(slot, a):
+                # a slot names a frame-induced operator, or holds any other
+                # operator, applied by its own __call__
                 q = self.eval(a, env, ops)
-                seen = self._applied[ops[slot]]
+                op = ops[slot]
+                seen = self._applied.setdefault(op, {})
                 if q not in seen:
-                    seen[q] = self._defs[ops[slot]](q)
+                    seen[q] = self._defs[op](q) if isinstance(op, str) else op(q)
                 return seen[q]
             case At(a, s):
                 return (self.eval(a, env, ops)[s],) * self.n_points
@@ -436,8 +441,13 @@ def test_random_laws_match_the_oracles_at_every_setting(drawn):
     settings += [(laws.ID_CHUNK, row_core, 1, 0, DEFAULT_BUDGET) for row_core in (False, True)]
     settings += [(laws.ID_CHUNK, row_core, 1, laws.MASK_BITS, small)
                  for row_core in (False, True)]
-    for chunk, row_core, jobs, mask_bits, budget in settings:
+    settings = [(*setting, True) for setting in settings]
+    # the last setting scans every p row of an exhaustive pair scan
+    settings += [(laws.ID_CHUNK, False, 1, laws.MASK_BITS, DEFAULT_BUDGET, False)]
+    for chunk, row_core, jobs, mask_bits, budget, symmetric in settings:
         with pytest.MonkeyPatch.context() as patch:
+            if not symmetric:
+                _identity_only(patch)
             patch.setattr(laws, "ID_CHUNK", chunk)
             if row_core:
                 patch.setattr(laws, "ID_PATH_MAX", 0)
@@ -445,7 +455,14 @@ def test_random_laws_match_the_oracles_at_every_setting(drawn):
             patch.setattr(laws, "_split_cost", 0.0)
             patch.setattr(laws, "PAIR_BUDGET", RANDOM_PAIR_BUDGET)
             got = check_laws(cases, lattice, frame.n, budget=budget, jobs=jobs)
-        assert got == wants[budget], (chunk, row_core, jobs, mask_bits, budget)
+        assert got == wants[budget], (chunk, row_core, jobs, mask_bits, budget, symmetric)
+    # at the default pair budget every pair space here is scanned in full,
+    # on ids over the p rows least in their orbits: scanning every p row
+    # reports the same
+    got = check_laws(cases, lattice, frame.n)
+    with pytest.MonkeyPatch.context() as patch:
+        _identity_only(patch)
+        assert check_laws(cases, lattice, frame.n) == got
 
 
 # -- the order check -----------------------------------------------------------
@@ -593,8 +610,9 @@ def test_order_table_on_182_elements():
 def test_order_check_on_both_sides_of_the_bit_cap(monkeypatch, name, n_points, masked, core):
     # with the bit cap at 10, cube2 x 5 points (two irreducibles a point)
     # takes exactly 10 bits and is checked on masks, while chain2 x 11 takes
-    # 11 and is checked per block, on ids and on rows alike. Every pair is
-    # scanned and the guard p <= q checked on each one
+    # 11 and is checked per block, on ids and on rows alike. Every pair of a
+    # scanned p row is checked for the guard p <= q: on ids, cube2's swap of
+    # a and a' leaves about half the p rows, and chain2 has no symmetry
     monkeypatch.setattr(laws, "MASK_BITS", 10)
     if core is RowAlgebra:
         monkeypatch.setattr(laws, "ID_PATH_MAX", 0)
@@ -613,14 +631,19 @@ def test_order_check_on_both_sides_of_the_bit_cap(monkeypatch, name, n_points, m
         return out
 
     monkeypatch.setattr(laws, check, logged)
+    scanned = _recorded_rows(monkeypatch)
     p, q = PVar("p"), PVar("q")
     law = Law("guarded", "leq", p, ConstProp("top"), ("p", "q"), guard=(p, q))
     assert check_law(law, lattice, n_points, {}) == LawOutcome(PASS, EXHAUSTIVE, count * count)
     monkeypatch.undo()
+    [rows] = scanned
+    if name == "cube2" and core is IdAlgebra:
+        assert count // 2 < len(rows) < count
+    else:
+        assert np.array_equal(rows, np.arange(count))
     got = np.concatenate([guard.ravel() for guard in guards])
-    ids = np.arange(count)
     want = _order_reference(lattice, n_points, lambda a, b: lattice.leq[a, b],
-                            ids[:, None], ids[None, :])
+                            rows[:, None], np.arange(count)[None, :])
     assert np.array_equal(got, want.ravel())
 
 
@@ -676,13 +699,27 @@ def _marked_batches(monkeypatch, log, on_batch=lambda: None):
     """Put ("batch", None) in log before each exhaustive batch is handed out."""
     real = laws._exhaustive_batches
 
-    def marked(*args):
-        for batch in real(*args):
+    def marked(*args, **kwargs):
+        for batch in real(*args, **kwargs):
             on_batch()
             log.append(("batch", None))
             yield batch
 
     monkeypatch.setattr(laws, "_exhaustive_batches", marked)
+
+
+def _recorded_rows(monkeypatch):
+    """The p rows of each exhaustive pair scan, in the order of the scans,
+    as laws._orbit_rows hands them out."""
+    out = []
+    real = laws._orbit_rows
+
+    def record(*args):
+        out.append(real(*args))
+        return out[-1]
+
+    monkeypatch.setattr(laws, "_orbit_rows", record)
+    return out
 
 
 def _per_batch(log):
@@ -695,19 +732,20 @@ def _per_batch(log):
     return batches
 
 
-def _batch_rows(count):
+def _batch_rows(count, scanned):
     """p rows per exhaustive pair batch, and the number of batches, for count
-    propositions."""
+    propositions and the scanned p rows."""
     rows = laws.ID_CHUNK // count
-    return rows, -(-count // rows)
+    return rows, -(-len(scanned) // rows)
 
 
 def test_failing_cases_leave_the_scan(monkeypatch, oml10, le3):
     # oml10 x le3 is scanned exhaustively in batches of ID_CHUNK // 1000 p
-    # rows of 1000 q
+    # rows of 1000 q, over the p rows least in their orbits
     log = []
     quad = _logged_quadruple(oml10, le3, log)
     _marked_batches(monkeypatch, log)
+    scanned = _recorded_rows(monkeypatch)
     p, q = PVar("p"), PVar("q")
     early = Law("early", "leq", App("A", q), p, ("p", "q"))
     later = Law("later", "eq", App("A", SAnd(p, q)), SAnd(App("A", p), q), ("p", "q"))
@@ -717,18 +755,23 @@ def test_failing_cases_leave_the_scan(monkeypatch, oml10, le3):
     cases = [(early, {"A": quad["G"]}), (later, {"A": quad["H"]}), (holds, {})] + thm7
     got = check_laws(cases, oml10, le3.n)
     batches = _per_batch(log)
+    [rows_scanned] = scanned
     assert got == [check_law(law, oml10, le3.n, ops) for law, ops in cases]
     count = proposition_count(oml10, le3.n)
-    rows, n_batches = _batch_rows(count)
+    rows, n_batches = _batch_rows(count, rows_scanned)
+    assert len(rows_scanned) < count
     assert [o.verdict for o in got] == [FAIL, FAIL] + [PASS] * 5
     first = [[int(encode_props(oml10, np.array(o.witness_env[v]))) for v in "pq"]
              for o in got[:2]]
+    # each failing p is a scanned row, at this position of the row list
+    at = [int(np.searchsorted(rows_scanned, p)) for p, _ in first]
+    assert [int(rows_scanned[k]) for k in at] == [p for p, _ in first]
     assert first[0] == [0, 1]      # the first pair of the first batch
-    assert first[1][0] >= rows     # a p row of a later batch
+    assert at[1] >= rows           # a p row of a later batch
     assert len(batches) == n_batches
     # G serves only the early law and H only the later one (these thm7 laws
     # use P and F): each is gathered until its law fails, then never again
-    for label, last in (("G", 0), ("H", first[1][0] // rows)):
+    for label, last in (("G", 0), ("H", at[1] // rows)):
         gathers = [sum(name == label for name, _ in b) for b in batches]
         assert all(gathers[: last + 1]) and not any(gathers[last + 1:]), label
 
@@ -737,6 +780,7 @@ def test_each_subterm_is_gathered_once_per_batch(monkeypatch, oml10, le3):
     log = []
     quad = _logged_quadruple(oml10, le3, log)
     _marked_batches(monkeypatch, log)
+    scanned = _recorded_rows(monkeypatch)
     cases = [(law, {slot: quad[w] for slot, w in names.items()})
              for law, names in _thm7_bindings()]
     assert all(o.verdict == PASS for o in check_laws(cases, oml10, le3.n))
@@ -757,7 +801,8 @@ def test_each_subterm_is_gathered_once_per_batch(monkeypatch, oml10, le3):
         walk(law.rhs, names)
     want = Counter(label for label, _ in distinct)
     batches = _per_batch(log)
-    assert len(batches) == _batch_rows(proposition_count(oml10, le3.n))[1]
+    [rows] = scanned
+    assert len(batches) == _batch_rows(proposition_count(oml10, le3.n), rows)[1] > 1
     for batch in batches:
         assert Counter(label for label, _ in batch) == want
 
@@ -768,6 +813,7 @@ def test_shared_guard_is_checked_once_per_batch(monkeypatch, oml10, le3):
     # sides on just the bindings where the guard holds
     log = []
     _marked_batches(monkeypatch, log)
+    scanned = _recorded_rows(monkeypatch)
     real = laws._mask_below
 
     def logged(*args):
@@ -784,13 +830,14 @@ def test_shared_guard_is_checked_once_per_batch(monkeypatch, oml10, le3):
     batches = _per_batch(log)
     monkeypatch.undo()
     count = proposition_count(oml10, le3.n)
-    rows, n_batches = _batch_rows(count)
+    [rows_scanned] = scanned
+    rows, n_batches = _batch_rows(count, rows_scanned)
     props = decode_props(oml10, le3.n, np.arange(count))
     below = oml10.leq[props[:, None, :], props[None, :, :]].all(axis=-1)
     assert len(batches) == n_batches
     for b, batch in enumerate(batches):
         guard, *sides = [out for _, out in batch]
-        region = below[b * rows:(b + 1) * rows]
+        region = below[rows_scanned[b * rows:(b + 1) * rows]]
         assert np.array_equal(guard, region)
         assert [side.shape for side in sides] == [(np.count_nonzero(region),)] * 4
     assert got == [check_law(law, oml10, le3.n, ops) for law, ops in cases]
@@ -821,6 +868,7 @@ def test_no_memo_entry_outlives_its_batch(monkeypatch, oml10, le3):
         refs.clear()
 
     _marked_batches(monkeypatch, made, all_freed)
+    scanned = _recorded_rows(monkeypatch)
 
     def logged(real):
         def making(*args):
@@ -860,8 +908,146 @@ def test_no_memo_entry_outlives_its_batch(monkeypatch, oml10, le3):
     assert [o.verdict for o in outcomes] == [PASS] * 32 + [FAIL]
     all_freed()
     per_batch = log[1:]
-    assert len(per_batch) == _batch_rows(proposition_count(oml10, le3.n))[1]
+    [rows] = scanned
+    assert len(per_batch) == _batch_rows(proposition_count(oml10, le3.n), rows)[1]
     assert min(per_batch) > 200 and max(live) <= min(per_batch) // 8
+
+
+# -- symmetry -----------------------------------------------------------------
+
+def _identity_only(monkeypatch):
+    """Leave every exhaustive pair scan the identity as its one symmetry, so
+    that it scans every p row: the id core then offers no other symmetry,
+    like the row core."""
+    monkeypatch.setattr(IdAlgebra, "symmetries", RowAlgebra.symmetries)
+
+
+def _assert_automorphisms(lattice, got):
+    """got holds distinct automorphisms of lattice, the identity first."""
+    assert got[0].tolist() == list(range(lattice.n))
+    assert len({tuple(sigma) for sigma in got.tolist()}) == len(got)
+    for sigma in got:
+        assert np.array_equal(lattice.leq[np.ix_(sigma, sigma)], lattice.leq)
+        assert np.array_equal(sigma[lattice.ortho], lattice.ortho[sigma])
+
+
+def _least_rows(lattice, n_points, elements):
+    """By brute force, the ids least in their orbits under these element
+    permutations acting at every point."""
+    props = proposition_block(lattice, n_points, 0, lattice.n ** n_points)
+    images = np.array([encode_props(lattice, sigma[props]) for sigma in elements])
+    return np.flatnonzero(images.min(axis=0) == np.arange(len(props)))
+
+
+@pytest.mark.parametrize("name, size", [("chain2", 1), ("cube2", 2), ("cube3", 6),
+                                        ("mo2", 8), ("o6", 2)])
+def test_automorphisms_match_brute_force(name, size):
+    lattice = builtin_lattice(name)
+    leq = [[bool(lattice.leq[x, y]) for y in range(lattice.n)] for x in range(lattice.n)]
+    want = oracles.automorphisms(leq, [int(c) for c in lattice.ortho])
+    got = laws.automorphisms(lattice, 10 ** 6)
+    assert len(want) == size
+    _assert_automorphisms(lattice, got)
+    assert sorted(tuple(sigma) for sigma in got.tolist()) == want
+
+
+def test_oml10_has_twelve_automorphisms(oml10):
+    # S3 on the atoms a, b, c, times the swap of d and d'
+    got = laws.automorphisms(oml10, 10 ** 6)
+    assert len(got) == 12
+    _assert_automorphisms(oml10, got)
+    # a lower limit keeps the first ones found
+    assert np.array_equal(laws.automorphisms(oml10, 5), got[:5])
+
+
+def test_automorphism_search_on_mo90_stays_within_its_bound():
+    # MO_90 has 2^90 * 90! automorphisms; a scan of its 182 propositions at
+    # one point asks for at most 182 of them, and the search stops there
+    start = time.perf_counter()
+    got = laws.automorphisms(MO90, MO90.n)
+    assert time.perf_counter() - start < 1.0
+    assert len(got) == MO90.n
+    _assert_automorphisms(MO90, got)
+    elements, ids = IdAlgebra(MO90, POINT.n).symmetries()
+    assert np.array_equal(elements, got[1:]) and ids.shape == (MO90.n - 1, MO90.n)
+
+
+def test_oml10_le3_pair_scans_run_208_of_1000_p_rows(oml10, le3):
+    quad = OperatorQuadruple.from_frame(oml10, le3).as_dict()
+    cases = [(law, {slot: quad[w] for slot, w in names.items()})
+             for law, names in _thm7_bindings()]
+    core = IdAlgebra(oml10, le3.n)
+    rows = laws._orbit_rows(core, laws._Subterms(core, cases))
+    assert rows.dtype == ID_DTYPE and len(rows) == 208
+    assert np.array_equal(rows, _least_rows(oml10, le3.n, laws.automorphisms(oml10, 1000)))
+
+
+@pytest.mark.parametrize("lattice_name", sorted(LATTICE_TEXTS))
+@pytest.mark.parametrize("frame_name", FRAMES)
+def test_orbit_rows_report_what_a_full_scan_reports(monkeypatch, lattice_name, frame_name):
+    lattice, frame = builtin_lattice(lattice_name), builtin_frame(frame_name)
+    quad = OperatorQuadruple.from_frame(lattice, frame).as_dict()
+    for suite in ("thm1", "thm6", "thm7"):
+        cases = [(law, {slot: quad[w] for slot, w in names.items()})
+                 for law, names in _suites()[suite]]
+        got = check_laws(cases, lattice, frame.n)
+        with monkeypatch.context() as patch:
+            _identity_only(patch)
+            assert check_laws(cases, lattice, frame.n) == got, suite
+
+
+def test_a_constant_that_a_symmetry_moves_drops_it(monkeypatch, oml10, le2):
+    # S keeps q at point 1 and is the atom a at point 2: of the twelve
+    # automorphisms only the four that fix a commute with it
+    a = oml10.index["a"]
+    S = IdentityElseConstant(oml10, le2.n, frozenset({0}), a)
+    bindings = [binding for suite in ("thm1", "thm6") for binding in _suites()[suite]]
+    cases = [(law, {slot: S for slot in names}) for law, names in
+             bindings + _thm7_bindings()[:4]]
+    brute = Brute(oml10, le2)
+    want = [brute.outcome(law, ops, laws.PAIR_BUDGET) for law, ops in cases]
+    assert FAIL in [o.verdict for o in want]
+    scanned = _recorded_rows(monkeypatch)
+    assert check_laws(cases, oml10, le2.n) == want
+    fixing = [sigma for sigma in laws.automorphisms(oml10, 100) if sigma[a] == a]
+    assert len(fixing) == 4
+    [rows] = scanned
+    assert np.array_equal(rows, _least_rows(oml10, le2.n, fixing))
+    _identity_only(monkeypatch)
+    assert check_laws(cases, oml10, le2.n) == want
+
+
+def test_a_perturbed_tabulated_operator_keeps_its_failing_row(monkeypatch, mo2, le2):
+    # converse_cases tabulates P and F from the frame and H and G at random;
+    # P is perturbed further at q0, the least id that an automorphism maps
+    # to a smaller one, to the top constant. P's monotonicity then first
+    # fails at p = q0: the automorphisms that move q0 do not commute with P
+    # and drop out, so q0 is still a scanned row
+    quad = converse_cases._tabulated(mo2, le2)
+    count = proposition_count(mo2, le2.n)
+    ids = IdAlgebra(mo2, le2.n).symmetries()[1]
+    q0 = min(i for i in range(count) if ids[:, i].min() < i)
+    table = dict(quad.P.table)
+    table[tuple(int(x) for x in decode_props(mo2, le2.n, q0))] = (mo2.top,) * le2.n
+    P = Tabulated(mo2, le2.n, table, label="P")
+    ops = {"P": P, "F": quad.F, "H": quad.H, "G": quad.G}
+    [monotone] = [law for law in _THM1_LAWS if law.guard is not None
+                  and law.lhs == App("P", PVar("p"))]
+    groups = [[(monotone, ops), (_THM6_LEFT, {"A": P}), (_THM6_RIGHT, {"A": P})],
+              [(law, ops) for law in _THM1_LAWS]
+              + [(law, {"A": op}) for op in ops.values() for law in (_THM6_LEFT, _THM6_RIGHT)]]
+    brute = Brute(mo2, le2)
+    wants = [[brute.outcome(law, ops, laws.PAIR_BUDGET) for law, ops in cases]
+             for cases in groups]
+    assert wants[0][0].verdict == FAIL
+    assert int(encode_props(mo2, np.array(wants[0][0].witness_env["p"]))) == q0
+    scanned = _recorded_rows(monkeypatch)
+    assert [check_laws(cases, mo2, le2.n) for cases in groups] == wants
+    # P keeps the automorphisms that fix q0, the random H and G none
+    assert q0 in scanned[0] and len(scanned[0]) < count
+    assert np.array_equal(scanned[1], np.arange(count))
+    _identity_only(monkeypatch)
+    assert [check_laws(cases, mo2, le2.n) for cases in groups] == wants
 
 
 # -- robustness ---------------------------------------------------------------
