@@ -25,14 +25,13 @@ from .errors import (
     UnknownDemo,
     UnknownTimePoint,
 )
-from .frames import TimeFrame, parse_frame, format_frame, restrict
+from .frames import TimeFrame, parse_frame, restrict
 from .lattice import (
     LatticeSpec,
     Oml,
     build_lattice,
     check_orthomodular,
     de_morgan_witness,
-    format_lattice,
     join_set,
     meet_set,
     orthomodular_witness,
@@ -85,7 +84,6 @@ from .report import LawResult, VerifyReport, Witness
 from .verify import (
     Instance,
     SUITE_IDS,
-    check_thm6_equivalence,
     replay_witness,
     run_all,
     run_suite,

@@ -153,10 +153,3 @@ def parse_frame(text: str) -> TimeFrame:
         return TimeFrame.from_names(name, points, rel)
     except UnknownTimePoint as exc:
         raise ParseError(str(exc)) from exc
-
-
-def format_frame(frame: TimeFrame) -> str:
-    lines = [f"frame {frame.name}", "points " + " ".join(frame.points)]
-    if frame.rel:
-        lines.append("rel " + " ".join(f"{s}>{t}" for s, t in frame.pair_names()))
-    return "\n".join(lines) + "\n"

@@ -28,7 +28,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401  perfbench/tracing.py hooks it
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceeded, EmptyRestriction, UnknownTimePoint
+from .errors import BudgetExceeded, EmptyRestriction, InvalidSpec, UnknownTimePoint
 from .frames import TimeFrame
 from .lattice import Oml
 from .laws import App, At, Law, PVar, check_laws
@@ -83,17 +83,19 @@ class InducedRelationReport:
         return [(self.points[s], self.points[t]) for s, t in sorted(self.pairs)]
 
 
-def _induce(which: str, lattice: Oml, points, quadruple: OperatorQuadruple, *,
+def _induce(which: str, lattice: Oml, points, a_op: TenseOperator, b_op: TenseOperator, *,
             budget: int | None = None, seed: int = DEFAULT_SEED,
             jobs: int = 1) -> InducedRelationReport:
+    """R1 of a_op = P and b_op = F, or R2 of a_op = H and b_op = G."""
     points = tuple(points)
     n_points = len(points)
-    if quadruple.n_points != n_points:
+    if a_op.lattice is not b_op.lattice or a_op.n_points != b_op.n_points:
+        raise InvalidSpec("induced operators must share the lattice and the point set")
+    if a_op.n_points != n_points:
         raise UnknownTimePoint(
-            f"operators are bound to {quadruple.n_points} points, got {n_points}")
+            f"operators are bound to {a_op.n_points} points, got {n_points}")
     ineq_names = _R1_INEQS if which == "R1" else _R2_INEQS
-    ops = ({"A": quadruple.P, "B": quadruple.F} if which == "R1"
-           else {"A": quadruple.H, "B": quadruple.G})
+    ops = {"A": a_op, "B": b_op}
     q, a, b = PVar("q"), App("A", PVar("q")), App("B", PVar("q"))
     pairs = [(s, t) for s in range(n_points) for t in range(n_points)]
     cases = []
@@ -124,16 +126,14 @@ def induce_R1(lattice: Oml, points, P: TenseOperator, F: TenseOperator, *,
               budget: int | None = None, seed: int = DEFAULT_SEED,
               jobs: int = 1) -> InducedRelationReport:
     """Pairs (s, t) with q(s) <= P(q)(t) and q(t) <= F(q)(s) for all q."""
-    quadruple = OperatorQuadruple(P, F, P, F)  # H, G unused by the R1 scan
-    return _induce("R1", lattice, points, quadruple, budget=budget, seed=seed, jobs=jobs)
+    return _induce("R1", lattice, points, P, F, budget=budget, seed=seed, jobs=jobs)
 
 
 def induce_R2(lattice: Oml, points, H: TenseOperator, G: TenseOperator, *,
               budget: int | None = None, seed: int = DEFAULT_SEED,
               jobs: int = 1) -> InducedRelationReport:
     """Pairs (s, t) with H(q)(t) <= q(s) and G(q)(s) <= q(t) for all q."""
-    quadruple = OperatorQuadruple(H, G, H, G)  # P, F unused by the R2 scan
-    return _induce("R2", lattice, points, quadruple, budget=budget, seed=seed, jobs=jobs)
+    return _induce("R2", lattice, points, H, G, budget=budget, seed=seed, jobs=jobs)
 
 
 def induce_R3(lattice: Oml, points, quadruple: OperatorQuadruple, *,

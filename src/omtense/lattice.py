@@ -27,7 +27,7 @@ from .errors import (
     OrthoViolation,
     ParseError,
 )
-from .report import FAIL, PASS, EXHAUSTIVE, LawResult, ReplayContext, VerifyReport, Witness
+from .report import FAIL, PASS, LawResult, ReplayContext, VerifyReport, Witness
 
 INDEX_DTYPE = np.int16
 
@@ -358,12 +358,3 @@ def parse_lattice(text: str) -> LatticeSpec:
     spec = LatticeSpec(name, tuple(elements), tuple(covers), tuple(ortho))
     spec.validate()
     return spec
-
-
-def format_lattice(spec: LatticeSpec) -> str:
-    lines = [f"lattice {spec.name}", "elements " + " ".join(spec.elements)]
-    if spec.covers:
-        lines.append("covers " + " ".join(f"{lo}<{hi}" for lo, hi in spec.covers))
-    if spec.ortho:
-        lines.append("ortho " + " ".join(f"{x}:{y}" for x, y in spec.ortho))
-    return "\n".join(lines) + "\n"

@@ -31,14 +31,15 @@ check_laws quantifies a list of (law, operators) cases. Quantification is
 exhaustive in odometer order below the budget and falls back to
 deterministic seeded sampling above it (one-sided verdict). Unary laws
 quantify over the ids, capped at the budget, and pair laws over the
-pair-index space p-major, capped at min(PAIR_BUDGET, budget^2); a closed law
-is a scan of its one empty binding. An exhaustive pair scan runs only the p
-rows whose id is least in its orbit under S, and every q of each
-(_orbit_rows). S holds the lattice automorphisms found by a bounded search
-(automorphisms), each acting at every point, that the scan checks on tables
-to commute with every connective, constant and operator it reads. Such an
-s fails a case at (s(p), s(q)) exactly where it fails at (p, q), so a
-case's first failing pair lies in a scanned row: outcomes, witnesses and
+pair-index space p-major, capped at min(PAIR_BUDGET, budget^2) up to the
+default budget and at the budget above it (_space); a closed law is a scan
+of its one empty binding. An exhaustive pair scan runs only the p rows whose
+id is least in its orbit under S, and every q of each (_orbit_rows). S holds
+the lattice automorphisms found by a bounded search (automorphisms,
+IdAlgebra.symmetries), each acting at every point, that the scan checks on
+tables to commute with every connective, constant and operator it reads.
+Such an s fails a case at (s(p), s(q)) exactly where it fails at (p, q), so
+a case's first failing pair lies in a scanned row: outcomes, witnesses and
 checked, which still counts the whole space, are those of a full scan. A
 sampled space takes one stratified draw, one index from each of cap
 near-equal strata (_offsets), so no binding repeats; it is drawn once per
@@ -80,6 +81,7 @@ from .report import EXHAUSTIVE, FAIL, ONE_SIDED, PASS, SAMPLED, Witness
 from .sasaki import sasaki_and_batch, sasaki_imp_batch
 from .stream import Stream
 from .tense import (
+    DEFAULT_BUDGET,
     DEFAULT_SEED,
     ID_CHUNK,
     ID_DTYPE,
@@ -99,7 +101,8 @@ from .tense import (
     sampled_block,
 )
 
-# most bindings a pair law checks, whatever the budget
+# most bindings a pair law checks at a budget up to DEFAULT_BUDGET; a larger
+# budget is the pair laws' cap too (_space)
 PAIR_BUDGET = 10 ** 6
 
 
@@ -574,15 +577,21 @@ class IdAlgebra:
             self.masks(width).take(self.tables(fn, block)[0]), dtype(shift)))
 
     def symmetries(self) -> tuple[np.ndarray, np.ndarray]:
-        """The automorphisms of the lattice but the identity, up to count of
-        them, each as an element permutation and as the id permutation it
-        makes acting on every point: (k, |L|) and (k, count) arrays."""
+        """The automorphisms of the lattice but the identity, each as an
+        element permutation and as the id permutation it makes acting on
+        every point: (k, |L|) and (k, count) arrays. The search stops at
+        min(count, |L|^2) automorphisms, so the id table holds fewer than
+        |L|^2 maps however large the group (MO_7 has 645,120); that still
+        finds all of oml10's 12, mo2's 8 and cube3's 6, and any subset is
+        sound."""
         def build():
-            elements = automorphisms(self.lattice, self.count)[1:]
-            props = proposition_block(self.lattice, self.n_points, 0, self.count)
-            ids = np.empty((len(elements), self.count), dtype=ID_DTYPE)
+            lattice, count = self.lattice, self.count
+            elements = automorphisms(lattice, min(count, lattice.n ** 2))[1:]
+            require_memory((len(elements), count), ID_DTYPE,
+                           f"the id permutations of {len(elements)} automorphisms")
+            ids = np.empty((len(elements), count), dtype=ID_DTYPE)
             for k, sigma in enumerate(elements):
-                ids[k] = encode_props(self.lattice, sigma[props])
+                ids[k] = rows_id_map(lattice, self.n_points, sigma.take)
             return elements, ids
         return self._memo(("symmetries", self.n_points), build)
 
@@ -1331,10 +1340,13 @@ def check_law(law: Law, lattice: Oml, n_points: int, ops: dict[str, TenseOperato
 
 
 def _space(arity: int, count: int, budget: int) -> tuple[int, int]:
-    """(bindings in the space, most bindings checked) for laws of this arity."""
+    """(bindings in the space, most bindings checked) for laws of this arity:
+    a pair law checks min(PAIR_BUDGET, budget^2) bindings at a budget up to
+    DEFAULT_BUDGET, and budget ones above it."""
     if arity < 2:
         return count ** arity, budget
-    return count * count, min(PAIR_BUDGET, budget * budget)
+    return count * count, (min(PAIR_BUDGET, budget * budget) if budget <= DEFAULT_BUDGET
+                           else budget)
 
 
 def build_witness(law: Law, outcome: LawOutcome, op_names: dict[str, str]) -> Witness:

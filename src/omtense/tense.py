@@ -182,12 +182,11 @@ class FrameInduced(TenseOperator):
         """The points whose values this operator folds into its value at s."""
         return (self.frame.preds if self.which in ("P", "H") else self.frame.succs)[s]
 
-    def apply_batch(self, batch: np.ndarray, points=None) -> np.ndarray:
-        """The operator on each row of batch: at every point, or at just the
-        given points, one result column each in that order. Only the columns
-        that those points read are read, each cast to intp as it is used,
-        from batch in Fortran order (a copy in batch's dtype unless it
-        already is), so that every column read is contiguous."""
+    def apply_batch(self, batch: np.ndarray) -> np.ndarray:
+        """The operator on each row of batch. Each column is read, cast to
+        intp as it is used, from batch in Fortran order (a copy in batch's
+        dtype unless it already is), so that every column read is
+        contiguous."""
         n = self.lattice.n
         joinlike = self.which in ("P", "F")
         # table[x, y] is flat[x * n + y]: one gather on intp indices runs
@@ -195,13 +194,12 @@ class FrameInduced(TenseOperator):
         table = self.lattice.join_table if joinlike else self.lattice.meet_table
         flat = table.ravel().astype(np.intp)
         unit = self.lattice.bottom if joinlike else self.lattice.top
-        points = range(self.frame.n) if points is None else points
-        out = np.empty((len(batch), len(points)), dtype=batch.dtype)
+        out = np.empty((len(batch), self.frame.n), dtype=batch.dtype)
         batch = np.asfortranarray(batch)
-        for k, s in enumerate(points):
+        for s in range(self.frame.n):
             reads = self.sources(s)
             if not reads:  # the empty join is the bottom, the empty meet the top
-                out[:, k] = unit
+                out[:, s] = unit
                 continue
             # widened before the first multiply: past 181 elements x * n
             # overflows the int16 columns
@@ -210,7 +208,7 @@ class FrameInduced(TenseOperator):
                 acc *= n
                 acc += batch[:, t]
                 acc = flat.take(acc)
-            out[:, k] = acc
+            out[:, s] = acc
         return out
 
     def _build_id_map(self) -> np.ndarray:

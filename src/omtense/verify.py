@@ -374,26 +374,6 @@ def _thm6_result(label: str, left: LawOutcome, right: LawOutcome) -> LawResult:
                      samples=samples, detail=detail)
 
 
-def check_thm6_equivalence(lattice: Oml, points, A: TenseOperator, *,
-                           budget: int | None = None, seed: int = DEFAULT_SEED,
-                           jobs: int = 1) -> VerifyReport:
-    """Either both connective laws hold for A or neither does."""
-    points = tuple(points)
-    inst_text = f"lattice={lattice.name} op={A.label} points={len(points)} " \
-                f"budget={resolve_budget(budget)}"
-    reason = _unmet(("ortho", "orthomodular"), Instance(lattice))
-    if reason is not None:
-        return VerifyReport(suite="thm6", instance=inst_text, verdict=SKIPPED, reason=reason,
-                            budget=resolve_budget(budget), seed=seed)
-    outcomes = check_laws(_thm6_cases(A), lattice, len(points), budget=budget,
-                          seed=seed, jobs=jobs)
-    result = _thm6_result(A.label, *outcomes)
-    return VerifyReport(suite="thm6", instance=inst_text, verdict=result.verdict,
-                        laws=[result], budget=resolve_budget(budget), seed=seed,
-                        context=ReplayContext(lattice=lattice, points=points,
-                                              ops={"A": A, A.label: A}))
-
-
 def _suite_thm6(inst: Instance) -> VerifyReport:
     points = inst.point_names()
     quad = inst.quadruple()

@@ -5,7 +5,9 @@ speed: plain Python loops, no numpy, no code shared with omtense. When a
 test compares a computed table against one of these, the two sides reach
 the value by different routes. The exception are the seeded draws at the
 end, which numpy's generator defines: they are the one-shot formulas, each
-drawing all its values in one call.
+drawing all its values in one call. restricted_bar takes its operators as
+functions of one proposition tuple; tests pass the package's point-by-point
+calls, which fold each point on its own, not the batch paths of a scan.
 """
 
 from itertools import permutations, product
@@ -108,6 +110,27 @@ def tense_G(meet2, top, rel, q):
                 acc = meet2(acc, q[s])
         out.append(acc)
     return tuple(out)
+
+
+def restricted_bar(bar, a, b, q):
+    """bar(ext(q)) on the base points of an extended frame, where ext(q)
+    places a(q) on the past copies, q on the base points and b(q) on the
+    future copies: bar is an operator of the extended frame and a and b
+    the given operators, each a function of a proposition tuple."""
+    n = len(q)
+    return tuple(bar(tuple(a(q)) + tuple(q) + tuple(b(q))))[n:2 * n]
+
+
+def first_restriction_failure(bar, given, a, b, props):
+    """(position, q, point, bar value, given value) at the first q of props
+    and the first point where restricted_bar differs from given(q), or None
+    when they agree on every q."""
+    for position, q in enumerate(props):
+        got, want = restricted_bar(bar, a, b, q), tuple(given(q))
+        for point in range(len(q)):
+            if got[point] != want[point]:
+                return position, q, point, got[point], want[point]
+    return None
 
 
 def sasaki_and(join2, meet2, comp, x, y):

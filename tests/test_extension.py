@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -19,8 +20,8 @@ from omtense import (
     replay_witness,
 )
 from omtense.extension import _check_extension
-from omtense.induction import induce_R1
-from omtense.fixtures import example2_quadruple, example_props
+from omtense.induction import induce_R1, induce_R2
+from omtense.fixtures import LATTICE_TEXTS, builtin_lattice, example2_quadruple, example_props
 from omtense.tense import decode_props, proposition_block
 
 
@@ -207,28 +208,106 @@ def test_each_restriction_side_reports_its_own_first_failure(cube2, le2, budget)
     report = _check_extension(cube2, le2.points, quad.P, quad.F, wrong, "ext-pf",
                               ("P", "F"), budget=budget, seed=1729, jobs=1)
     count = cube2.n ** le2.n
-    order = (proposition_block(cube2, le2.n, 0, count) if budget is None
-             else decode_props(cube2, le2.n, oracles.stratified_ids(count, budget, 1729)))
+    order = _props(cube2, le2.n, budget)
     bar = extend_frame(wrong.frame()).bar
     by_id = {law.law: law for law in report.laws}
     for label, op in (("P", quad.P), ("F", quad.F)):
         law = by_id[f"{label}bar-restriction"]
-        bar_op = FrameInduced(cube2, bar, label)
-        misses = []
-        for row in order:
-            q = tuple(int(x) for x in row)
-            qbar = tuple(quad.P(q)) + q + tuple(quad.F(q))
-            got, want = bar_op(qbar)[le2.n:2 * le2.n], op(q)
-            if got != want:
-                point = next(s for s in range(le2.n) if got[s] != want[s])
-                misses.append((q, qbar, point, got[point], want[point]))
-        assert misses and law.verdict == "fail"
+        miss = oracles.first_restriction_failure(FrameInduced(cube2, bar, label), op,
+                                                 quad.P, quad.F, order)
+        assert miss is not None and law.verdict == "fail"
         assert law.samples == (count if budget is None else budget)
-        q, qbar, point, got, want = misses[0]
+        _, q, point, got, want = miss
         witness = law.witness
-        assert witness.props == (("q", q), ("qbar", qbar))
+        assert witness.props == (("q", q), ("qbar", tuple(quad.P(q)) + q + tuple(quad.F(q))))
         assert (witness.point, witness.lhs, witness.rhs) == (point, got, want)
         alone = replace(report, laws=[law])  # replay_witness replays the first failure
         text = replay_witness(alone)
         assert f"{label}bar(qbar) = " in text and f"{label}(q) = " in text
         assert f"first difference at point {point}" in text
+
+
+# -- the restriction identity against plain loops ---------------------------------
+
+def _props(lattice, n_points, budget):
+    """The propositions a unary scan checks, as tuples in its order: every
+    one in odometer order, or the stratified draw of budget at seed 1729."""
+    count = lattice.n ** n_points
+    rows = (proposition_block(lattice, n_points, 0, count) if budget is None
+            else decode_props(lattice, n_points, oracles.stratified_ids(count, budget, 1729)))
+    return [tuple(int(x) for x in row) for row in rows]
+
+
+def _restriction_case(case):
+    """(lattice, point names, quadruple) of a case: a fixture lattice x
+    frame, mo2 x le3 with tabulated operators, or the rule-based quadruple
+    on three points, whose 1000 propositions a plain loop scans quickly."""
+    if case == "example2-3":
+        lattice = builtin_lattice("oml10")
+        return lattice, ("1", "2", "3"), example2_quadruple(lattice, ("1", "2", "3"))
+    lattice, points, quad, _ = converse_cases.build(case)
+    return lattice, points, quad
+
+
+RESTRICTION_CASES = ([f"{lattice}-{frame}" for lattice in sorted(LATTICE_TEXTS)
+                      for frame in ("le2", "le3", "nonserial2")]
+                     + ["example2-3", "tabulated"])
+
+
+@pytest.mark.parametrize("sampled", [False, True], ids=["exhaustive", "sampled"])
+@pytest.mark.parametrize("case", RESTRICTION_CASES)
+def test_restriction_sides_match_the_plain_loop_oracle(monkeypatch, case, sampled):
+    # each side of ext-pf and ext-hg, over the operators' own relation and
+    # over the one induced from the swapped pair (which mostly fails), agrees
+    # with the bar operator applied point by point to ext(q): the verdict,
+    # and a failure's first q in odometer or draw order, point and values;
+    # the row core reports the same
+    lattice, points, quad = _restriction_case(case)
+    n_points = len(points)
+    budget = max(1, lattice.n ** n_points // 3) if sampled else None
+    order = _props(lattice, n_points, budget)
+    runs = []
+    for labels, (a, b), induce, checker in (
+            (("P", "F"), (quad.P, quad.F), induce_R1, check_extension_PF),
+            (("H", "G"), (quad.H, quad.G), induce_R2, check_extension_HG)):
+        suite = "ext-" + "".join(labels).lower()
+        runs.append((labels, a, b, induce(lattice, points, a, b, budget=budget),
+                     partial(checker, lattice, points, a, b, budget=budget)))
+        wrong = induce(lattice, points, b, a, budget=budget)
+        runs.append((labels, a, b, wrong, partial(_check_extension, lattice, points, a, b, wrong,
+                                                  suite, labels, budget=budget, seed=1729,
+                                                  jobs=1)))
+
+    def reports():
+        out = []
+        for *_, check in runs:
+            try:
+                out.append(check().laws)
+            except EmptyRestriction:
+                out.append("empty")
+        return out
+
+    on_ids = reports()
+    failures = 0
+    for (labels, a, b, relation, _), laws_ in zip(runs, on_ids):
+        if not relation.pairs:
+            assert laws_ == "empty"
+            continue
+        bar = extend_frame(relation.frame()).bar
+        for label, given, law in zip(labels, (a, b), laws_[1:]):
+            assert law.law == f"{label}bar-restriction"
+            assert law.samples == len(order)
+            miss = oracles.first_restriction_failure(FrameInduced(lattice, bar, label), given,
+                                                     a, b, order)
+            if miss is None:
+                assert law.verdict == ("one-sided" if sampled else "pass")
+                continue
+            failures += 1
+            _, q, point, got, want = miss
+            assert law.verdict == "fail"
+            assert law.witness.props == (("q", q), ("qbar", extend_prop(q, a, b)))
+            assert (law.witness.point, law.witness.lhs, law.witness.rhs) == (point, got, want)
+    if case in ("oml10-le3", "mo2-le2", "cube2-le3"):
+        assert failures  # the swapped relations break the restriction here
+    converse_cases.force_row_path(monkeypatch)
+    assert reports() == on_ids

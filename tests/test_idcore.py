@@ -13,6 +13,7 @@ import pickle
 import time
 import weakref
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,10 +23,10 @@ from hypothesis import strategies as st
 import converse_cases
 import oracles
 from omtense import cli, laws, tense
-from omtense.errors import BudgetExceeded, TabulatedMiss
-from omtense.extension import RestrictedBar, extend_frame
+from omtense.errors import BudgetExceeded, TabulatedMiss, TooBigForMemory
+from omtense.extension import _check_extension, extend_frame
 from omtense.fixtures import FRAME_TEXTS, LATTICE_TEXTS, builtin_frame, builtin_lattice
-from omtense.frames import parse_frame
+from omtense.frames import TimeFrame, parse_frame
 from omtense.lattice import build_lattice, parse_lattice
 from omtense.laws import (
     App,
@@ -363,8 +364,9 @@ POINT = parse_frame("frame one\npoints 1\nrel 1>1\n")
 
 def test_frame_maps_widen_before_they_index_a_182_element_table():
     # on MO_90, x * 182 + y passes the int16 range of the proposition rows:
-    # every batch, restricted batch and id map must still agree with the
-    # point-by-point operators, at points that fold two or more sources
+    # every batch and id map must still agree with the point-by-point
+    # operators, at points that fold two or more sources, and so must an
+    # extension check, whose sides join or meet two id maps on int32 codes
     le2, le3 = builtin_frame("le2"), builtin_frame("le3")
     assert max(len(p) for p in le3.preds) >= 2 and max(len(s) for s in le3.succs) >= 2
     block = tense.sampled_block(MO90, le3.n, 300, seed=5)
@@ -373,18 +375,26 @@ def test_frame_maps_widen_before_they_index_a_182_element_table():
         op = FrameInduced(MO90, le3, which)
         out = op.apply_batch(block)
         assert [tuple(int(x) for x in row) for row in out] == [op(q) for q in rows], which
-        assert np.array_equal(op.apply_batch(block, [2, 0]), out[:, [2, 0]]), which
-    ext = extend_frame(le2)
     props = tense.all_props(MO90, le2.n)
-    sample = props[::97]
-    for which, other in (("P", "F"), ("H", "G")):
-        a, b = FrameInduced(MO90, le2, which), FrameInduced(MO90, le2, other)
-        restricted = RestrictedBar(FrameInduced(MO90, ext.bar, which), a, b)
-        want = [restricted(tuple(int(x) for x in q)) for q in sample]
-        assert [tuple(int(x) for x in row) for row in restricted.apply_batch(sample)] == want
-        assert np.array_equal(restricted.id_map()[::97], encode_props(MO90, np.array(want)))
+    sample = [tuple(int(x) for x in q) for q in props[::97]]
+    # over le2's converse both sides fail, first at small ids
+    converse = TimeFrame("converse", le2.points, {(t, s) for s, t in le2.rel})
+    relation = SimpleNamespace(frame=lambda: converse)
+    own, bar = extend_frame(le2).bar, extend_frame(converse).bar
+    for labels in (("P", "F"), ("H", "G")):
+        a, b = (FrameInduced(MO90, le2, which) for which in labels)
         assert np.array_equal(a.id_map()[::97],
-                              encode_props(MO90, np.array([a(tuple(q)) for q in sample])))
+                              encode_props(MO90, np.array([a(q) for q in sample])))
+        assert all(oracles.restricted_bar(FrameInduced(MO90, own, labels[0]), a, b, q) == a(q)
+                   for q in sample)
+        report = _check_extension(MO90, le2.points, a, b, relation, "ext", labels,
+                                  budget=None, seed=1729, jobs=1)
+        for label, given, law in zip(labels, (a, b), report.laws[1:]):
+            _, q, point, got, want = oracles.first_restriction_failure(
+                FrameInduced(MO90, bar, label), given, a, b,
+                (tuple(int(x) for x in q) for q in props))
+            assert law.verdict == FAIL and law.witness.props[0] == ("q", q)
+            assert (law.witness.point, law.witness.lhs, law.witness.rhs) == (point, got, want)
 
 
 def _random_bound(instance):
@@ -970,6 +980,23 @@ def test_automorphism_search_on_mo90_stays_within_its_bound():
     _assert_automorphisms(MO90, got)
     elements, ids = IdAlgebra(MO90, POINT.n).symmetries()
     assert np.array_equal(elements, got[1:]) and ids.shape == (MO90.n - 1, MO90.n)
+
+
+def test_symmetry_table_stays_within_its_bound(monkeypatch):
+    # MO_4 has 4! * 2^4 = 384 automorphisms; over three points (1000 ids)
+    # the search stops at min(1000, |L|^2) = 100 of them, so the table holds
+    # 99 id permutations, each one's action at every point
+    mo4 = _mo_lattice(4)
+    assert len(laws.automorphisms(mo4, 10 ** 6)) == 384
+    elements, ids = IdAlgebra(mo4, 3).symmetries()
+    assert elements.shape == (99, mo4.n) and ids.shape == (99, 1000) and ids.dtype == ID_DTYPE
+    _assert_automorphisms(mo4, np.vstack([np.arange(mo4.n), elements]))
+    props = proposition_block(mo4, 3, 0, 1000)
+    assert np.array_equal(ids, [encode_props(mo4, sigma[props]) for sigma in elements])
+    # the table is checked against memory before it is allocated
+    monkeypatch.setattr(tense, "physical_memory", lambda: 99 * 1000 * 4 - 1)
+    with pytest.raises(TooBigForMemory, match="the id permutations of 99 automorphisms"):
+        IdAlgebra(_mo_lattice(4), 3).symmetries()
 
 
 def test_oml10_le3_pair_scans_run_208_of_1000_p_rows(oml10, le3):

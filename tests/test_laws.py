@@ -97,12 +97,20 @@ def test_sampled_can_still_fail(oml10, le5):
 
 
 def test_pair_budget_cap(monkeypatch, oml10, le3):
+    # up to the default budget a pair law checks min(PAIR_BUDGET, budget^2)
+    # bindings, above it budget of them
+    assert laws._space(2, 10 ** 4, 500) == (10 ** 8, 250000)
+    assert laws._space(2, 10 ** 4, 10 ** 6) == (10 ** 8, 10 ** 6)
+    assert laws._space(2, 10 ** 4, 10 ** 6 + 1) == (10 ** 8, 10 ** 6 + 1)
+    assert laws._space(2, 10 ** 4, 10 ** 8) == (10 ** 8, 10 ** 8)
     ops = OperatorQuadruple.from_frame(oml10, le3).as_dict()
     widen = Law("widen", "leq", PVar("p"), Join(PVar("p"), PVar("q")), ("p", "q"))
     with monkeypatch.context() as patch:
         patch.setattr(laws, "PAIR_BUDGET", 500)
         out = check_law(widen, oml10, le3.n, ops)
-    assert (out.verdict, out.mode, out.checked) == (ONE_SIDED, SAMPLED, 500)
+        assert (out.verdict, out.mode, out.checked) == (ONE_SIDED, SAMPLED, 500)
+        out = check_law(widen, oml10, le3.n, ops, budget=10 ** 6 + 1)
+        assert (out.verdict, out.mode, out.checked) == (PASS, EXHAUSTIVE, 10 ** 6)
     out = check_law(widen, oml10, le3.n, ops)
     assert (out.verdict, out.mode, out.checked) == (PASS, EXHAUSTIVE, 10 ** 6)
 

@@ -15,12 +15,10 @@ import pytest
 import oracles
 from omtense import cli, fixtures, laws, tense
 from omtense.errors import TooBigForMemory
-from omtense.extension import RestrictedBar, extend_frame
 from omtense.fixtures import FRAME_TEXTS, LATTICE_TEXTS
 from omtense.lattice import build_lattice, parse_lattice
 from omtense.tense import (
     FrameInduced,
-    OperatorQuadruple,
     decode_props,
     encode_props,
     enumeration_order,
@@ -114,17 +112,6 @@ def test_frame_id_map_peak():
     assert peak <= 4 * MB
 
 
-def test_restricted_bar_id_map_peak():
-    lattice = fixtures.builtin_lattice("oml10")
-    le5 = fixtures.builtin_frame("le5")
-    quad = OperatorQuadruple.from_frame(lattice, le5)
-    bar = RestrictedBar(FrameInduced(lattice, extend_frame(le5).bar, "P"), quad.P, quad.F)
-    quad.P.id_map(), quad.F.id_map()  # held before, as in an extension check
-    id_map, _, peak = traced(bar.id_map)
-    assert id_map.dtype == tense.ID_DTYPE and len(id_map) == 10 ** 5
-    assert peak <= 2 * MB
-
-
 # -- the same values as one-shot draws ------------------------------------
 
 @pytest.mark.parametrize("count, cap, seed", [
@@ -216,8 +203,10 @@ def test_fitting_arrays_pass_the_memory_check(monkeypatch):
 
 
 def test_cli_says_too_big_for_memory_up_front(capsys, monkeypatch, tmp_path):
-    # oml10 x an 11-point chain has 10^11 propositions; at a budget of 10^10
-    # each unary law samples 10^10 of them, 10 GB of uint8 offsets
+    # oml10 x an 11-point chain has 10^11 propositions and 10^22 pairs, past
+    # the 2^63 indices of a stratified draw. A budget of 10^10, above the
+    # default, is the pair laws' cap too, and pairs are drawn first: 10^10
+    # uniform rows of 11 int16 elements per variable, 220 GB
     monkeypatch.setattr(tense, "physical_memory", lambda: 8 << 30)
     lattice = tmp_path / "oml10.lattice"
     lattice.write_text(LATTICE_TEXTS["oml10"], encoding="utf-8")
@@ -228,7 +217,7 @@ def test_cli_says_too_big_for_memory_up_front(capsys, monkeypatch, tmp_path):
     err = capsys.readouterr().err
     assert code == 2
     assert err.splitlines() == [
-        "error: a draw of 10000000000 of 100000000000 bindings would hold 10000000000 "
+        "error: a draw of 10000000000 propositions would hold 220000000000 "
         f"bytes, more than the {8 << 30} bytes of physical memory"]
 
 

@@ -16,11 +16,13 @@ from omtense import (
     parse_lattice,
 )
 from omtense.fixtures import example2_quadruple
+from omtense.laws import check_laws
 from omtense.report import ReplayContext, VerifyReport, Witness
 from omtense.verify import (
     SUITE_IDS,
     Instance,
-    check_thm6_equivalence,
+    _thm6_cases,
+    _thm6_result,
     replay_witness,
     run_all,
     run_suite,
@@ -256,8 +258,7 @@ def test_thm6_suite_is_one_scan(monkeypatch, oml10, le3):
     inst = Instance(lattice=oml10, frame=le3)
     report = run_suite("thm6", inst)
     assert len(built) == 1
-    alone = [check_thm6_equivalence(oml10, le3.points, op).laws[0]
-             for op in inst.quadruple().as_dict().values()]
+    alone = [_thm6_alone(oml10, le3.n, op) for op in inst.quadruple().as_dict().values()]
     assert len(built) == 5
     assert [law.to_json() for law in report.laws] == [law.to_json() for law in alone]
 
@@ -274,33 +275,46 @@ def _identity(lattice, n_points):
                                 label="Id")
 
 
+def _thm6_alone(lattice, n_points, op):
+    """The thm6 result of op, its two connective laws checked in a scan of
+    their own, shown by op's label."""
+    return _thm6_result(op.label, *check_laws(_thm6_cases(op), lattice, n_points))
+
+
+def _single(op):
+    """An instance whose four operators are all op."""
+    return Instance(lattice=op.lattice, ops=OperatorQuadruple(op, op, op, op))
+
+
 def test_thm6_identity_operator(oml10):
-    report = check_thm6_equivalence(oml10, ("1", "2"), _identity(oml10, 2))
+    report = run_suite("thm6", _single(_identity(oml10, 2)))
     assert report.verdict == "pass"
+    assert all(law.detail == "(i) true, (ii) true" for law in report.laws)
 
 
 def test_thm6_equivalence_can_fail_for_nonmonotone_maps(cube2):
     # A = (0 -> a, a -> 0, a1 -> 0, 1 -> a) preserves (*) but not ->;
     # the theorem needs the operator monotone, which this map is not
-    elems = [(0,), (1,), (2,), (3,)]
     table = {(0,): (1,), (1,): (0,), (2,): (0,), (3,): (1,)}
     op = Tabulated(cube2, 1, table, label="N")
-    report = check_thm6_equivalence(cube2, ("1",), op)
+    report = run_suite("thm6", _single(op))
     assert report.verdict == "fail"
-    law = report.laws[0]
-    assert law.detail == "(i) true, (ii) false"
-    assert law.witness is not None
+    assert [law.detail for law in report.laws] == ["(i) true, (ii) false"] * 4
+    law = _thm6_alone(cube2, 1, op)
+    assert law.verdict == "fail" and law.witness is not None
+    alone = VerifyReport(suite="thm6", instance="", verdict=law.verdict, laws=[law],
+                         context=ReplayContext(lattice=cube2, points=("1",), ops={"A": op}))
     golden = (GOLDEN / "replay-thm6-cube2-N.txt").read_text(encoding="utf-8")
-    assert replay_witness(report) + "\n" == golden
+    assert replay_witness(alone) + "\n" == golden
 
 
 def test_thm6_budget_limits_are_one_sided(oml10):
     # 10^5 propositions per side: far beyond any exhaustive pair sweep,
     # and both laws hold for these operators, so sampling settles nothing
     quad = example2_quadruple(oml10, ("1", "2", "3", "4", "5"))
-    report = check_thm6_equivalence(oml10, ("1", "2", "3", "4", "5"), quad.P)
-    assert report.verdict == "one-sided"
-    assert report.laws[0].detail == "(i) unknown, (ii) unknown"
+    law = _thm6_alone(oml10, 5, quad.P)
+    assert law.verdict == "one-sided"
+    assert law.detail == "(i) unknown, (ii) unknown"
 
 
 def test_thm6_sampling_can_settle_both_sides_false(monkeypatch, oml10, le3):
@@ -308,16 +322,15 @@ def test_thm6_sampling_can_settle_both_sides_false(monkeypatch, oml10, le3):
     # too small for exhaustion can still confirm the equivalence
     quad = OperatorQuadruple.from_frame(oml10, le3)
     monkeypatch.setattr(laws, "PAIR_BUDGET", 500)
-    report = check_thm6_equivalence(oml10, le3.points, quad.P)
-    assert report.verdict == "pass"
-    assert report.laws[0].detail == "(i) false, (ii) false"
+    law = _thm6_alone(oml10, le3.n, quad.P)
+    assert (law.verdict, law.mode) == ("pass", "sampled")
+    assert law.detail == "(i) false, (ii) false"
 
 
 def test_thm6_gates(chain3, o6):
-    op = _identity(chain3, 2)
-    report = check_thm6_equivalence(chain3, ("1", "2"), op)
+    report = run_suite("thm6", _single(_identity(chain3, 2)))
     assert (report.verdict, report.reason) == ("skipped", "requires orthocomplementation")
-    report = check_thm6_equivalence(o6, ("1", "2"), _identity(o6, 2))
+    report = run_suite("thm6", _single(_identity(o6, 2)))
     assert (report.verdict, report.reason) == ("skipped", "requires an orthomodular lattice")
 
 
