@@ -46,7 +46,6 @@ from .report import (
     ReplayContext,
     VerifyReport,
     Witness,
-    aggregate,
 )
 from .induction import InducedRelationReport, induce_R1, induce_R2
 from .tense import DEFAULT_SEED, FrameInduced, Prop, TenseOperator, resolve_budget
@@ -133,11 +132,10 @@ def _check_extension(lattice: Oml, points, op_a: TenseOperator, op_b: TenseOpera
         laws.append(LawResult(law_id, outcome.verdict, mode=outcome.mode,
                               samples=outcome.checked, witness=witness))
 
-    verdict = aggregate([law.verdict for law in laws])
     return VerifyReport(
         suite=suite,
         instance=f"lattice={lattice.name} points={len(points)} budget={budget}",
-        verdict=verdict, laws=laws, budget=budget, seed=seed,
+        laws=laws, budget=budget, seed=seed,
         context=ReplayContext(lattice=lattice, points=points,
                               ops={labels[0]: op_a, labels[1]: op_b,
                                    labels[0] + "bar": bar_a, labels[1] + "bar": bar_b}))

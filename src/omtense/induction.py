@@ -42,7 +42,6 @@ from .report import (
     ReplayContext,
     VerifyReport,
     Witness,
-    aggregate,
 )
 from .tense import DEFAULT_SEED, OperatorQuadruple, Prop, TenseOperator, ops_equal, resolve_budget
 from .tense import proposition_block, sampled_block  # noqa: F401  perfbench/tracing.py hooks them
@@ -231,14 +230,13 @@ def roundtrip_frame(lattice: Oml, frame: TimeFrame, *, budget: int | None = None
                                    f"{label}(q) and the reinduced {label}*(q) differ")
         laws.append(LawResult(f"{label}-coincides", outcome.verdict, ops=((label, label),),
                               mode=outcome.mode, samples=outcome.checked, witness=witness))
-    verdict = aggregate([law.verdict for law in laws])
     replay_ops: dict[str, TenseOperator] = dict(quadruple.as_dict())
     for label, op in reinduced.as_dict().items():
         replay_ops[label + "*"] = op
     return VerifyReport(
         suite="thm4-roundtrip",
         instance=f"lattice={lattice.name} frame={frame.name} budget={budget}",
-        verdict=verdict, laws=laws, budget=budget, seed=seed,
+        laws=laws, budget=budget, seed=seed,
         context=ReplayContext(lattice=lattice, points=frame.points, ops=replay_ops))
 
 
@@ -337,9 +335,8 @@ def check_star_inequalities(lattice: Oml, points, quadruple: OperatorQuadruple, 
             laws.append(LawResult(law.id, outcome.verdict, witness=witness,
                                   mode=outcome.mode, samples=outcome.checked,
                                   detail=detail))
-    verdict = aggregate([law.verdict for law in laws])
     return VerifyReport(
         suite="cor1",
         instance=f"lattice={lattice.name} points={len(points)} budget={budget}",
-        verdict=verdict, laws=laws, budget=budget, seed=seed,
+        laws=laws, budget=budget, seed=seed,
         context=ReplayContext(lattice=lattice, points=points, ops=quadruple.as_dict()))

@@ -9,12 +9,18 @@ construction and cheap to ship to worker processes.
 
 Element indices follow declaration order. All public functions speak indices;
 use Oml.name_of / Oml.index_of at the boundary.
+
+An element law (ElementLaw) is defined once, as one function of element
+indices; the orthomodular law in both forms and De Morgan's are here, the
+Sasaki laws in verify. It always runs on every tuple of elements, whatever
+the budget, and reports the first failing tuple in element-index order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -248,62 +254,100 @@ def join_irreducibles(lattice: Oml) -> np.ndarray:
                      if join_set(lattice, np.flatnonzero(below[:, x])) != x], dtype=INDEX_DTYPE)
 
 
-# -- orthomodularity ----------------------------------------------------
+# -- element laws ------------------------------------------------------
+
+@dataclass(frozen=True)
+class ElementLaw:
+    """A law over tuples of elements, stated once: evaluate(lattice, *elements)
+    takes broadcastable element index arrays, or one index per variable, and
+    returns (terms, holds, lhs, rhs, note): the named intermediate values a
+    replay prints, whether the law holds, its two sides and the claim a
+    failure refutes. A check evaluates it on the grid of every tuple, and a
+    witness and its replay on the failing tuple's indices."""
+
+    id: str
+    varnames: tuple[str, ...]
+    evaluate: Callable
+
+    def first_failure(self, lattice: Oml) -> tuple[int, ...] | None:
+        """The first tuple in element-index (C) order where the law fails."""
+        shape = (lattice.n,) * len(self.varnames)
+        holds = np.broadcast_to(
+            self.evaluate(lattice, *np.indices(shape, sparse=True))[1], shape)
+        return None if holds.all() else tuple(map(int, np.unravel_index(np.argmin(holds), shape)))
+
+    def check(self, lattice: Oml) -> LawResult:
+        """The law on every tuple; a failure's witness is first_failure."""
+        first, samples = self.first_failure(lattice), lattice.n ** len(self.varnames)
+        if first is None:
+            return LawResult(self.id, PASS, samples=samples)
+        _, _, lhs, rhs, note = self.evaluate(lattice, *first)
+        return LawResult(self.id, FAIL, samples=samples, witness=Witness(
+            kind="elements", law=self.id, elements=tuple(zip(self.varnames, first)),
+            lhs=int(lhs), rhs=int(rhs), note=str(note)))
+
+
+def element_law(law_id: str, *varnames: str):
+    """Decorator: the ElementLaw law_id over varnames that the function evaluates."""
+    return lambda evaluate: ElementLaw(law_id, varnames, evaluate)
+
+
+@element_law("orthomodular-join-form", "x", "y")
+def orthomodular_join_form(lattice: Oml, x, y):
+    xc = lattice.ortho[x]
+    inner = lattice.meet_table[y, xc]
+    lhs = lattice.join_table[x, inner]
+    return ((("x'", xc), ("y ^ x'", inner), ("x v (y ^ x')", lhs)),
+            ~lattice.leq[x, y] | (lhs == y), lhs, y, "x <= y but x v (y ^ x') != y")
+
+
+@element_law("orthomodular-meet-form", "x", "y")
+def orthomodular_meet_form(lattice: Oml, x, y):
+    yc = lattice.ortho[y]
+    inner = lattice.join_table[x, yc]
+    lhs = lattice.meet_table[y, inner]
+    return ((("y'", yc), ("x v y'", inner), ("y ^ (x v y')", lhs)),
+            ~lattice.leq[x, y] | (lhs == x), lhs, x, "x <= y but y ^ (x v y') != x")
+
+
+@element_law("de-morgan", "x", "y")
+def de_morgan(lattice: Oml, x, y):
+    """(x v y)' = x' ^ y' and (x ^ y)' = x' v y'; a failure reports the first
+    of the two that fails."""
+    join, meet, comp = lattice.join_table, lattice.meet_table, lattice.ortho
+    terms = (("(x v y)'", comp[join[x, y]]), ("x' ^ y'", meet[comp[x], comp[y]]),
+             ("(x ^ y)'", comp[meet[x, y]]), ("x' v y'", join[comp[x], comp[y]]))
+    (_, a), (_, b), (_, c), (_, d) = terms
+    by_join = a != b
+    return (terms, ~by_join & (c == d), np.where(by_join, a, c), np.where(by_join, b, d),
+            np.where(by_join, "(x v y)' != x' ^ y'", "(x ^ y)' != x' v y'"))
+
 
 def orthomodular_witness(lattice: Oml) -> tuple[int, int] | None:
     """First (x, y) in index order with x <= y but y != x v (y ^ x')."""
-    leq, join, meet, comp = lattice.leq, lattice.join_table, lattice.meet_table, lattice.ortho
-    for x in range(lattice.n):
-        for y in range(lattice.n):
-            if leq[x, y] and int(join[x, meet[y, comp[x]]]) != y:
-                return (x, y)
-    return None
+    return orthomodular_join_form.first_failure(lattice)
 
 
 def orthomodular_witness_dual(lattice: Oml) -> tuple[int, int] | None:
     """First (x, y) in index order with x <= y but x != y ^ (x v y')."""
-    leq, join, meet, comp = lattice.leq, lattice.join_table, lattice.meet_table, lattice.ortho
-    for x in range(lattice.n):
-        for y in range(lattice.n):
-            if leq[x, y] and int(meet[y, join[x, comp[y]]]) != x:
-                return (x, y)
-    return None
+    return orthomodular_meet_form.first_failure(lattice)
 
 
 def de_morgan_witness(lattice: Oml) -> tuple[int, int, str] | None:
     """First (x, y) where (x v y)' != x' ^ y' or (x ^ y)' != x' v y'."""
-    join, meet, comp = lattice.join_table, lattice.meet_table, lattice.ortho
-    for x in range(lattice.n):
-        for y in range(lattice.n):
-            if int(comp[join[x, y]]) != int(meet[comp[x], comp[y]]):
-                return (x, y, "join")
-            if int(comp[meet[x, y]]) != int(join[comp[x], comp[y]]):
-                return (x, y, "meet")
-    return None
-
-
-def orthomodular_join_result(lattice: Oml, pair: tuple[int, int] | None,
-                             samples: int | None = None) -> LawResult:
-    """The orthomodular-join-form result for orthomodular_witness's pair, or
-    a pass when it found none."""
-    if pair is None:
-        return LawResult("orthomodular-join-form", PASS, samples=samples)
-    x, y = pair
-    witness = Witness(
-        kind="elements", law="orthomodular-join-form",
-        elements=(("x", x), ("y", y)),
-        lhs=int(lattice.join_table[x, lattice.meet_table[y, lattice.ortho[x]]]),
-        rhs=y,
-        note="x <= y but x v (y ^ x') != y")
-    return LawResult("orthomodular-join-form", FAIL, witness=witness, samples=samples)
+    first = de_morgan.first_failure(lattice)
+    if first is None:
+        return None
+    (_, a), (_, b) = de_morgan.evaluate(lattice, *first)[0][:2]
+    return (*first, "join" if a != b else "meet")
 
 
 def check_orthomodular(lattice: Oml) -> VerifyReport:
     """Report on the orthomodular law; the witness pair is minimal in index order."""
-    law = orthomodular_join_result(lattice, orthomodular_witness(lattice))
-    return VerifyReport(
-        suite="oml-law", instance=f"lattice={lattice.name}", verdict=law.verdict,
-        laws=[law], context=ReplayContext(lattice=lattice))
+    law = orthomodular_join_form.check(lattice)
+    law.samples = None
+    return VerifyReport(suite="oml-law", instance=f"lattice={lattice.name}", laws=[law],
+                        context=ReplayContext(lattice=lattice))
 
 
 # -- text format ---------------------------------------------------------

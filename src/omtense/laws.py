@@ -999,19 +999,28 @@ def _orbit_rows(core: IdAlgebra, subterms: _Subterms) -> np.ndarray:
     Such a symmetry s fails a case at (s(p), s(q)) exactly where it fails
     at (p, q), so a case's first failing pair has a p row that no kept s
     moves to a smaller id, and scanning every q of just these rows finds
-    it. Any subset of the symmetries keeps this true, with more rows."""
+    it. Any subset of the symmetries keeps this true, with more rows.
+    The id permutations are read in blocks of about ID_CHUNK ids, one
+    permutation each once an id row holds that many, so no temporary grows
+    with the number of symmetries."""
     elements, ids = core.symmetries()
     rows = np.arange(core.count, dtype=ID_DTYPE)
     if not len(ids):
         return rows
+    step = max(1, ID_CHUNK // core.count)
+    blocks = [slice(k, k + step) for k in range(0, len(ids), step)]
     keep = np.ones(len(ids), dtype=bool)
     for kind, operand in dict.fromkeys(node[:2] for node in subterms.nodes):
         if kind == "app":
             table = operand.id_map()
-            keep &= (table[ids] == ids[:, table]).all(axis=1)
+            for block in blocks:
+                keep[block] &= (table[ids[block]] == ids[block][:, table]).all(axis=1)
         elif kind in ("const", "neg", "binary", "leq"):
             keep &= core.commuting(kind, operand)
-    return rows[(ids[keep] >= rows).all(axis=0)]
+    least = np.ones(core.count, dtype=bool)
+    for block in blocks:
+        least &= (ids[block][keep[block]] >= rows).all(axis=0)
+    return rows[least]
 
 
 def _exhaustive_starts(arity: int, count: int, step: int, rows=None) -> range:

@@ -129,12 +129,16 @@ def aggregate(verdicts: list[str]) -> str:
 class VerifyReport:
     suite: str
     instance: str
-    verdict: str
     laws: list[LawResult] = field(default_factory=list)
     reason: str = ""
     budget: int | None = None
     seed: int | None = None
     context: ReplayContext | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def verdict(self) -> str:
+        """aggregate of the laws' verdicts; a report without laws is skipped."""
+        return aggregate([law.verdict for law in self.laws])
 
     @property
     def witness(self) -> Witness | None:

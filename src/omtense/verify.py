@@ -8,27 +8,27 @@ spurious pass or fail. Conditions on single laws (thm2's reflexive laws,
 thm3's transitive ones) are checked by their suites with reasons from
 _GATES, and ext-pf and ext-hg skip on an empty induced relation. The
 quantified laws of a suite are checked together by one laws.check_laws
-call and inherit its exhaustive-or-sampled budget semantics; elementwise
-laws always run exhaustively.
-A failing law carries a witness, and replay_witness turns that witness back
-into a full evaluation trace.
+call and inherit its exhaustive-or-sampled budget semantics. Each element
+law of prop1, lemma1 and oml-law is defined once, as a lattice.ElementLaw
+that its check, witness and replay all evaluate; it always runs on every
+tuple at any budget and reports the first failing tuple in element-index
+order. A failing law carries a witness, and replay_witness turns that
+witness back into a full evaluation trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
+from functools import partial
 
 from . import induction
 from .errors import EmptyRestriction, InvalidSpec, NotAFailure
 from .extension import check_extension_HG, check_extension_PF
 from .frames import TimeFrame
 from .induction import InducedRelationReport, check_star_inequalities, roundtrip_frame
-from .lattice import (
-    Oml,
+from .lattice import Oml, de_morgan, element_law, orthomodular_join_form, orthomodular_meet_form
+from .lattice import (  # noqa: F401  perfbench/tracing.py hooks it
     de_morgan_witness,
-    orthomodular_join_result,
     orthomodular_witness,
     orthomodular_witness_dual,
 )
@@ -58,10 +58,9 @@ from .report import (
     LawResult,
     ReplayContext,
     VerifyReport,
-    Witness,
-    aggregate,
 )
-from .sasaki import connective_tables, sasaki_and, sasaki_imp
+from .sasaki import connective_tables  # noqa: F401  perfbench/tracing.py hooks it
+from .sasaki import sasaki_and_batch, sasaki_imp_batch
 from .tense import (
     DEFAULT_SEED,
     OperatorQuadruple,
@@ -258,9 +257,8 @@ _THM6_ID = f"{_THM6_LEFT.id}  iff  {_THM6_RIGHT.id}"
 # -- quantified suite runner ------------------------------------------------
 
 def _skip(suite: str, inst: Instance, reason: str) -> VerifyReport:
-    return VerifyReport(suite=suite, instance=inst.descriptor(), verdict=SKIPPED,
-                        reason=reason, budget=resolve_budget(inst.budget),
-                        seed=inst.seed)
+    return VerifyReport(suite=suite, instance=inst.descriptor(), reason=reason,
+                        budget=resolve_budget(inst.budget), seed=inst.seed)
 
 
 def _entry(law: Law, ops: dict[str, TenseOperator],
@@ -300,8 +298,7 @@ def _law_suite(suite: str, inst: Instance, entries) -> VerifyReport:
                                  witness=witness, mode=outcome.mode,
                                  samples=outcome.checked))
     return VerifyReport(
-        suite=suite, instance=inst.descriptor(),
-        verdict=aggregate([r.verdict for r in results]), laws=results,
+        suite=suite, instance=inst.descriptor(), laws=results,
         budget=resolve_budget(inst.budget), seed=inst.seed,
         context=ReplayContext(lattice=lattice, points=points, ops=quad.as_dict()))
 
@@ -384,8 +381,7 @@ def _suite_thm6(inst: Instance) -> VerifyReport:
     results = [_thm6_result(label, *outcomes[2 * k:2 * k + 2])
                for k, label in enumerate(quad.as_dict())]
     return VerifyReport(
-        suite="thm6", instance=inst.descriptor(),
-        verdict=aggregate([r.verdict for r in results]), laws=results,
+        suite="thm6", instance=inst.descriptor(), laws=results,
         budget=resolve_budget(inst.budget), seed=inst.seed,
         context=ReplayContext(lattice=inst.lattice, points=points,
                               ops=quad.as_dict()))
@@ -393,125 +389,71 @@ def _suite_thm6(inst: Instance) -> VerifyReport:
 
 # -- element-level suites ---------------------------------------------------
 
-def _element_result(law_id: str, ok: np.ndarray, varnames: tuple[str, ...],
-                    values: tuple[np.ndarray, ...], note: str) -> LawResult:
-    """ok is a boolean array over element tuples in C order; values align with it."""
-    flat = ok.ravel()
-    samples = flat.size
-    if bool(flat.all()):
-        return LawResult(law_id, PASS, samples=samples)
-    first = int(np.argmin(flat))
-    coords = np.unravel_index(first, ok.shape)
-    elements = tuple((name, int(c)) for name, c in zip(varnames, coords))
-    lhs, rhs = (int(v.ravel()[first]) for v in values)
-    witness = Witness(kind="elements", law=law_id, elements=elements,
-                      lhs=lhs, rhs=rhs, note=note)
-    return LawResult(law_id, FAIL, witness=witness, samples=samples)
+@element_law("a * 1 = a", "a")
+def _unit_right(lattice: Oml, a):
+    got = sasaki_and_batch(lattice, a, lattice.top)
+    return (("a * 1", got),), got == a, got, a, "unit fails on the right"
 
 
-def _suite_prop1(inst: Instance) -> VerifyReport:
-    L = inst.lattice
-    sat, imp = connective_tables(L)
-    idx = np.arange(L.n)
-    laws = [
-        _element_result("a * 1 = a", sat[idx, L.top] == idx, ("a",),
-                        (sat[idx, L.top], idx), "unit fails on the right"),
-        _element_result("1 * a = a", sat[L.top, idx] == idx, ("a",),
-                        (sat[L.top, idx], idx), "unit fails on the left"),
-    ]
-    left = L.leq[sat]                      # [a, b, c] = (a * b) <= c
-    right = L.leq[:, imp]                  # [a, b, c] = a <= (b -> c)
-    both = np.broadcast_arrays(left, right)
-    laws.append(_element_result(
-        "a * b <= c iff a <= b -> c", left == right, ("a", "b", "c"),
-        (both[0].astype(np.int16), both[1].astype(np.int16)),
-        "adjunction sides disagree (values are truth values)"))
-    laws.append(_element_result(
-        "a -> 0 = a'", imp[idx, L.bottom] == L.ortho[idx], ("a",),
-        (imp[idx, L.bottom], L.ortho[idx].astype(np.int16)),
-        "implication into bottom is not the orthocomplement"))
+@element_law("1 * a = a", "a")
+def _unit_left(lattice: Oml, a):
+    got = sasaki_and_batch(lattice, lattice.top, a)
+    return (("1 * a", got),), got == a, got, a, "unit fails on the left"
+
+
+@element_law("a * b <= c iff a <= b -> c", "a", "b", "c")
+def _adjunction(lattice: Oml, a, b, c):
+    conj, imp = sasaki_and_batch(lattice, a, b), sasaki_imp_batch(lattice, b, c)
+    left, right = lattice.leq[conj, c], lattice.leq[a, imp]
+    return ((("a * b", conj), ("b -> c", imp)), left == right, left, right,
+            "adjunction sides disagree (values are truth values)")
+
+
+@element_law("a -> 0 = a'", "a")
+def _imp_bottom(lattice: Oml, a):
+    got, comp = sasaki_imp_batch(lattice, a, lattice.bottom), lattice.ortho[a]
+    return ((("a -> 0", got), ("a'", comp)), got == comp, got, comp,
+            "implication into bottom is not the orthocomplement")
+
+
+@element_law("(a -> b) * a = a ^ b", "a", "b")
+def _projection(lattice: Oml, a, b):
+    imp = sasaki_imp_batch(lattice, a, b)
+    got, meet = sasaki_and_batch(lattice, imp, a), lattice.meet_table[a, b]
+    return ((("a -> b", imp), ("(a -> b) * a", got), ("a ^ b", meet)), got == meet, got, meet,
+            "projection along the implication misses the meet")
+
+
+@element_law("a <= b -> (a * b)", "a", "b")
+def _residuum(lattice: Oml, a, b):
+    conj = sasaki_and_batch(lattice, a, b)
+    inner = sasaki_imp_batch(lattice, b, conj)
+    return ((("a * b", conj), ("b -> (a * b)", inner)), lattice.leq[a, inner], a, inner,
+            "element is not below the residuum of its projection")
+
+
+_PROP1_LAWS = (_unit_right, _unit_left, _adjunction, _imp_bottom)
+_LEMMA1_LAWS = (_projection, _residuum)
+_OML_LAWS = (orthomodular_join_form, orthomodular_meet_form, de_morgan)
+# law id -> element law, for witness replay
+_ELEMENT_LAWS = {law.id: law for law in _PROP1_LAWS + _LEMMA1_LAWS + _OML_LAWS}
+
+
+def _element_suite(suite: str, inst: Instance, laws) -> VerifyReport:
     return VerifyReport(
-        suite="prop1", instance=inst.descriptor(),
-        verdict=aggregate([r.verdict for r in laws]), laws=laws,
+        suite=suite, instance=inst.descriptor(), laws=[law.check(inst.lattice) for law in laws],
         budget=resolve_budget(inst.budget), seed=inst.seed,
-        context=ReplayContext(lattice=L))
-
-
-def _suite_lemma1(inst: Instance) -> VerifyReport:
-    L = inst.lattice
-    sat, imp = connective_tables(L)
-    idx = np.arange(L.n)
-    got = sat[imp, idx[:, None]]           # [a, b] = (a -> b) * a
-    want = L.meet_table
-    inner = imp[idx[None, :], sat]         # [a, b] = b -> (a * b)
-    ok = L.leq[idx[:, None], inner]
-    laws = [
-        _element_result("(a -> b) * a = a ^ b", got == want, ("a", "b"),
-                        (got, want), "projection along the implication misses the meet"),
-        _element_result("a <= b -> (a * b)", ok, ("a", "b"),
-                        (np.broadcast_to(idx[:, None].astype(np.int16), ok.shape),
-                         inner),
-                        "element is not below the residuum of its projection"),
-    ]
-    return VerifyReport(
-        suite="lemma1", instance=inst.descriptor(),
-        verdict=aggregate([r.verdict for r in laws]), laws=laws,
-        budget=resolve_budget(inst.budget), seed=inst.seed,
-        context=ReplayContext(lattice=L))
+        context=ReplayContext(lattice=inst.lattice))
 
 
 def _suite_omllaw(inst: Instance) -> VerifyReport:
-    L = inst.lattice
-    join, meet, comp = L.join_table, L.meet_table, L.ortho
-    laws: list[LawResult] = []
-
-    wj = orthomodular_witness(L)
-    laws.append(orthomodular_join_result(L, wj, samples=L.n * L.n))
-
-    wm = orthomodular_witness_dual(L)
-    if wm is None:
-        laws.append(LawResult("orthomodular-meet-form", PASS, samples=L.n * L.n))
-    else:
-        x, y = wm
-        laws.append(LawResult(
-            "orthomodular-meet-form", FAIL, samples=L.n * L.n,
-            witness=Witness(kind="elements", law="orthomodular-meet-form",
-                            elements=(("x", x), ("y", y)),
-                            lhs=int(meet[y, join[x, comp[y]]]), rhs=x,
-                            note="x <= y but y ^ (x v y') != x")))
-
-    agree = (wj is None) == (wm is None)
-    if wj is None and wm is None:
-        detail = "both hold"
-    elif wj is not None and wm is not None:
-        detail = "both fail"
-    else:
-        detail = "join form only" if wj is None else "meet form only"
-    laws.append(LawResult("orthomodular-forms-agree", PASS if agree else FAIL,
-                          detail=detail))
-
-    dm = de_morgan_witness(L)
-    if dm is None:
-        laws.append(LawResult("de-morgan", PASS, samples=L.n * L.n))
-    else:
-        x, y, which = dm
-        if which == "join":
-            lhs, rhs = int(comp[join[x, y]]), int(meet[comp[x], comp[y]])
-            note = "(x v y)' != x' ^ y'"
-        else:
-            lhs, rhs = int(comp[meet[x, y]]), int(join[comp[x], comp[y]])
-            note = "(x ^ y)' != x' v y'"
-        laws.append(LawResult(
-            "de-morgan", FAIL, samples=L.n * L.n,
-            witness=Witness(kind="elements", law="de-morgan",
-                            elements=(("x", x), ("y", y)), lhs=lhs, rhs=rhs,
-                            note=note)))
-
-    return VerifyReport(
-        suite="oml-law", instance=inst.descriptor(),
-        verdict=aggregate([r.verdict for r in laws]), laws=laws,
-        budget=resolve_budget(inst.budget), seed=inst.seed,
-        context=ReplayContext(lattice=L))
+    report = _element_suite("oml-law", inst, _OML_LAWS)
+    join, meet = (law.verdict == PASS for law in report.laws[:2])
+    detail = ("both hold" if join and meet else "both fail" if join == meet
+              else "join form only" if join else "meet form only")
+    report.laws.insert(2, LawResult("orthomodular-forms-agree", PASS if join == meet else FAIL,
+                                    detail=detail))
+    return report
 
 
 # -- delegating suites ------------------------------------------------------
@@ -570,8 +512,8 @@ _SUITES = {
     "thm1": (("frame", "serial"), _suite_thm1),
     "thm2": (("frame", "serial"), _suite_thm2),
     "thm3": (("frame", "reflexive"), _suite_thm3),
-    "prop1": (("ortho", "orthomodular"), _suite_prop1),
-    "lemma1": (("ortho", "orthomodular"), _suite_lemma1),
+    "prop1": (("ortho", "orthomodular"), partial(_element_suite, "prop1", laws=_PROP1_LAWS)),
+    "lemma1": (("ortho", "orthomodular"), partial(_element_suite, "lemma1", laws=_LEMMA1_LAWS)),
     "thm6": (("frame-or-ops", "ortho", "orthomodular"), _suite_thm6),
     "thm7": (("frame", "reflexive", "ortho", "orthomodular"), _suite_thm7),
     "thm4-roundtrip": (("frame",), _suite_roundtrip),
@@ -609,48 +551,6 @@ def _fmt_elem(lattice: Oml, value) -> str:
     return lattice.name_of(int(value))
 
 
-def _element_trace(lattice: Oml, law_id: str, elems: dict[str, int]):
-    """Intermediate values for the element-level laws, by law id."""
-    j, m, c = lattice.join_table, lattice.meet_table, lattice.ortho
-    a = elems.get("a", 0)
-    b = elems.get("b", 0)
-    x = elems.get("x", 0)
-    y = elems.get("y", 0)
-    table = {
-        "a * 1 = a": lambda: [("a * 1", sasaki_and(lattice, a, lattice.top))],
-        "1 * a = a": lambda: [("1 * a", sasaki_and(lattice, lattice.top, a))],
-        "a * b <= c iff a <= b -> c": lambda: [
-            ("a * b", sasaki_and(lattice, a, b)),
-            ("b -> c", sasaki_imp(lattice, b, elems["c"])),
-        ],
-        "a -> 0 = a'": lambda: [("a -> 0", sasaki_imp(lattice, a, lattice.bottom)),
-                                ("a'", int(c[a]))],
-        "(a -> b) * a = a ^ b": lambda: [
-            ("a -> b", sasaki_imp(lattice, a, b)),
-            ("(a -> b) * a", sasaki_and(lattice, sasaki_imp(lattice, a, b), a)),
-            ("a ^ b", int(m[a, b])),
-        ],
-        "a <= b -> (a * b)": lambda: [
-            ("a * b", sasaki_and(lattice, a, b)),
-            ("b -> (a * b)", sasaki_imp(lattice, b, sasaki_and(lattice, a, b))),
-        ],
-        "orthomodular-join-form": lambda: [
-            ("x'", int(c[x])), ("y ^ x'", int(m[y, c[x]])),
-            ("x v (y ^ x')", int(j[x, m[y, c[x]]])),
-        ],
-        "orthomodular-meet-form": lambda: [
-            ("y'", int(c[y])), ("x v y'", int(j[x, c[y]])),
-            ("y ^ (x v y')", int(m[y, j[x, c[y]]])),
-        ],
-        "de-morgan": lambda: [
-            ("(x v y)'", int(c[j[x, y]])), ("x' ^ y'", int(m[c[x], c[y]])),
-            ("(x ^ y)'", int(c[m[x, y]])), ("x' v y'", int(j[c[x], c[y]])),
-        ],
-    }
-    maker = table.get(law_id)
-    return maker() if maker else []
-
-
 def _resolve_op(context: ReplayContext | None, slot: str, display: str):
     if context is None:
         return None
@@ -675,10 +575,11 @@ def replay_witness(report: VerifyReport) -> str:
         lines.append(f"  claim: {witness.note}")
 
     if witness.kind == "elements" and lattice is not None:
-        elems = dict(witness.elements)
         for name, value in witness.elements:
             lines.append(f"  {name} = {_fmt_elem(lattice, value)}")
-        for text, value in _element_trace(lattice, witness.law, elems):
+        law = _ELEMENT_LAWS.get(witness.law)
+        terms = law.evaluate(lattice, *(v for _, v in witness.elements))[0] if law else ()
+        for text, value in terms:
             lines.append(f"  {text} = {_fmt_elem(lattice, value)}")
         if witness.lhs is not None and witness.rhs is not None:
             lines.append(f"  got {_fmt_elem(lattice, witness.lhs)}, "

@@ -141,6 +141,78 @@ def sasaki_imp(join2, meet2, comp, x, y):
     return join2(meet2(y, x), comp[x])
 
 
+def element_laws(leq, join2, meet2, comp, bottom, top):
+    """Each element-level law by id, as (its variables, a function of one
+    tuple of elements returning (holds, lhs, rhs, note, terms)), where terms
+    are the (text, element) pairs a replay prints."""
+    def sand(x, y):
+        return sasaki_and(join2, meet2, comp, x, y)
+
+    def simp(x, y):
+        return sasaki_imp(join2, meet2, comp, x, y)
+
+    def adjunction(a, b, c):
+        left, right = int(leq[sand(a, b)][c]), int(leq[a][simp(b, c)])
+        return (left == right, left, right, "adjunction sides disagree (values are truth values)",
+                [("a * b", sand(a, b)), ("b -> c", simp(b, c))])
+
+    def projection(a, b):
+        got = sand(simp(a, b), a)
+        return (got == meet2(a, b), got, meet2(a, b),
+                "projection along the implication misses the meet",
+                [("a -> b", simp(a, b)), ("(a -> b) * a", got), ("a ^ b", meet2(a, b))])
+
+    def residuum(a, b):
+        inner = simp(b, sand(a, b))
+        return (leq[a][inner], a, inner, "element is not below the residuum of its projection",
+                [("a * b", sand(a, b)), ("b -> (a * b)", inner)])
+
+    def join_form(x, y):
+        got = join2(x, meet2(y, comp[x]))
+        return (not leq[x][y] or got == y, got, y, "x <= y but x v (y ^ x') != y",
+                [("x'", comp[x]), ("y ^ x'", meet2(y, comp[x])), ("x v (y ^ x')", got)])
+
+    def meet_form(x, y):
+        got = meet2(y, join2(x, comp[y]))
+        return (not leq[x][y] or got == x, got, x, "x <= y but y ^ (x v y') != x",
+                [("y'", comp[y]), ("x v y'", join2(x, comp[y])), ("y ^ (x v y')", got)])
+
+    def de_morgan(x, y):
+        terms = [("(x v y)'", comp[join2(x, y)]), ("x' ^ y'", meet2(comp[x], comp[y])),
+                 ("(x ^ y)'", comp[meet2(x, y)]), ("x' v y'", join2(comp[x], comp[y]))]
+        if terms[0][1] != terms[1][1]:
+            return False, terms[0][1], terms[1][1], "(x v y)' != x' ^ y'", terms
+        return (terms[2][1] == terms[3][1], terms[2][1], terms[3][1],
+                "(x ^ y)' != x' v y'", terms)
+
+    return {
+        "a * 1 = a": ("a", lambda a: (sand(a, top) == a, sand(a, top), a,
+                                      "unit fails on the right", [("a * 1", sand(a, top))])),
+        "1 * a = a": ("a", lambda a: (sand(top, a) == a, sand(top, a), a,
+                                      "unit fails on the left", [("1 * a", sand(top, a))])),
+        "a * b <= c iff a <= b -> c": ("abc", adjunction),
+        "a -> 0 = a'": ("a", lambda a: (simp(a, bottom) == comp[a], simp(a, bottom), comp[a],
+                                        "implication into bottom is not the orthocomplement",
+                                        [("a -> 0", simp(a, bottom)), ("a'", comp[a])])),
+        "(a -> b) * a = a ^ b": ("ab", projection),
+        "a <= b -> (a * b)": ("ab", residuum),
+        "orthomodular-join-form": ("xy", join_form),
+        "orthomodular-meet-form": ("xy", meet_form),
+        "de-morgan": ("xy", de_morgan),
+    }
+
+
+def first_element_failure(law, n):
+    """(tuple, lhs, rhs, note, terms) at the first tuple of elements in
+    index order where the law of element_laws fails, or None."""
+    varnames, holds_at = law
+    for elements in product(range(n), repeat=len(varnames)):
+        holds, *rest = holds_at(*elements)
+        if not holds:
+            return (elements, *rest)
+    return None
+
+
 def all_props(n_elements, n_points):
     """Every proposition as a tuple of element indices (product order)."""
     return list(product(range(n_elements), repeat=n_points))

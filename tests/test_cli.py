@@ -91,6 +91,20 @@ def test_verify_all_matches_golden(capsys, tmp_path, lattice, frame):
     assert out == (GOLDEN / f"verify-all-{lattice}-{frame}.txt").read_text(encoding="utf-8")
 
 
+def test_element_suites_match_golden_with_bottom_declared_last(capsys, tmp_path):
+    # an element law's witness is its first failing tuple in declaration
+    # order, which here differs from the bottom-first order of propositions
+    text = LATTICE_TEXTS["o6"].replace("elements 0 x y y' x' 1", "elements 1 x' y' y x 0")
+    (tmp_path / "o6.lattice").write_text(text, encoding="utf-8")
+    outs = []
+    for suite, want in (("prop1", 0), ("lemma1", 0), ("oml-law", 1)):
+        code, out, err = run_cli(capsys, "verify", "--lattice", str(tmp_path / "o6.lattice"),
+                                 "--suite", suite, "--format", "json-lines")
+        assert (code, err) == (want, "")
+        outs.append(out)
+    assert "".join(outs) == (GOLDEN / "verify-elements-o6-reversed.txt").read_text(encoding="utf-8")
+
+
 def test_entry_points_agree_with_golden():
     """`python -m omtense.cli` and the declared `omt` script print the golden.
 

@@ -11,6 +11,7 @@ import itertools
 import math
 import pickle
 import time
+import tracemalloc
 import weakref
 from collections import Counter
 from types import SimpleNamespace
@@ -997,6 +998,33 @@ def test_symmetry_table_stays_within_its_bound(monkeypatch):
     monkeypatch.setattr(tense, "physical_memory", lambda: 99 * 1000 * 4 - 1)
     with pytest.raises(TooBigForMemory, match="the id permutations of 99 automorphisms"):
         IdAlgebra(_mo_lattice(4), 3).symmetries()
+
+
+def test_orbit_rows_needs_little_beyond_the_symmetry_table():
+    # MO_4 x 4 points: 10^4 ids and 99 symmetries, a 4 MB id table; each
+    # operator is checked against it, and the least ids picked, a few id
+    # rows at a time, never on a copy of the whole table
+    mo4 = _mo_lattice(4)
+    quad = OperatorQuadruple.from_frame(mo4, parse_frame(
+        "frame le4\npoints 1 2 3 4\nrel 1>1 1>2 1>3 1>4 2>2 2>3 2>4 3>3 3>4 4>4\n")).as_dict()
+    core = IdAlgebra(mo4, 4)
+    subterms = laws._Subterms(core, [(law, {slot: quad[w] for slot, w in slots.items()})
+                                     for law, slots in _thm7_bindings()])
+    laws._orbit_rows(core, subterms)  # builds the id maps and the symmetries
+    ids = core.symmetries()[1]
+    assert ids.shape == (99, 10 ** 4)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        rows = laws._orbit_rows(core, subterms)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= ids.nbytes / 8
+    # frame-induced operators commute with every automorphism, so each
+    # symmetry is kept and the rows are the least ids of their orbits
+    every = np.arange(10 ** 4)
+    assert np.array_equal(rows, every[(ids >= every).all(axis=0)])
 
 
 def test_oml10_le3_pair_scans_run_208_of_1000_p_rows(oml10, le3):
