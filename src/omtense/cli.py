@@ -22,7 +22,7 @@ from .errors import InvalidSpec, OmtError, ParseError, UnknownDemo
 from .extension import extend_frame, extend_prop
 from .frames import TimeFrame, parse_frame
 from .induction import classify_inducibility, induce_R1, induce_R2, induce_R3, roundtrip_frame
-from .lattice import Oml, build_lattice, check_orthomodular, parse_lattice
+from .lattice import Oml, _tokenize, build_lattice, check_orthomodular, parse_lattice
 from .render import (
     connective_tables_text,
     extension_table,
@@ -78,11 +78,7 @@ def parse_optable(text: str, lattice: Oml):
     name = None
     points: list[str] = []
     tables: dict[str, dict[tuple, tuple]] = {w: {} for w in "PFHG"}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for lineno, tokens in _tokenize(text):
         head, rest = tokens[0], tokens[1:]
         if name is None:
             if head != "optable" or len(rest) != 1:

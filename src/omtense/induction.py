@@ -19,8 +19,10 @@ law scanner, its id maps or batch rows, and its forked split scans at
 --jobs > 1. Each inequality of a pair (s, t) is a law between two point
 projections (laws.At), for example At(q, s) <= At(P(q), t); one scan checks
 all 2|T|^2 of them, and a pair's witness is the earlier of its two first
-failures, the first inequality on a tie. Two operators are compared by the
-law A(q) = B(q), the four of the roundtrip or of classify in one scan.
+failures, the first inequality on a tie. Operators are compared by
+laws.compare_ops: the four of the roundtrip or of classify in one scan, and
+cor1's starred operators against the given ones, for the strictness of its
+passing lines, in one more.
 """
 
 from __future__ import annotations
@@ -28,10 +30,10 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401  perfbench/tracing.py hooks it
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceeded, EmptyRestriction, InvalidSpec, UnknownTimePoint
+from .errors import EmptyRestriction, InvalidSpec, UnknownTimePoint
 from .frames import TimeFrame
 from .lattice import Oml
-from .laws import App, At, Law, PVar, check_laws
+from .laws import App, At, Law, PVar, check_laws, compare_ops
 from .report import (
     EXHAUSTIVE,
     FAIL,
@@ -43,7 +45,8 @@ from .report import (
     VerifyReport,
     Witness,
 )
-from .tense import DEFAULT_SEED, OperatorQuadruple, Prop, TenseOperator, ops_equal, resolve_budget
+from .tense import DEFAULT_SEED, OperatorQuadruple, Prop, TenseOperator, resolve_budget
+from .tense import ops_equal  # noqa: F401  perfbench/tracing.py hooks it
 from .tense import proposition_block, sampled_block  # noqa: F401  perfbench/tracing.py hooks them
 
 _R1_INEQS = ("q(s) <= P(q)(t)", "q(t) <= F(q)(s)")
@@ -166,18 +169,9 @@ def _intersect(r1: InducedRelationReport, r2: InducedRelationReport) -> InducedR
                                  max(r1.samples, r2.samples), r1.lattice)
 
 
-def _op_differences(lattice: Oml, n_points: int, given: OperatorQuadruple,
-                    other: OperatorQuadruple, budget: int, seed: int, jobs: int):
-    """Per operator, in P, F, H, G order, the outcome of the law given(q) =
-    other(q), all four checked in one law scan."""
-    law = Law("coincides", "eq", App("given", PVar("q")), App("other", PVar("q")), ("q",))
-    cases = [(law, {"given": given.as_dict()[w], "other": other.as_dict()[w]}) for w in "PFHG"]
-    return check_laws(cases, lattice, n_points, budget=budget, seed=seed, jobs=jobs)
-
-
 def _op_mismatch(law_id: str, label: str, outcome, note: str) -> Witness:
-    """The witness of a failing given(q) = other(q) outcome of _op_differences
-    for the operator label, the other one shown starred."""
+    """The witness of a failing a(q) = b(q) outcome of compare_ops for the
+    operator label, b shown starred."""
     return Witness(kind="op-mismatch", law=law_id,
                    ops=((label, label), (label + "*", label + "*")),
                    props=(("q", outcome.witness_env["q"]),), point=outcome.witness_point,
@@ -222,7 +216,8 @@ def roundtrip_frame(lattice: Oml, frame: TimeFrame, *, budget: int | None = None
     rel_frame = TimeFrame(frame.name + "|reinduced", frame.points, report.pairs,
                           _allow_empty=True)
     reinduced = OperatorQuadruple.from_frame(lattice, rel_frame)
-    outcomes = _op_differences(lattice, frame.n, quadruple, reinduced, budget, seed, jobs)
+    outcomes = compare_ops("eq", zip(quadruple.as_dict().values(), reinduced.as_dict().values()),
+                           lattice, frame.n, budget=budget, seed=seed, jobs=jobs)
     for label, outcome in zip("PFHG", outcomes):
         witness = None
         if outcome.verdict == FAIL:
@@ -263,8 +258,8 @@ def classify_inducibility(lattice: Oml, points, quadruple: OperatorQuadruple, *,
     report = induce_R3(lattice, points, quadruple, budget=budget, seed=seed, jobs=jobs)
     rel_frame = TimeFrame("candidate", report.points, report.pairs, _allow_empty=True)
     candidate = OperatorQuadruple.from_frame(lattice, rel_frame)
-    outcomes = _op_differences(lattice, len(report.points), quadruple, candidate,
-                               budget, seed, jobs)
+    outcomes = compare_ops("eq", zip(quadruple.as_dict().values(), candidate.as_dict().values()),
+                           lattice, len(report.points), budget=budget, seed=seed, jobs=jobs)
     for label, outcome in zip("PFHG", outcomes):
         if outcome.verdict == FAIL:
             witness = _op_mismatch(
@@ -284,8 +279,9 @@ def check_star_inequalities(lattice: Oml, points, quadruple: OperatorQuadruple, 
 
     From the R1 relation: P* <= P and F* <= F. From the R2 relation: H <= H*
     and G <= G*. From R3: all four at once. Strictness (whether the starred
-    operator actually differs) is reported per law. relations, when given,
-    are the quadruple's R1 and R2 reports at this budget and seed.
+    operator actually differs) is reported per passing law, all from one
+    compare_ops scan. relations, when given, are the quadruple's R1 and R2
+    reports at this budget and seed.
     """
     # imported at call time, where the benchmark's trace hooks sit
     from .laws import build_witness, check_law
@@ -300,41 +296,32 @@ def check_star_inequalities(lattice: Oml, points, quadruple: OperatorQuadruple, 
     r1, r2 = relations
     r3pairs = r1.pairs & r2.pairs
 
-    laws: list[LawResult] = []
+    lines = []  # per line: its law, outcome, witness and (lower, upper) operators
     for which, pairs in (("R1", r1.pairs), ("R2", r2.pairs), ("R3", r3pairs)):
         star_frame = TimeFrame(f"{which.lower()}-star", points, pairs, _allow_empty=True)
         starred = OperatorQuadruple.from_frame(lattice, star_frame)
-        if which == "R1":
-            checks = (("P* <= P", starred.P, quadruple.P, "P"),
-                      ("F* <= F", starred.F, quadruple.F, "F"))
-        elif which == "R2":
-            checks = (("H <= H*", quadruple.H, starred.H, "H"),
-                      ("G <= G*", quadruple.G, starred.G, "G"))
-        else:
-            checks = (("P* <= P", starred.P, quadruple.P, "P"),
-                      ("F* <= F", starred.F, quadruple.F, "F"),
-                      ("H <= H*", quadruple.H, starred.H, "H"),
-                      ("G <= G*", quadruple.G, starred.G, "G"))
-        for text, lo_op, hi_op, label in checks:
+        past = (("P* <= P", starred.P, quadruple.P), ("F* <= F", starred.F, quadruple.F))
+        future = (("H <= H*", quadruple.H, starred.H), ("G <= G*", quadruple.G, starred.G))
+        for text, lo_op, hi_op in {"R1": past, "R2": future, "R3": past + future}[which]:
             law = Law(f"{text} [{which}]", "leq", App("lo", PVar("q")),
                       App("hi", PVar("q")), ("q",))
-            ops = {"lo": lo_op, "hi": hi_op}
-            outcome = check_law(law, lattice, len(points), ops,
+            outcome = check_law(law, lattice, len(points), {"lo": lo_op, "hi": hi_op},
                                 budget=budget, seed=seed, jobs=jobs)
-            names = {"lo": text.split(" <= ")[0], "hi": text.split(" <= ")[1]}
-            witness = None
-            if outcome.verdict == FAIL:
-                witness = build_witness(law, outcome, names)
-            detail = ""
-            if outcome.verdict == PASS:
-                try:
-                    strict = not ops_equal(lo_op, hi_op, budget=budget)
-                    detail = "strict" if strict else "equality"
-                except BudgetExceeded:
-                    detail = "strictness undetermined"
-            laws.append(LawResult(law.id, outcome.verdict, witness=witness,
-                                  mode=outcome.mode, samples=outcome.checked,
-                                  detail=detail))
+            witness = (build_witness(law, outcome, dict(zip(("lo", "hi"), text.split(" <= "))))
+                       if outcome.verdict == FAIL else None)
+            lines.append((law, outcome, witness, (lo_op, hi_op)))
+    # a line passes only on an exhaustive scan, so at the same budget the
+    # strictness scan of the passing lines is exhaustive too
+    passing = [ops for _, outcome, _, ops in lines if outcome.verdict == PASS]
+    equal = iter(compare_ops("eq", passing, lattice, len(points),
+                             budget=budget, seed=seed, jobs=jobs))
+    laws = []
+    for law, outcome, witness, _ in lines:
+        detail = ""
+        if outcome.verdict == PASS:
+            detail = "equality" if next(equal).verdict == PASS else "strict"
+        laws.append(LawResult(law.id, outcome.verdict, witness=witness, mode=outcome.mode,
+                              samples=outcome.checked, detail=detail))
     return VerifyReport(
         suite="cor1",
         instance=f"lattice={lattice.name} points={len(points)} budget={budget}",

@@ -54,7 +54,8 @@ With jobs > 1 that scan is split into contiguous ranges of its batches, the
 first scanned by the calling process and each other one by a forked child,
 and merged per case by the first range that fails. Every case gets the
 outcome it would get checked alone, and parallel runs report exactly what a
-sequential run reports.
+sequential run reports. Every comparison of two operators, a(q) <= b(q)
+or a(q) = b(q), is a scan of such cases (compare_ops).
 
 A failing LawOutcome carries its whole witness: the binding at the first
 failing index (witness_env), the first point where that binding breaks the
@@ -85,7 +86,6 @@ from .tense import (
     DEFAULT_SEED,
     ID_CHUNK,
     ID_DTYPE,
-    ID_PATH_MAX,
     Prop,
     TenseOperator,
     decode_props,
@@ -104,6 +104,9 @@ from .tense import (
 # most bindings a pair law checks at a budget up to DEFAULT_BUDGET; a larger
 # budget is the pair laws' cap too (_space)
 PAIR_BUDGET = 10 ** 6
+# largest |L|^|T| checked on id maps (IdAlgebra), rows past it (RowAlgebra):
+# a map applies its operator to all N propositions, a law to at most budget
+ID_PATH_MAX = 1 << 20
 
 
 # -- expressions ----------------------------------------------------------
@@ -1346,6 +1349,16 @@ def check_law(law: Law, lattice: Oml, n_points: int, ops: dict[str, TenseOperato
               jobs: int = 1) -> LawOutcome:
     """check_laws on the one case (law, ops)."""
     return check_laws([(law, ops)], lattice, n_points, budget=budget, seed=seed, jobs=jobs)[0]
+
+
+def compare_ops(relation: str, pairs, lattice: Oml, n_points: int, *,
+                budget: int | None = None, seed: int = DEFAULT_SEED,
+                jobs: int = 1) -> list[LawOutcome]:
+    """Per operator pair (a, b), the outcome of the law a(q) <= b(q)
+    (relation "leq") or a(q) = b(q) ("eq"), all pairs in one check_laws scan."""
+    law = Law("compare", relation, App("a", PVar("q")), App("b", PVar("q")), ("q",))
+    return check_laws([(law, {"a": a, "b": b}) for a, b in pairs], lattice, n_points,
+                      budget=budget, seed=seed, jobs=jobs)
 
 
 def _space(arity: int, count: int, budget: int) -> tuple[int, int]:

@@ -27,9 +27,9 @@ def point_text(point: int | None, points) -> str:
     return text
 
 
-def render_table(rows: list[list[str]], *, rule_after_first: bool = True,
-                 zone_breaks: tuple[int, ...] = ()) -> str:
-    """Align a cell matrix; zone_breaks insert a bar column before those indices."""
+def render_table(rows: list[list[str]], *, zone_breaks: tuple[int, ...] = ()) -> str:
+    """Align a cell matrix, with a rule under the first row; zone_breaks
+    insert a bar column before those indices."""
     cells = []
     for row in rows:
         out = []
@@ -43,7 +43,7 @@ def render_table(rows: list[list[str]], *, rule_after_first: bool = True,
     for r, row in enumerate(cells):
         line = "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
         lines.append(line)
-        if r == 0 and rule_after_first:
+        if r == 0:
             lines.append("-" * len(line))
     return "\n".join(lines) + "\n"
 

@@ -19,7 +19,8 @@ significant digit, so the first proposition is constant-bottom and
 "lexicographically first counterexample" is meaningful. A proposition's
 position in that order is its id: encode_props and decode_props convert
 between ids and rows, and TenseOperator.id_map gives a whole operator as an
-id -> id map.
+id -> id map. ops_equal and op_leq_counterexample are law scans
+(laws.compare_ops), on id maps or rows as laws.ID_PATH_MAX decides.
 
 A frame-induced operator's id map depends only on the lattice, the point
 count, the relation and which of P/F/H/G it is. The maps are therefore kept
@@ -50,6 +51,7 @@ import numpy as np
 from .errors import BudgetExceeded, InvalidSpec, ParseError, TabulatedMiss, TooBigForMemory
 from .frames import TimeFrame
 from .lattice import INDEX_DTYPE, Oml, join_set, meet_set, _tokenize
+from .report import PASS
 from .stream import Stream
 
 Prop = tuple[int, ...]
@@ -64,13 +66,6 @@ ID_DTYPE = np.int32
 # le5, 24576 scans as fast as 2^15 with a lower peak RSS, and 2^14 and 2^16
 # scan slower
 ID_CHUNK = 24576
-# Largest |L|^|T| whose operators are compared, and whose laws are checked,
-# on id maps. Each id map is built by applying its operator to all N
-# propositions, while a law checks at most budget (default 10^6) bindings and
-# samples beyond it, so a few times past the budget the maps cost more than
-# they save. Past the cap a law scan applies each operator to the rows of its
-# current batch only (laws.RowAlgebra), with the same scanner and batches.
-ID_PATH_MAX = 1 << 20
 # caches derived from a lattice, kept here rather than on the Oml so that
 # pickles stay small; an entry goes with its lattice
 _ALL_PROPS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()   # lattice -> all_props
@@ -196,14 +191,16 @@ class FrameInduced(TenseOperator):
         unit = self.lattice.bottom if joinlike else self.lattice.top
         out = np.empty((len(batch), self.frame.n), dtype=batch.dtype)
         batch = np.asfortranarray(batch)
+        # folds start at the unit, as in join_set and meet_set; gathering the
+        # unit's row widens the first column to intp before any multiply
+        # (past 181 elements x * n overflows the int16 columns)
+        unit_row = flat[unit * n:(unit + 1) * n]
         for s in range(self.frame.n):
             reads = self.sources(s)
             if not reads:  # the empty join is the bottom, the empty meet the top
                 out[:, s] = unit
                 continue
-            # widened before the first multiply: past 181 elements x * n
-            # overflows the int16 columns
-            acc = batch[:, reads[0]].astype(np.intp)
+            acc = unit_row.take(batch[:, reads[0]])
             for t in reads[1:]:
                 acc *= n
                 acc += batch[:, t]
@@ -461,52 +458,33 @@ def sampled_block(lattice: Oml, n_points: int, count: int, seed: int) -> np.ndar
 
 # -- ordering between operators -------------------------------------------
 
+def _compare(relation: str, a: TenseOperator, b: TenseOperator, budget: int | None):
+    """laws.compare_ops's outcome on (a, b), exhaustive or BudgetExceeded."""
+    from .laws import compare_ops  # laws imports this module
+
+    if a.lattice is not b.lattice or a.n_points != b.n_points:
+        raise InvalidSpec("compared operators must share the lattice and the point set")
+    space = proposition_count(a.lattice, a.n_points)
+    budget = resolve_budget(budget)
+    if space > budget:
+        raise BudgetExceeded(
+            f"{space} propositions exceed the budget of {budget}", space, budget)
+    return compare_ops(relation, [(a, b)], a.lattice, a.n_points, budget=budget)[0]
+
+
 def op_leq_counterexample(a: TenseOperator, b: TenseOperator, *,
                           budget: int | None = None) -> tuple[Prop, int] | None:
     """First (q, point) in odometer order with a(q)(point) not below b(q)(point),
-    or None when a(q) <= b(q) pointwise for every proposition q.
-
-    Exhaustive over the odometer enumeration; raises BudgetExceeded when
-    |L|^|T| overruns the budget.
-    """
-    if a.lattice is not b.lattice or a.n_points != b.n_points:
-        raise InvalidSpec("compared operators must share the lattice and the point set")
-    lattice, n_points = a.lattice, a.n_points
-    space = proposition_count(lattice, n_points)
-    budget = resolve_budget(budget)
-    if space > budget:
-        raise BudgetExceeded(
-            f"{space} propositions exceed the budget of {budget}", space, budget)
-    for lo in range(0, space, ID_CHUNK):
-        block = proposition_block(lattice, n_points, lo, min(lo + ID_CHUNK, space))
-        ok = lattice.leq[a.apply_batch(block), b.apply_batch(block)]
-        rows = ok.all(axis=1)
-        if not rows.all():
-            i = int(np.argmin(rows))
-            point = int(np.argmin(ok[i]))
-            return tuple(int(x) for x in block[i]), point
-    return None
+    or None when a(q) <= b(q) pointwise for every proposition q; raises
+    BudgetExceeded when |L|^|T| overruns the budget."""
+    outcome = _compare("leq", a, b, budget)
+    return None if outcome.verdict == PASS else (outcome.witness_env["q"], outcome.witness_point)
 
 
 def ops_equal(a: TenseOperator, b: TenseOperator, *, budget: int | None = None) -> bool:
-    """Whether a and b agree on every enumerated proposition.
-
-    Up to ID_PATH_MAX propositions this compares the operators' id maps,
-    which a law check on the same operators has usually built already.
-    """
-    lattice, n_points = a.lattice, a.n_points
-    space = proposition_count(lattice, n_points)
-    budget = resolve_budget(budget)
-    if space > budget:
-        raise BudgetExceeded(
-            f"{space} propositions exceed the budget of {budget}", space, budget)
-    if space <= ID_PATH_MAX:
-        return np.array_equal(a.id_map(), b.id_map())
-    for lo in range(0, space, ID_CHUNK):
-        block = proposition_block(lattice, n_points, lo, min(lo + ID_CHUNK, space))
-        if not np.array_equal(a.apply_batch(block), b.apply_batch(block)):
-            return False
-    return True
+    """Whether a and b agree on every enumerated proposition; raises
+    BudgetExceeded when |L|^|T| overruns the budget."""
+    return _compare("eq", a, b, budget).verdict == PASS
 
 
 # -- proposition text format ----------------------------------------------

@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 
+import numpy as np
+
 from . import induction
 from .errors import EmptyRestriction, InvalidSpec, NotAFailure
 from .extension import check_extension_HG, check_extension_PF
@@ -578,12 +580,14 @@ def replay_witness(report: VerifyReport) -> str:
         for name, value in witness.elements:
             lines.append(f"  {name} = {_fmt_elem(lattice, value)}")
         law = _ELEMENT_LAWS.get(witness.law)
-        terms = law.evaluate(lattice, *(v for _, v in witness.elements))[0] if law else ()
+        terms, _, *sides, _ = (law.evaluate(lattice, *(v for _, v in witness.elements)) if law
+                               else ((), None, witness.lhs, witness.rhs, None))
         for text, value in terms:
             lines.append(f"  {text} = {_fmt_elem(lattice, value)}")
         if witness.lhs is not None and witness.rhs is not None:
-            lines.append(f"  got {_fmt_elem(lattice, witness.lhs)}, "
-                         f"expected {_fmt_elem(lattice, witness.rhs)}")
+            got, expected = (("true" if side else "false") if isinstance(side, np.bool_)
+                             else _fmt_elem(lattice, side) for side in sides)
+            lines.append(f"  got {got}, expected {expected}")
         return "\n".join(lines)
 
     if witness.kind == "relation-mismatch":

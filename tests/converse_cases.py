@@ -7,7 +7,7 @@ frame the quadruple came from (None for quadruples no frame induced).
 
 import numpy as np
 
-from omtense import laws, tense
+from omtense import laws
 from omtense.fixtures import builtin_frame, builtin_lattice, example2_quadruple
 from omtense.tense import OperatorQuadruple, Tabulated, proposition_block
 
@@ -51,7 +51,7 @@ def sampled_budget(lattice, points):
 
 
 def force_row_path(monkeypatch):
-    """Send every quantifier below the id-path cap down the row path: the law
-    scans (laws.RowAlgebra) and the operator comparisons (tense.ops_equal)."""
-    for module in (laws, tense):
-        monkeypatch.setattr(module, "ID_PATH_MAX", 0)
+    """Send every quantifier below the id-path cap down the row path
+    (laws.RowAlgebra): the law scans and the operator comparisons, which are
+    law scans too."""
+    monkeypatch.setattr(laws, "ID_PATH_MAX", 0)

@@ -6,10 +6,12 @@ reports the first failing binding, so every LawOutcome field (verdict, mode,
 checked, witness_env, witness_point) can be compared exactly.
 """
 
+import functools
 import gc
 import itertools
 import math
 import pickle
+import random
 import time
 import tracemalloc
 import weakref
@@ -23,6 +25,7 @@ from hypothesis import strategies as st
 
 import converse_cases
 import oracles
+from test_element_laws import corrupted
 from omtense import cli, laws, tense
 from omtense.errors import BudgetExceeded, TabulatedMiss, TooBigForMemory
 from omtense.extension import _check_extension, extend_frame
@@ -47,7 +50,8 @@ from omtense.laws import (
     check_laws,
     render,
 )
-from omtense.report import EXHAUSTIVE, FAIL, ONE_SIDED, PASS, SAMPLED
+from omtense.render import point_text, prop_text
+from omtense.report import EXHAUSTIVE, FAIL, ONE_SIDED, PASS, SAMPLED, SKIPPED
 from omtense.tense import (
     DEFAULT_BUDGET,
     DEFAULT_SEED,
@@ -75,7 +79,9 @@ from omtense.verify import (
     _THM6_RIGHT,
     _THM7_LAWS,
     _THM7_SCHEMAS,
+    replay_witness,
     run_all,
+    run_suite,
 )
 
 LATTICES = ("chain2", "cube2", "mo2", "o6", "oml10")
@@ -110,14 +116,21 @@ def _suites():
 
 
 class Brute:
-    """Literal evaluation of laws over one lattice and frame."""
+    """Literal evaluation of laws over one lattice and frame: joins and meets
+    worked out from the order, or read from the lattice's own tables when
+    own_tables is set (for lattices whose tables are not those of the
+    order)."""
 
-    def __init__(self, lattice, frame):
+    def __init__(self, lattice, frame, own_tables=False):
         n = lattice.n
         leq = [[bool(lattice.leq[x, y]) for y in range(n)] for x in range(n)]
-        self.leq = leq
-        join = [[oracles.least_upper_bound(leq, x, y) for y in range(n)] for x in range(n)]
-        meet = [[oracles.greatest_lower_bound(leq, x, y) for y in range(n)] for x in range(n)]
+        self.lattice, self.leq = lattice, leq
+        if own_tables:
+            join, meet = lattice.join_table.tolist(), lattice.meet_table.tolist()
+        else:
+            join = [[oracles.least_upper_bound(leq, x, y) for y in range(n)] for x in range(n)]
+            meet = [[oracles.greatest_lower_bound(leq, x, y) for y in range(n)]
+                    for x in range(n)]
         self.join2 = lambda x, y: join[x][y]
         self.meet2 = lambda x, y: meet[x][y]
         self.comp = [int(c) for c in lattice.comp]
@@ -172,6 +185,10 @@ class Brute:
                 return (self.eval(a, env, ops)[s],) * self.n_points
         raise TypeError(expr)
 
+    def apply(self, which, q):
+        """The frame-induced operator which (P, F, H or G) applied to q."""
+        return self.eval(App(which, PVar("q")), {"q": q}, {which: which})
+
     def outcome(self, law, ops, pair_budget, budget=DEFAULT_BUDGET):
         """The law's outcome at check_laws's caps: budget propositions, and
         min(pair_budget, budget^2) pairs; a space past its cap is walked in
@@ -224,6 +241,107 @@ def test_id_core_matches_brute_force(monkeypatch, lattice_name, frame_name):
         assert got == [check_law(law, lattice, frame.n, ops, budget=7) for law, ops in cases]
         assert got == [brute.outcome(law, names, laws.PAIR_BUDGET, budget=7)
                        for law, names in bindings], suite
+
+
+def _traced(expr):
+    """The subterms of expr that eval_trace records: every one but the
+    leaves, children first."""
+    match expr:
+        case PVar() | ConstProp():
+            return []
+        case Neg(a) | App(_, a) | At(a, _):
+            return _traced(a) + [expr]
+        case laws.Binary(a, b):
+            return _traced(a) + _traced(b) + [expr]
+    raise TypeError(expr)
+
+
+def _brute_replay(brute, suite, law, names, outcome, points):
+    """The replay of law's failing outcome with every traced subterm's value
+    from the brute force, each rendering once, in the order eval_trace
+    records them."""
+    lattice, env = brute.lattice, outcome.witness_env
+    lines = [f"witness replay for suite {suite}, law {law.id!r}",
+             f"  claim: {law.describe(names)}"]
+    lines += [f"  {var} = {prop_text(lattice, env[var])}" for var in law.vars]
+    lines.append("  trace:")
+    seen = set()
+    for expr in _traced(law.lhs) + _traced(law.rhs):
+        text = render(expr, names)
+        if text not in seen:
+            seen.add(text)
+            lines.append(f"    {text} = {prop_text(lattice, brute.eval(expr, env, names))}")
+    relation = "=" if law.relation == "eq" else "<="
+    lines.append(f"  at {point_text(outcome.witness_point, points)}: "
+                 f"{lattice.name_of(outcome.witness_lhs)} {relation} "
+                 f"{lattice.name_of(outcome.witness_rhs)} fails")
+    return "\n".join(lines)
+
+
+def _first_difference(given, other, props):
+    """(q, point, given value, other value) at the first q of props and point
+    where the brute forces given and other apply an operator differently,
+    per operator in P, F, H, G order, or None where they agree."""
+    out = []
+    for w in "PFHG":
+        applied = ((q, given.apply(w, q), other.apply(w, q)) for q in props)
+        out.append(next(((q, s, x[s], y[s]) for q, x, y in applied
+                         for s in range(len(q)) if x[s] != y[s]), None))
+    return out
+
+
+def test_suites_on_corrupted_lattices_match_the_brute_force(monkeypatch, oml10, le2):
+    # one join, meet or complement entry of oml10 set at random per copy, so
+    # that laws fail: each law line of the law suites, its witness and the
+    # first failure's replay, and the roundtrip's relation and operator
+    # lines, are those of the brute force reading the copy's own tables
+    monkeypatch.setattr(laws, "PAIR_BUDGET", REFERENCE_PAIR_BUDGET)
+    rng = random.Random("corrupted")
+    failed = Counter()
+    for _ in range(8):
+        lattice = corrupted(oml10, rng)
+        brute = Brute(lattice, le2, own_tables=True)
+        inst = Instance(lattice, frame=le2)
+        for suite in ("thm1", "thm2", "thm3", "thm7", "demorgan"):
+            report = run_suite(suite, inst)
+            if report.verdict == SKIPPED:  # a copy that is no longer orthomodular
+                continue
+            bindings = _suites()[suite]
+            wants = [brute.outcome(law, names, REFERENCE_PAIR_BUDGET) for law, names in bindings]
+            assert [result.law for result in report.laws] == [law.id for law, _ in bindings]
+            for result, (law, _), want in zip(report.laws, bindings, wants):
+                assert (result.verdict, result.mode, result.samples) == (
+                    want.verdict, want.mode, want.checked), (suite, law.id)
+                if want.verdict == FAIL:
+                    witness = result.witness
+                    assert (witness.props, witness.point, witness.lhs, witness.rhs) == (
+                        tuple((var, want.witness_env[var]) for var in law.vars),
+                        want.witness_point, want.witness_lhs, want.witness_rhs)
+            if report.verdict == FAIL:
+                failed[suite] += 1
+                k = next(k for k, want in enumerate(wants) if want.verdict == FAIL)
+                law, names = bindings[k]
+                assert replay_witness(report) == _brute_replay(brute, suite, law, names,
+                                                               wants[k], le2.points)
+        report = run_suite("thm4-roundtrip", inst)
+        P, F, H, G = (functools.partial(brute.apply, w) for w in "PFHG")
+        r1, _ = oracles.induced_R1(brute.props, brute.leq, P, F, le2.n)
+        r2, _ = oracles.induced_R2(brute.props, brute.leq, H, G, le2.n)
+        reinduced = Brute(lattice, SimpleNamespace(n=le2.n, rel=r1 & r2), own_tables=True)
+        relation, *coincides = report.laws
+        assert relation.verdict == (PASS if r1 & r2 == le2.rel else FAIL)
+        for result, w, want in zip(coincides, "PFHG",
+                                   _first_difference(brute, reinduced, brute.props)):
+            assert result.law == f"{w}-coincides"
+            if want is None:
+                assert result.verdict == PASS
+                continue
+            failed["coincides"] += 1
+            q, point, lhs, rhs = want
+            assert result.verdict == FAIL
+            assert (result.witness.props, result.witness.point, result.witness.lhs,
+                    result.witness.rhs) == ((("q", q),), point, lhs, rhs)
+    assert set(failed) == {"thm1", "thm2", "thm3", "thm7", "demorgan", "coincides"}, failed
 
 
 @pytest.mark.parametrize("lattice_name", LATTICES)
@@ -484,7 +602,7 @@ ORDER_PAIRS = 1 << 20
 
 def _point_counts(lattice):
     """Every point count the id core takes: at most ID_PATH_MAX propositions."""
-    return [n_points for n_points in range(1, 21) if lattice.n ** n_points <= tense.ID_PATH_MAX]
+    return [n_points for n_points in range(1, 21) if lattice.n ** n_points <= laws.ID_PATH_MAX]
 
 
 def _digits_order(lattice):
@@ -1257,7 +1375,7 @@ def test_ops_equal_on_id_maps_matches_element_path(monkeypatch, oml10, le3):
         monkeypatch.setattr(kind, "apply_batch", None)
     assert [ops_equal(a, b) for a, b, _ in pairs] == on_ids
     monkeypatch.undo()
-    monkeypatch.setattr(tense, "ID_PATH_MAX", 0)
+    monkeypatch.setattr(laws, "ID_PATH_MAX", 0)
     assert [ops_equal(a, b) for a, b, _ in pairs] == on_ids
     with pytest.raises(BudgetExceeded):
         ops_equal(quad.P, quad.P, budget=proposition_count(oml10, le3.n) - 1)

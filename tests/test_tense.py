@@ -310,6 +310,13 @@ def test_ops_equal(oml10, le3):
     assert not ops_equal(quad.P, quad.F)
 
 
+def test_ops_equal_rejects_mismatched_operators(oml10, cube2, le3, le5):
+    with pytest.raises(InvalidSpec):
+        ops_equal(FrameInduced(oml10, le3, "P"), FrameInduced(oml10, le5, "P"))
+    with pytest.raises(InvalidSpec):
+        ops_equal(FrameInduced(oml10, le3, "P"), FrameInduced(cube2, le3, "P"))
+
+
 # -- the other operator shapes ----------------------------------------------
 
 def test_identity_else_constant(oml10):

@@ -1,7 +1,10 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
+
+from test_element_laws import corrupted
 
 from omtense import (
     IdentityElseConstant,
@@ -15,7 +18,7 @@ from omtense import (
     laws,
     parse_lattice,
 )
-from omtense.fixtures import example2_quadruple
+from omtense.fixtures import builtin_frame, builtin_lattice, example2_quadruple
 from omtense.laws import check_laws
 from omtense.report import ReplayContext, VerifyReport, Witness
 from omtense.verify import (
@@ -182,6 +185,26 @@ def test_extension_suites_skip_on_empty_relation(oml10):
     assert (report.verdict, report.reason) == ("skipped", "induced relation R1 is empty")
     # R2 of the all-bottom quadruple is full, so ext-hg still runs
     assert run_suite("ext-hg", inst).verdict == "pass"
+    # with H and G the constant top, H(q)(t) <= q(s) fails at the bottom q
+    # for every pair, so R2 is empty and ext-hg skips
+    top = IdentityElseConstant(oml10, 3, frozenset(), oml10.top, label="T")
+    inst = Instance(lattice=oml10, ops=OperatorQuadruple(bottom, bottom, top, top))
+    report = run_suite("ext-hg", inst)
+    assert (report.verdict, report.reason) == ("skipped", "induced relation R2 is empty")
+
+
+@pytest.mark.parametrize("lattice_name, frame_name, copies",
+                         [("oml10", "le2", 50), ("mo2", "le3", 40), ("cube3", "nonserial2", 40)])
+def test_no_suite_raises_on_a_corrupted_lattice(lattice_name, frame_name, copies):
+    # one join, meet or complement entry set at random per copy: P, F, H and
+    # G must fold from the unit in the scan as in a witness, or a witness
+    # the scan found would not fail the law when worked out again
+    rng = random.Random("corrupted")
+    lattice, frame = builtin_lattice(lattice_name), builtin_frame(frame_name)
+    for _ in range(copies):
+        for report in run_all(Instance(corrupted(lattice, rng), frame=frame)):
+            if report.verdict == "fail":
+                replay_witness(report)
 
 
 # -- the orthomodular check and its replay -------------------------------------
